@@ -18,7 +18,7 @@ from .tensor import (
     save_tensor,
 )
 from .coarse import CoarseNet, CoarseOutput, coarse_forward
-from .selector import KController, SparsePixel, select_top_k, update_k
+from .selector import KController, Selection, select_top_k, update_k
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .model import (

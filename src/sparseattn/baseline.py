@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .cost import CostReport, conv_flops
-from .data import LabeledImage
+from .data import LabeledImage, check_image_shapes
 from .losses import LossConfig, class_weights, focal_loss
 from .tensor import (
     GradientTape,
@@ -104,6 +104,7 @@ def train_baseline(net: BaselineNet, dataset: list[LabeledImage],
     loss is focal only and there is no pixel budget."""
     if not dataset:
         raise ValueError("train_baseline needs a non-empty dataset")
+    check_image_shapes(dataset, net.image_shape)
     from .train import _stratified_val_split
 
     fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
@@ -180,6 +181,7 @@ def train_baseline(net: BaselineNet, dataset: list[LabeledImage],
 def evaluate_baseline(net: BaselineNet, dataset: list[LabeledImage]) -> MetricsReport:
     if not dataset:
         raise ValueError("evaluate_baseline needs a non-empty dataset")
+    check_image_shapes(dataset, net.image_shape)
     conf = np.zeros((net.classes, net.classes), dtype=np.int64)
     for sample in dataset:
         conf[sample.label, baseline_predict(net, sample.pixels)] += 1
@@ -235,13 +237,13 @@ def baseline_from_bytes(data: bytes) -> BaselineNet:
         raise ValueError(f"unsupported baseline checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", buf.read(4))
     meta = json.loads(buf.read(meta_len).decode())
-    net = build_baseline(0, tuple(meta["image_shape"]), meta["classes"])
     (count,) = struct.unpack("<I", buf.read(4))
     loaded = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", buf.read(2))
         name = buf.read(nlen).decode()
         loaded[name] = read_tensor(buf)
+    net = build_baseline(0, tuple(meta["image_shape"]), meta["classes"])
     for name, t in net.params():
         t.data = loaded[name].data
     return net

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -20,9 +21,9 @@ import numpy as np
 
 from .baseline import (
     baseline_cost,
+    baseline_from_bytes,
     build_baseline,
     evaluate_baseline,
-    load_baseline,
     save_baseline,
     train_baseline,
 )
@@ -37,7 +38,7 @@ from .data import (
     split,
     write_pgm,
 )
-from .model import build_model, load_model, model_forward, save_model
+from .model import build_model, model_forward, model_from_bytes, save_model
 from .selector import write_topk_csv
 from .tensor import NumericError, Tensor, tensor_to_csv
 from .train import TrainConfig, evaluate, train
@@ -241,15 +242,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+_CHECKPOINT_KINDS = {
+    b"SATM": ("sparse", model_from_bytes),
+    b"SATB": ("baseline", baseline_from_bytes),
+}
+
+
+def checkpoint_from_bytes(data: bytes, source="checkpoint"):
+    """(kind, model) of a SATM or SATB byte string. Bad magic, truncation
+    and corrupt records all raise DatasetError, naming `source`."""
+    magic = data[:4]
+    if magic not in _CHECKPOINT_KINDS:
+        raise DatasetError(f"{source}: unrecognized checkpoint magic {magic!r}")
+    kind, parse = _CHECKPOINT_KINDS[magic]
+    try:
+        return kind, parse(data)
+    except (ValueError, KeyError, struct.error) as err:
+        # ValueError covers bad JSON and bad UTF-8 as well
+        raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
+
+
 def _load_any_checkpoint(path: Path):
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"checkpoint not found: {path}")
-    magic = path.open("rb").read(4)
-    if magic == b"SATM":
-        return "sparse", load_model(path)
-    if magic == b"SATB":
-        return "baseline", load_baseline(path)
-    raise DatasetError(f"{path}: unrecognized checkpoint magic {magic!r}")
+    return checkpoint_from_bytes(path.read_bytes(), path)
 
 
 def cmd_eval(args) -> int:
@@ -311,10 +327,8 @@ def cmd_cost(args) -> int:
     else:
         _print_cost(f"sparse model (k={k})", report)
         if settings["baseline"]:
-            base_report = baseline_cost(build_baseline(settings["seed"], shape,
-                                                       model.class_count))
-            _print_cost("dense baseline", base_report)
-            print(f"  flops ratio   {report.total_flops / base_report.total_flops:.3f}")
+            _print_cost("dense baseline", base)
+            print(f"  flops ratio   {payload['flops_ratio']:.3f}")
     return 0
 
 
@@ -342,14 +356,14 @@ def cmd_viz(args) -> int:
     tensor_to_csv(diag.coarse.attention_map, out_dir / f"{stem}_coarse.csv")
 
     importance = diag.fine.pixel_importance.data[:k]
-    scores = [coarse_map[p.row, p.col] for p in diag.pixels]
+    index = diag.pixels.index
+    scores = coarse_map.ravel()[index]
     write_topk_csv(out_dir / f"{stem}_topk.csv", diag.pixels, scores, importance)
 
     fine_map = np.zeros((h, w))
     peak = importance.max()
     if peak > 0:
-        for i, p in enumerate(diag.pixels):
-            fine_map[p.row, p.col] = importance[i] / peak
+        fine_map.ravel()[index] = importance / peak
     write_pgm(out_dir / f"{stem}_fine.pgm", fine_map)
 
     print(f"predicted class {int(np.argmax(logits.data))}; "

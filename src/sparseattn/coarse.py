@@ -3,7 +3,8 @@
 Two 3x3 conv layers (1 -> 8 -> 1 channels, same padding) with batch norm
 after the first. The sigmoid of the final map ranks pixels for selection;
 the spatial mean of the 8-channel post-ReLU map is the pooled global
-feature that joins the fused representation.
+feature that joins the fused representation. A B×1×H×W batch runs through
+the same convolutions in one call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ BN_EPS = 1e-5
 
 @dataclass
 class CoarseOutput:
+    """Per image; a batch adds a leading axis to every field."""
+
     attention_map: Tensor   # H×W, values strictly in (0, 1)
     z_coarse: Tensor        # (channels,) pooled post-ReLU features
     pre_sigmoid: Tensor     # H×W logits of the map
@@ -39,10 +42,10 @@ class CoarseOutput:
 class CoarseNet:
     """1 -> channels -> 1 conv stack with batch norm on the hidden layer.
 
-    Running batch-norm statistics are state, not parameters. The pipeline
-    feeds single images, so normalization always uses the running
-    statistics (the batch-statistics path needs more than one sample per
-    feature); gamma/beta still learn freely.
+    Running batch-norm statistics are state, not parameters. Normalization
+    always uses the running statistics, batched or not, so an image's
+    output never depends on the other images of its batch; gamma/beta
+    still learn freely.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int = 8, ksize: int = 3):
@@ -77,29 +80,37 @@ class CoarseNet:
         return [("bn_mean", self.bn_mean), ("bn_var", self.bn_var)]
 
 
-def _as_chw(image: Tensor) -> Tensor:
-    if image.data.ndim == 2:
-        return reshape(image, (1,) + image.data.shape)
-    if image.data.ndim == 3 and image.data.shape[0] == 1:
-        return image
+def _as_batch(image: Tensor) -> tuple[Tensor, tuple[int, ...]]:
+    """B×1×H×W form of the input, plus the leading shape the outputs keep:
+    () for one H×W or 1×H×W image, (B,) for a B×1×H×W batch."""
+    shape = image.data.shape
+    if len(shape) == 2:
+        return reshape(image, (1, 1) + shape), ()
+    if len(shape) == 3 and shape[0] == 1:
+        return reshape(image, (1,) + shape), ()
+    if len(shape) == 4 and shape[1] == 1:
+        return image, shape[:1]
     raise DimensionError(
-        f"expected a single-channel 2-D image, got shape {image.data.shape}"
+        f"expected a single-channel image (H×W or 1×H×W) or a B×1×H×W batch, got shape {shape}"
     )
 
 
 def coarse_forward(net: CoarseNet, image: Tensor, training: bool = False) -> CoarseOutput:
-    """Run the conv stack on one [0,1]-normalized image.
+    """Run the conv stack on one [0,1]-normalized image or on a batch.
 
-    training toggles batch-norm mode, but with per-image input both modes
-    resolve to the running statistics; see CoarseNet.
+    training toggles batch-norm mode, but both modes resolve to the
+    running statistics; see CoarseNet.
     """
-    x = _as_chw(image)
-    h = conv2d(x, net.conv1_w, net.conv1_b, net.pad)
+    x, lead = _as_batch(image)
+    b, _, height, width = x.data.shape
     sigma = Tensor(np.sqrt(net.bn_var + BN_EPS))
     scale = div(net.bn_gamma, sigma)
     shift = sub(net.bn_beta, mul(scale, Tensor(net.bn_mean)))
-    a = relu(channel_affine(h, scale, shift))
-    z_coarse = reduce_mean(reshape(a, (net.channels, -1)), axis=1)
+    # nested, so a tape-free pass frees each B×C×H×W intermediate at once
+    a = relu(channel_affine(conv2d(x, net.conv1_w, net.conv1_b, net.pad),
+                            scale, shift))
+    pooled = reduce_mean(reshape(a, (b, net.channels, height * width)), axis=2)
+    z_coarse = reshape(pooled, lead + (net.channels,))
     f = conv2d(a, net.conv2_w, net.conv2_b, net.pad)
-    pre = reshape(f, f.data.shape[1:])
+    pre = reshape(f, lead + (height, width))
     return CoarseOutput(attention_map=sigmoid(pre), z_coarse=z_coarse, pre_sigmoid=pre)

@@ -85,6 +85,17 @@ def generate(spec: SyntheticSpec) -> list[LabeledImage]:
     return out
 
 
+def check_image_shapes(dataset: list[LabeledImage], shape) -> None:
+    """DatasetError unless every image is H×W as a model's `shape` says."""
+    shape = tuple(shape)
+    for sample in dataset:
+        if sample.pixels.data.shape != shape:
+            raise DatasetError(
+                f"image of shape {sample.pixels.data.shape} does not match "
+                f"the model's {shape}"
+            )
+
+
 def split(dataset: list[LabeledImage], train_fraction: float = 0.8,
           seed: int = 0) -> tuple[list[LabeledImage], list[LabeledImage]]:
     """Stratified, seeded, disjoint, exhaustive train/test split."""

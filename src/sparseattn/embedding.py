@@ -3,15 +3,15 @@
 Each pixel is one token; a two-layer MLP maps its coordinate/intensity
 triplet into R^D so position and intensity interact nonlinearly instead of
 being projected separately and summed. The learnable CLS token is appended
-as the last row.
+as the last row. A batch of images embeds in one pass: every pixel of every
+image goes through one (B*k)×3 product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add_rowvec, concat, matmul, relu, reshape
-from .selector import SparsePixel
+from .tensor import Tensor, add_rowvec, broadcast_to, concat, matmul, relu, reshape
 
 
 class Embedder:
@@ -39,16 +39,18 @@ class Embedder:
         ]
 
 
-def embed_pixels(emb: Embedder, pixels: list[SparsePixel]) -> Tensor:
-    """Embed k pixels into a (k+1)×D token matrix; row k is the CLS token.
+def embed_pixels(emb: Embedder, triplets) -> Tensor:
+    """Embed k (x, y, v) triplets into a (k+1)×D token matrix whose row k is
+    the CLS token; a B×k×3 batch gives B×(k+1)×D.
 
     Pixel rows keep the selection order. The triplets themselves are
     constants; gradient reaches only the MLP weights and the CLS token.
     """
-    if not pixels:
-        raise ValueError("embed_pixels needs at least one pixel")
-    triplets = Tensor(np.array([[p.x, p.y, p.v] for p in pixels]))
-    h = relu(add_rowvec(matmul(triplets, emb.w1), emb.b1))
-    rows = add_rowvec(matmul(h, emb.w2), emb.b2)
-    cls_row = reshape(emb.cls_token, (1, emb.dim))
-    return concat([rows, cls_row], axis=0)
+    t = np.asarray(triplets, dtype=np.float64)
+    if t.ndim not in (2, 3) or t.shape[-1] != 3 or t.shape[-2] == 0:
+        raise ValueError(f"embed_pixels needs k >= 1 triplets as (..., k, 3), got {t.shape}")
+    lead, k = t.shape[:-2], t.shape[-2]
+    h = relu(add_rowvec(matmul(Tensor(t.reshape(-1, 3)), emb.w1), emb.b1))
+    rows = reshape(add_rowvec(matmul(h, emb.w2), emb.b2), lead + (k, emb.dim))
+    cls_rows = broadcast_to(emb.cls_token, lead + (1, emb.dim))
+    return concat([rows, cls_rows], axis=-2)

@@ -5,6 +5,10 @@ column over the tokens, so every attention column is a distribution over
 the k+1 tokens. Context is accumulated as A^T V and queried per token,
 which keeps the cost linear in the token count. The CLS row of the head
 outputs, averaged over heads, is the global representation.
+
+All heads run in one pass: their query and key projections sit side by
+side as H*d_h columns, and a batch of token matrices is one B×(k+1)×D
+tensor.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    div,
     div_rowvec,
     gather,
     matmul,
-    neg,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -32,9 +35,11 @@ from .tensor import (
 
 @dataclass
 class FineOutput:
+    """Per image; a batch adds a leading axis to every field."""
+
     z_fine: Tensor                 # (D,) mean CLS output over heads
-    head_attn: list[Tensor]        # per head, (k+1)×d_h column-stochastic
-    pixel_importance: Tensor       # (k+1,) attention each token gets in the CLS readout
+    head_attn: list[Tensor]        # per head, (k+1)×d_h column-stochastic (constants)
+    pixel_importance: Tensor       # (k+1,) attention each token gets in the CLS readout (constant)
 
 
 class FineAttention:
@@ -66,37 +71,41 @@ class FineAttention:
 
 
 def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
-    """Attend over a (k+1)×D token matrix whose last row is the CLS token."""
-    if tokens.data.ndim != 2 or tokens.data.shape[1] != fa.dim:
+    """Attend over a (k+1)×D token matrix whose last row is the CLS token,
+    or over each matrix of a B×(k+1)×D batch."""
+    td = tokens.data
+    if td.ndim not in (2, 3) or td.shape[-1] != fa.dim:
         raise DimensionError(
-            f"token matrix {tokens.data.shape} must be (k+1)×{fa.dim}"
+            f"token matrix {td.shape} must be (k+1)×{fa.dim} or B×(k+1)×{fa.dim}"
         )
-    n_tokens = tokens.data.shape[0]
+    n_tokens = td.shape[-2]
     if n_tokens < 2:
         raise ValueError("need at least one pixel token besides CLS")
-    cls_row = n_tokens - 1
+    single = td.ndim == 2
+    x = reshape(tokens, (1,) + td.shape) if single else tokens
+    b = x.data.shape[0]
 
-    values = matmul(tokens, fa.w_v)
-    cls_outs = []
-    attn = []
-    importance_rows = []
-    for h in range(fa.heads):
-        q = matmul(tokens, fa.w_q[h])
-        k = matmul(tokens, fa.w_k[h])
-        k_pos = add(relu(k), fa.epsilon)
-        col_mass = reduce_sum(k_pos, axis=0)
-        a = div_rowvec(k_pos, col_mass)                  # columns sum to 1
-        context = matmul(transpose(a), values)           # d_h × D
-        out = matmul(q, context)                         # (k+1) × D
-        cls_outs.append(gather(out, [cls_row]))
-        attn.append(a)
-        # token j's weight in the CLS readout is sum_c q_cls[c] * a[j, c];
-        # its magnitude is the attention the classifier pays to the token
-        flow = matmul(a, transpose(gather(q, [cls_row])))   # (k+1) × 1
-        magnitude = add(relu(flow), relu(neg(flow)))
-        importance_rows.append(reshape(magnitude, (1, n_tokens)))
+    values = matmul(x, fa.w_v)                                   # B × (k+1) × D
+    q = matmul(x, concat(fa.w_q, axis=1))                        # B × (k+1) × H*d_h
+    keys = add(relu(matmul(x, concat(fa.w_k, axis=1))), fa.epsilon)
+    a = div_rowvec(keys, reduce_sum(keys, axis=1))               # columns sum to 1
+    context = matmul(transpose(a), values)                       # B × H*d_h × D
+    # contracting over all H*d_h columns adds up the heads' q_h @ context_h
+    out = matmul(q, context)                                     # B × (k+1) × D
+    cls_rows = np.arange(1, b + 1) * n_tokens - 1
+    z_fine = div(gather(reshape(out, (b * n_tokens, fa.dim)), cls_rows), float(fa.heads))
 
-    z_fine = reshape(reduce_mean(concat(cls_outs, axis=0), axis=0), (fa.dim,))
-    importance = reshape(reduce_mean(concat(importance_rows, axis=0), axis=0),
-                         (n_tokens,))
-    return FineOutput(z_fine=z_fine, head_attn=attn, pixel_importance=importance)
+    # token j's weight in head h's CLS readout is sum_c q_cls[c] * a[j, c]
+    # over the head's columns; its magnitude, averaged over heads, is the
+    # attention the classifier pays to the token. It only feeds the
+    # detached distillation target and diagnostics, so it stays off the tape.
+    ad = a.data
+    q_cls = q.data[:, -1, :]
+    flow = (ad * q_cls[:, None, :]).reshape(b, n_tokens, fa.heads, fa.head_dim).sum(axis=-1)
+    importance = np.abs(flow).mean(axis=-1)
+    if single:
+        z_fine = reshape(z_fine, (fa.dim,))
+        ad, importance = ad[0], importance[0]
+    d_h = fa.head_dim
+    head_attn = [Tensor(ad[..., h * d_h:(h + 1) * d_h]) for h in range(fa.heads)]
+    return FineOutput(z_fine=z_fine, head_attn=head_attn, pixel_importance=Tensor(importance))

@@ -5,6 +5,10 @@ distillation from the fine importance scores onto the coarse map.
 The distillation target is detached before the KL term is formed, so its
 gradient reaches only the coarse module; the fine side acts as a frozen
 teacher within each step.
+
+Every term is computed for the whole batch at once: a row softmax for the
+focal term, a positive-pair mask for the contrastive term, and a per-row
+gather of the selected map values for the distillation term.
 """
 
 from __future__ import annotations
@@ -13,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .selector import SparsePixel, flat_indices
+from .selector import Selection
 from .tensor import (
     Tensor,
     add,
     clamp_min,
-    concat,
     div,
     div_colvec,
     exp,
@@ -28,11 +31,12 @@ from .tensor import (
     mul,
     neg,
     power,
-    reduce_max,
     reduce_mean,
     reduce_sum,
     reshape,
+    softmax,
     sub,
+    take,
     transpose,
 )
 
@@ -74,29 +78,25 @@ class BatchLossReport:
     total_tensor: Tensor | None = None   # live tape tensor for backward
 
 
-def _softmax_vec(v: Tensor) -> Tensor:
-    shifted = sub(v, reduce_max(v))
-    e = exp(shifted)
-    return div(e, reduce_sum(e))
+def _labels(labels, classes: int) -> np.ndarray:
+    out = np.asarray([int(l) for l in labels], dtype=np.intp)
+    bad = out[(out < 0) | (out >= classes)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} outside [0, {classes})")
+    return out
 
 
 def _focal_terms(logits: Tensor, labels, cfg: LossConfig):
-    """Per-sample focal terms and correct-class probabilities."""
+    """Per-sample focal terms (B,) and correct-class probabilities."""
     b, c = logits.data.shape
-    terms = []
-    probs = []
-    for i in range(b):
-        label = int(labels[i])
-        if not 0 <= label < c:
-            raise ValueError(f"label {label} outside [0, {c})")
-        row = reshape(gather(logits, [i]), (c,))
-        p = _softmax_vec(row)
-        p_y = clamp_min(gather(p, [label]), PROB_FLOOR)
-        probs.append(float(p_y.data[0]))
-        modulator = power(sub(1.0, p_y), cfg.gamma)
-        term = mul(cfg.alpha_for(label), mul(modulator, neg(log(p_y))))
-        terms.append(term)
-    return terms, probs
+    y = _labels(labels, c)
+    if y.shape != (b,):
+        raise ValueError(f"{y.size} labels for {b} rows of logits")
+    p_y = clamp_min(take(softmax(logits), y), PROB_FLOOR)
+    modulator = power(sub(1.0, p_y), cfg.gamma)
+    alpha = Tensor([cfg.alpha_for(label) for label in y.tolist()])
+    terms = mul(alpha, mul(modulator, neg(log(p_y))))
+    return terms, p_y.data.tolist()
 
 
 def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
@@ -104,7 +104,7 @@ def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be B×C, got shape {logits.data.shape}")
     terms, _ = _focal_terms(logits, labels, cfg)
-    return reduce_mean(concat(terms, axis=0))
+    return reduce_mean(terms)
 
 
 def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
@@ -119,7 +119,14 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
             f"embeddings must be B×D with B >= 2, got shape {embeddings.data.shape}"
         )
     b = embeddings.data.shape[0]
-    labels = [int(l) for l in labels]
+    y = np.asarray([int(l) for l in labels])
+    same = y[:, None] == y[None, :]
+    np.fill_diagonal(same, False)
+    anchors = np.flatnonzero(same.any(axis=1))
+    if anchors.size == 0:
+        return Tensor(0.0)
+    # highest-index positive: the first True from the right of each row
+    positive = b - 1 - np.argmax(same[:, ::-1], axis=1)
 
     sq = reduce_sum(mul(embeddings, embeddings), axis=1)
     norms = power(clamp_min(sq, PROB_FLOOR ** 2), 0.5)
@@ -127,75 +134,68 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
     sims = matmul(z, transpose(z))
     scores = exp(mul(sims, 1.0 / cfg.tau))
 
-    terms = []
-    for i in range(b):
-        positives = [j for j in range(b) if j != i and labels[j] == labels[i]]
-        if not positives:
-            continue
-        pos = max(positives)
-        row = reshape(gather(scores, [i]), (b,))
-        denom = sub(reduce_sum(row), gather(row, [i]))
-        numer = gather(row, [pos])
-        terms.append(neg(log(div(numer, denom))))
-    if not terms:
-        return Tensor(0.0)
-    return reduce_mean(concat(terms, axis=0))
+    denom = sub(reduce_sum(scores, axis=1), take(scores, np.arange(b)))
+    ratio = div(take(scores, positive), denom)
+    return reduce_mean(neg(log(gather(ratio, anchors))))
 
 
 def distill_target(pixel_importance: Tensor, k: int, emphasis: float) -> np.ndarray:
-    """Detached target distribution over the k selected pixels.
+    """Detached target distribution over the k selected pixels (per row of
+    a batch).
 
     The CLS entry is dropped, the remaining importances are sharpened by
     the emphasis exponent and renormalized, then floored at PROB_FLOOR.
     """
-    imp = np.asarray(pixel_importance.data[:k], dtype=np.float64)
+    imp = np.asarray(pixel_importance.data[..., :k], dtype=np.float64)
     t = imp ** float(emphasis)
-    mass = t.sum()
-    t = np.full(k, 1.0 / k) if mass <= 0 else t / mass
+    mass = t.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(mass <= 0, 1.0 / k, t / mass)
     return np.maximum(t, PROB_FLOOR)
 
 
 def distill_loss(coarse_map: Tensor, pixel_importance: Tensor,
-                 selected: list[SparsePixel], cfg: LossConfig,
+                 selected: Selection, cfg: LossConfig,
                  target: np.ndarray | None = None) -> Tensor:
-    """KL(P_coarse || P_fine) restricted to the selected pixel support.
+    """KL(P_coarse || P_fine) restricted to the selected pixel support,
+    averaged over the images of a batch.
 
-    P_coarse is the softmax of the coarse-map values at the selected
-    positions and carries gradient; P_fine is the detached, sharpened
-    importance distribution (or an explicit `target`), so the divergence
-    trains only the coarse side.
+    coarse_map is H×W (B×H×W for a batch) and `selected` the matching
+    selection. P_coarse is the softmax of the coarse-map values at the
+    selected positions and carries gradient; P_fine is the detached,
+    sharpened importance distribution (or an explicit `target`), so the
+    divergence trains only the coarse side.
     """
     k = len(selected)
     if k == 0:
         raise ValueError("distill_loss needs at least one selected pixel")
-    width = coarse_map.data.shape[1]
-    idx = flat_indices(selected, width)
-    vals = gather(reshape(coarse_map, (-1,)), idx)
-    p_coarse = _softmax_vec(vals)
+    h, w = coarse_map.data.shape[-2:]
+    maps = reshape(coarse_map, (-1, h * w))
+    p_coarse = softmax(take(maps, selected.index.reshape(-1, k)))
     if target is None:
         target = distill_target(pixel_importance, k, cfg.emphasis)
-    log_target = Tensor(np.log(target))
-    return reduce_sum(mul(p_coarse, sub(log(p_coarse), log_target)))
+    log_target = Tensor(np.log(target).reshape(-1, k))
+    kl = reduce_sum(mul(p_coarse, sub(log(p_coarse), log_target)), axis=1)
+    return reduce_mean(kl)
 
 
 def total_loss(logits: Tensor, labels, embeddings: Tensor | None,
                distill_inputs, cfg: LossConfig) -> BatchLossReport:
     """Weighted sum of the three components over one batch.
 
-    distill_inputs is a sequence of (coarse_map, pixel_importance,
-    selected_pixels) triples, one per sample; their losses are averaged.
+    distill_inputs is the (coarse_map, pixel_importance, selected) triple
+    of the batch, each with a leading batch axis (or of one image), or
+    None for no distillation term.
     """
     terms, probs = _focal_terms(logits, labels, cfg)
-    focal = reduce_mean(concat(terms, axis=0))
+    focal = reduce_mean(terms)
 
     if embeddings is not None and embeddings.data.shape[0] >= 2:
         contr = contrastive_loss(embeddings, labels, cfg)
     else:
         contr = Tensor(0.0)
 
-    d_terms = [reshape(distill_loss(cm, imp, sel, cfg), (1,))
-               for cm, imp, sel in distill_inputs]
-    dist = reduce_mean(concat(d_terms, axis=0)) if d_terms else Tensor(0.0)
+    dist = distill_loss(*distill_inputs, cfg) if distill_inputs is not None else Tensor(0.0)
 
     # left-associated so the float identity total == focal + lc*c + ld*d holds bitwise
     total = add(add(focal, mul(contr, cfg.lambda_contrast)),

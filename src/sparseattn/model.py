@@ -1,5 +1,9 @@
 """Full model assembly: fusion of coarse and fine features, residual MLP
 classifier, end-to-end forward pass, and the versioned checkpoint format.
+
+Every stage takes one H×W image or a B×H×W batch; a batch runs each stage
+once for all its images, and one image is the batch-free case of the same
+code.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse import BN_EPS, CoarseNet, CoarseOutput, coarse_forward
+from .data import DatasetError
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
-from .selector import KController, SparsePixel, select_top_k
+from .selector import KController, Selection, select_top_k
 from .tensor import (
     Tensor,
     add,
@@ -36,9 +41,9 @@ class Classifier:
     """Affine in, two pre-activation residual blocks, affine out.
 
     Block form: affine -> batch norm -> relu -> affine, added to the skip.
-    The pipeline classifies one fused vector at a time, so batch norm
-    normalizes with its running statistics (a single sample has no batch
-    variance); gamma/beta remain learnable.
+    Batch norm normalizes with its running statistics, batched or not, so
+    a sample's logits never depend on the rest of its batch; gamma/beta
+    remain learnable.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -83,8 +88,10 @@ class Classifier:
 
 
 def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
-    """Map a fused feature vector to class logits of length C."""
-    x = reshape(fused, (1, clf.in_dim))
+    """Map a fused feature vector to class logits of length C, or a B×in_dim
+    batch of them to B×C logits."""
+    lead = fused.data.shape[:-1]
+    x = reshape(fused, (-1, clf.in_dim))
     h = add_rowvec(matmul(x, clf.w_in), clf.b_in)
     for blk in clf.blocks:
         t = add_rowvec(matmul(h, blk["w1"]), blk["b1"])
@@ -96,18 +103,19 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
         u = add_rowvec(matmul(r, blk["w2"]), blk["b2"])
         h = add(h, u)
     logits = add_rowvec(matmul(h, clf.w_out), clf.b_out)
-    return reshape(logits, (clf.classes,))
+    return reshape(logits, lead + (clf.classes,))
 
 
 def fuse(z_fine: Tensor, z_coarse: Tensor) -> Tensor:
-    """Concatenate [z_fine; z_coarse]; gradients split back by slice."""
-    return concat([z_fine, z_coarse], axis=0)
+    """Concatenate [z_fine; z_coarse] (per row of a batch); gradients split
+    back by slice."""
+    return concat([z_fine, z_coarse], axis=-1)
 
 
 @dataclass
 class Diagnostics:
     coarse: CoarseOutput
-    pixels: list[SparsePixel]
+    pixels: Selection
     fine: FineOutput
     fused: Tensor
 
@@ -178,15 +186,23 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
     )
 
 
-def model_forward(m: ModelState, image: Tensor, k: int, training: bool = False):
+def model_forward(m: ModelState, images: Tensor, k: int, training: bool = False):
     """coarse map -> top-k pixels -> embed -> fine attention -> fuse -> logits.
 
-    Returns (logits, Diagnostics). k changes which pixels feed the fine
-    stage, never the output shape.
+    images is one H×W image, which gives (C,) logits, or a B×H×W batch,
+    which gives B×C logits; either must match m.image_shape (DatasetError
+    otherwise). Returns (logits, Diagnostics). k changes which pixels feed
+    the fine stage, never the output shape.
     """
-    co = coarse_forward(m.coarse, image, training=training)
-    pixels = select_top_k(co.attention_map.detach(), image.detach(), k)
-    tokens = embed_pixels(m.embedder, pixels)
+    shape = images.data.shape
+    if len(shape) not in (2, 3) or tuple(shape[-2:]) != tuple(m.image_shape):
+        raise DatasetError(
+            f"images of shape {shape} do not match the model's H×W {tuple(m.image_shape)}"
+        )
+    x = images if len(shape) == 2 else reshape(images, (shape[0], 1) + shape[1:])
+    co = coarse_forward(m.coarse, x, training=training)
+    pixels = select_top_k(co.attention_map.detach(), images.detach(), k)
+    tokens = embed_pixels(m.embedder, pixels.triplets)
     fo = fine_forward(m.fine, tokens)
     fused = fuse(fo.z_fine, co.z_coarse)
     logits = classifier_forward(m.classifier, fused)
@@ -247,18 +263,19 @@ def model_from_bytes(data: bytes) -> ModelState:
         raise ValueError(f"unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", buf.read(4))
     meta = json.loads(buf.read(meta_len).decode())
-    m = build_model(seed=0,
-                    image_shape=tuple(meta["image_shape"]),
-                    class_count=meta["class_count"],
-                    dim=meta["dim"], heads=meta["heads"], hidden=meta["hidden"],
-                    coarse_channels=meta["coarse_channels"])
-    m.controller = KController.from_state(meta["controller"])
     (count,) = struct.unpack("<I", buf.read(4))
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", buf.read(2))
         name = buf.read(name_len).decode()
         tensors[name] = read_tensor(buf)
+    # built only once every record has been read, so a truncated file fails fast
+    m = build_model(seed=0,
+                    image_shape=tuple(meta["image_shape"]),
+                    class_count=meta["class_count"],
+                    dim=meta["dim"], heads=meta["heads"], hidden=meta["hidden"],
+                    coarse_channels=meta["coarse_channels"])
+    m.controller = KController.from_state(meta["controller"])
     for name, t in m.params():
         if name not in tensors:
             raise ValueError(f"checkpoint missing parameter {name}")

@@ -16,48 +16,64 @@ import numpy as np
 from .tensor import NumericError, Tensor
 
 
-@dataclass(frozen=True)
-class SparsePixel:
-    """One selected pixel: normalized coordinates plus intensity."""
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """The k selected pixels of one image, or of each image of a batch.
 
-    x: float    # col / (W-1), 0 for single-column images
-    y: float    # row / (H-1)
-    v: float    # image intensity at (row, col)
-    row: int
-    col: int
+    Rank j (the last axis of `index`) is the j-th highest score, ties
+    going to the lower flat index.
+    """
+
+    index: np.ndarray      # (..., k) flat pixel index, row * width + col
+    triplets: np.ndarray   # (..., k, 3) columns x = col/(W-1), y = row/(H-1), v
+    width: int
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.index // self.width
+
+    @property
+    def col(self) -> np.ndarray:
+        return self.index % self.width
+
+    def __len__(self) -> int:
+        return self.index.shape[-1]
+
+    def __iter__(self):
+        """Rank by rank: the selection of rank j (one pixel per image)."""
+        for j in range(len(self)):
+            yield Selection(self.index[..., j], self.triplets[..., j, :], self.width)
 
 
-def select_top_k(score_map: Tensor, image: Tensor, k: int) -> list[SparsePixel]:
-    """Pick the k highest-scoring pixels; ties go to the lower flat index.
+def select_top_k(score_map: Tensor, image: Tensor, k: int) -> Selection:
+    """Pick the k highest-scoring pixels of an H×W map, or of each map of a
+    B×H×W batch; ties go to the lower flat index.
 
     Output is sorted by descending score, then ascending flat index, so
     identical inputs always give the identical ordered result.
     """
     scores = score_map.data
     img = image.data
-    if img.ndim == 3 and img.shape[0] == 1:
+    if img.ndim == 3 and img.shape[0] == 1 and scores.ndim == 2:
         img = img[0]
-    if scores.ndim != 2 or img.shape != scores.shape:
+    if scores.ndim not in (2, 3) or img.shape != scores.shape:
         raise ValueError(
-            f"map shape {scores.shape} and image shape {img.shape} must be equal 2-D"
+            f"map shape {scores.shape} and image shape {img.shape} must be equal, "
+            "H×W or B×H×W"
         )
-    h, w = scores.shape
+    h, w = scores.shape[-2:]
     n = h * w
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    flat = scores.ravel()
-    order = np.lexsort((np.arange(n), -flat))[:k]
+    flat_shape = scores.shape[:-2] + (n,)
+    # a stable sort of the negated scores keeps tied pixels in index order
+    index = np.argsort(-scores.reshape(flat_shape), axis=-1, kind="stable")[..., :k]
+    rows, cols = np.divmod(index, w)
     xd = 1.0 / (w - 1) if w > 1 else 0.0
     yd = 1.0 / (h - 1) if h > 1 else 0.0
-    pixels = []
-    for idx in order:
-        r, c = int(idx // w), int(idx % w)
-        pixels.append(SparsePixel(x=c * xd, y=r * yd, v=float(img[r, c]), row=r, col=c))
-    return pixels
-
-
-def flat_indices(pixels: list[SparsePixel], width: int) -> np.ndarray:
-    return np.asarray([p.row * width + p.col for p in pixels], dtype=np.intp)
+    values = np.take_along_axis(img.reshape(flat_shape), index, axis=-1)
+    triplets = np.stack([cols * xd, rows * yd, values], axis=-1)
+    return Selection(index=index, triplets=triplets, width=w)
 
 
 class KController:
@@ -124,16 +140,17 @@ def update_k(ctrl: KController, current_loss: float) -> int:
     return ctrl.k
 
 
-def write_topk_csv(path, pixels: list[SparsePixel], scores, fine_scores=None) -> None:
-    """Export selected pixels as row,col,x,y,v,score[,fine_score]."""
+def write_topk_csv(path, selection: Selection, scores, fine_scores=None) -> None:
+    """Export one image's selected pixels as row,col,x,y,v,score[,fine_score]."""
     header = ["row", "col", "x", "y", "v", "score"]
     if fine_scores is not None:
         header.append("fine_score")
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(header)
-        for i, p in enumerate(pixels):
-            rec = [p.row, p.col, repr(p.x), repr(p.y), repr(p.v), repr(float(scores[i]))]
+        rows, cols = selection.row.tolist(), selection.col.tolist()
+        for i, (x, y, v) in enumerate(selection.triplets.tolist()):
+            rec = [rows[i], cols[i], repr(x), repr(y), repr(v), repr(float(scores[i]))]
             if fine_scores is not None:
                 rec.append(repr(float(fine_scores[i])))
             out.writerow(rec)

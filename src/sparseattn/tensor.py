@@ -5,7 +5,9 @@ exact reverse on backward(). Tapes are single-use. Tensors created without
 a tape are constants, so the same forward code runs tape-free for cheap
 inference. Broadcasting is limited to scalar-with-tensor; the few vector
 broadcasts the model needs (bias rows, column normalizers, per-channel
-affines) are dedicated ops with their own backward rules.
+affines, a token repeated over a batch) are dedicated ops with their own
+backward rules. The structural ops that a batched model needs (matmul,
+transpose, the row-vector ops, conv2d) also accept a leading batch axis.
 """
 
 from __future__ import annotations
@@ -324,7 +326,8 @@ def power(a, exponent: float) -> Tensor:
     if p == 0.0:
         out = Tensor(np.ones_like(a.data), a.tape)
         if a.tape is not None:
-            _record(a.tape, out, ((a, lambda g: np.zeros_like(a.data)),))
+            zeros = np.zeros_like(a.data)
+            _record(a.tape, out, ((a, lambda g: zeros),))
         return out
     with np.errstate(invalid="ignore", divide="ignore"):
         out = Tensor(a.data ** p, a.tape)
@@ -348,22 +351,27 @@ def clamp_min(a, floor: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# vector-broadcast ops: v matches one axis of a 2-D (or channel) operand
+# vector-broadcast ops: v matches one axis of a matrix (or batch of matrices)
 # ---------------------------------------------------------------------------
 
 def _check_rowvec(m: Tensor, v: Tensor, op: str) -> None:
-    if m.data.ndim != 2 or v.data.ndim != 1 or v.data.shape[0] != m.data.shape[1]:
-        raise DimensionError(f"{op}: matrix {m.data.shape} with row vector {v.data.shape}")
+    md, vd = m.data, v.data
+    if md.ndim < 2 or vd.shape != md.shape[:-2] + md.shape[-1:]:
+        raise DimensionError(f"{op}: matrix {md.shape} with row vector {vd.shape}")
 
 
 def add_rowvec(m, v) -> Tensor:
-    """m + v with v broadcast across rows (the affine-bias pattern)."""
+    """m + v with v broadcast across rows (the affine-bias pattern).
+
+    m is R×F with v of length F, or a B×R×F batch with one row vector
+    per item (v is B×F).
+    """
     m, v = _as_tensor(m), _as_tensor(v)
     _check_rowvec(m, v, "add_rowvec")
     tape = _common_tape(m, v)
-    out = Tensor(m.data + v.data, tape)
+    out = Tensor(m.data + v.data[..., None, :], tape)
     if tape is not None:
-        _record(tape, out, ((m, lambda g: g), (v, lambda g: g.sum(axis=0))))
+        _record(tape, out, ((m, lambda g: g), (v, lambda g: g.sum(axis=-2))))
     return out
 
 
@@ -371,12 +379,13 @@ def mul_rowvec(m, v) -> Tensor:
     m, v = _as_tensor(m), _as_tensor(v)
     _check_rowvec(m, v, "mul_rowvec")
     tape = _common_tape(m, v)
-    out = Tensor(m.data * v.data, tape)
+    row = v.data[..., None, :]
+    out = Tensor(m.data * row, tape)
     if tape is not None:
-        md, vd = m.data, v.data
+        md = m.data
         _record(tape, out, (
-            (m, lambda g: g * vd),
-            (v, lambda g: (g * md).sum(axis=0)),
+            (m, lambda g: g * row),
+            (v, lambda g: (g * md).sum(axis=-2)),
         ))
     return out
 
@@ -386,12 +395,13 @@ def div_rowvec(m, v) -> Tensor:
     m, v = _as_tensor(m), _as_tensor(v)
     _check_rowvec(m, v, "div_rowvec")
     tape = _common_tape(m, v)
-    out = Tensor(m.data / v.data, tape)
+    row = v.data[..., None, :]
+    out = Tensor(m.data / row, tape)
     if tape is not None:
         md, vd = m.data, v.data
         _record(tape, out, (
-            (m, lambda g: g / vd),
-            (v, lambda g: -(g * md).sum(axis=0) / (vd * vd)),
+            (m, lambda g: g / row),
+            (v, lambda g: -(g * md).sum(axis=-2) / (vd * vd)),
         ))
     return out
 
@@ -414,26 +424,56 @@ def div_colvec(m, v) -> Tensor:
 
 
 def channel_affine(x, scale, shift) -> Tensor:
-    """x*scale + shift with scale/shift per leading channel of a C×... array."""
+    """x*scale + shift with scale/shift per channel: the leading axis of a
+    C×H×W image, the second of a B×C×H×W batch."""
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    c = x.data.shape[0]
+    if x.data.ndim not in (3, 4):
+        raise DimensionError(f"channel_affine: x {x.data.shape} must be C×H×W or B×C×H×W")
+    axis = x.data.ndim - 3
+    c = x.data.shape[axis]
     if scale.data.shape != (c,) or shift.data.shape != (c,):
         raise DimensionError(
             f"channel_affine: x {x.data.shape} needs ({c},) scale/shift, "
             f"got {scale.data.shape} and {shift.data.shape}"
         )
     tape = _common_tape(x, scale, shift)
-    ext = (c,) + (1,) * (x.data.ndim - 1)
+    ext = (c, 1, 1)
     s = scale.data.reshape(ext)
-    out = Tensor(x.data * s + shift.data.reshape(ext), tape)
+    data = x.data * s
+    data += shift.data.reshape(ext)
+    out = Tensor(data, tape)
     if tape is not None:
         xd = x.data
-        tail = tuple(range(1, xd.ndim))
+        others = tuple(i for i in range(xd.ndim) if i != axis)
         _record(tape, out, (
             (x, lambda g: g * s),
-            (scale, lambda g: (g * xd).sum(axis=tail)),
-            (shift, lambda g: g.sum(axis=tail)),
+            (scale, lambda g: (g * xd).sum(axis=others)),
+            (shift, lambda g: g.sum(axis=others)),
         ))
+    return out
+
+
+def broadcast_to(a, shape) -> Tensor:
+    """a repeated along new leading axes and along its size-1 axes (numpy
+    broadcasting rules); backward sums the copies."""
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    try:
+        data = np.broadcast_to(a.data, shape)
+    except ValueError as err:
+        raise DimensionError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}") from err
+    out = Tensor(data, a.tape)
+    if a.tape is not None:
+        orig = a.data.shape
+        extra = tuple(range(len(shape) - len(orig)))
+        stretched = tuple(len(extra) + i for i, e in enumerate(orig)
+                          if e == 1 and shape[len(extra) + i] != 1)
+
+        def back(g):
+            if stretched:
+                g = g.sum(axis=stretched, keepdims=True)
+            return g.sum(axis=extra) if extra else g
+        _record(a.tape, out, ((a, back),))
     return out
 
 
@@ -442,28 +482,42 @@ def channel_affine(x, scale, shift) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D operands, or batched over a leading axis:
+    B×m×n @ B×n×p item by item, or B×m×n @ n×p with one shared matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: shapes {a.data.shape} and {b.data.shape} do not align")
+    ad, bd = a.data, b.data
+    batched = ad.ndim == 3 and (bd.ndim == 2 or (bd.ndim == 3 and bd.shape[0] == ad.shape[0]))
+    if not (batched or (ad.ndim == 2 and bd.ndim == 2)) or ad.shape[-1] != bd.shape[-2]:
+        raise DimensionError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
     tape = _common_tape(a, b)
+    shared = ad.ndim == 3 and bd.ndim == 2
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(a.data @ b.data, tape)
+        if shared:   # one product over every item's rows
+            data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+        else:
+            data = ad @ bd
+    out = Tensor(data, tape)
     if tape is not None:
-        ad, bd = a.data, b.data
+        if shared:
+            n, p = bd.shape
+            back_b = lambda g: ad.reshape(-1, n).T @ g.reshape(-1, p)
+        else:
+            back_b = lambda g: ad.swapaxes(-1, -2) @ g
         _record(tape, out, (
-            (a, lambda g: g @ bd.T),
-            (b, lambda g: ad.T @ g),
+            (a, lambda g: g @ bd.swapaxes(-1, -2)),
+            (b, back_b),
         ))
     return out
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes (a matrix, or each matrix of a batch)."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
-    out = Tensor(a.data.T, a.tape)
+    if a.data.ndim not in (2, 3):
+        raise DimensionError(f"transpose expects a 2-D or 3-D tensor, got shape {a.data.shape}")
+    out = Tensor(a.data.swapaxes(-1, -2), a.tape)
     if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: g.T),))
+        _record(a.tape, out, ((a, lambda g: g.swapaxes(-1, -2)),))
     return out
 
 
@@ -517,6 +571,54 @@ def gather(a, indices) -> Tensor:
             np.add.at(z, idx, g)
             return z
         _record(a.tape, out, ((a, back),))
+    return out
+
+
+def take(a, indices) -> Tensor:
+    """Per-row gather along the last axis: out[..., j] = a[..., indices[..., j]].
+
+    indices has a's leading shape plus one trailing axis (several elements
+    per row), or a's leading shape alone (one element per row, which drops
+    the last axis). Backward scatter-adds, so repeated indices accumulate.
+    """
+    a = _as_tensor(a)
+    if a.data.ndim < 1:
+        raise DimensionError("take needs at least a 1-D tensor")
+    idx = np.asarray(indices, dtype=np.intp)
+    lead, n = a.data.shape[:-1], a.data.shape[-1]
+    one = idx.shape == lead
+    picks = idx[..., None] if one else idx
+    if picks.shape[:-1] != lead:
+        raise DimensionError(
+            f"take: indices {idx.shape} do not match the leading shape of {a.data.shape}"
+        )
+    if picks.size and (picks.min() < 0 or picks.max() >= n):
+        raise DimensionError(f"take index out of range for last extent {n}")
+    data = np.take_along_axis(a.data, picks, axis=-1)
+    out = Tensor(data[..., 0] if one else data, a.tape)
+    if a.tape is not None:
+        shape, size = a.data.shape, a.data.size
+        rows = size // n if n else 0
+        flat = (np.arange(rows)[:, None] * n + picks.reshape(rows, -1)).ravel()
+
+        def back(g):
+            return np.bincount(flat, weights=np.ravel(g), minlength=size).reshape(shape)
+        _record(a.tape, out, ((a, back),))
+    return out
+
+
+def softmax(a) -> Tensor:
+    """Softmax along the last axis (each row of a batch), shifted by the row
+    maximum so large logits do not overflow."""
+    a = _as_tensor(a)
+    if a.data.ndim < 1:
+        raise DimensionError("softmax needs at least a 1-D tensor")
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(p, a.tape)
+    if a.tape is not None:
+        _record(a.tape, out, ((a, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
     return out
 
 
@@ -582,15 +684,20 @@ def reduce_max(a, axis: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, bias, padding: int) -> Tensor:
-    """Cross-correlation of a C_in×H×W input with a C_out×C_in×K×K kernel.
+    """Cross-correlation of a C_in×H×W input, or of a B×C_in×H×W batch,
+    with a C_out×C_in×K×K kernel.
 
-    Stride 1, symmetric zero padding. Output is C_out×H'×W' with
-    H' = H + 2*padding - K + 1.
+    Stride 1, symmetric zero padding. Output is C_out×H'×W' (B×C_out×H'×W'
+    for a batch) with H' = H + 2*padding - K + 1. The K*K window shifts
+    are taken on the narrower side of the kernel, so no transient holds
+    more than K*K*min(C_in, C_out) values per pixel: on the input
+    (im2col, then one product) when C_in <= C_out, otherwise on the output
+    (one product per pixel that yields every tap, then K*K shifted sums).
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
+    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
         raise DimensionError(
-            f"conv2d: input {x.data.shape} must be C×H×W and kernel "
+            f"conv2d: input {x.data.shape} must be C×H×W or B×C×H×W and kernel "
             f"{kernel.data.shape} must be C_out×C_in×K×K"
         )
     c_out, c_in, k, k2 = kernel.data.shape
@@ -598,47 +705,109 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         raise DimensionError(f"conv2d: kernel window must be square, got {k}×{k2}")
     if k % 2 != 1:
         raise DimensionError(f"conv2d: kernel window must be odd, got {k}")
-    if x.data.shape[0] != c_in:
+    if x.data.shape[-3] != c_in:
         raise DimensionError(
-            f"conv2d: input channels {x.data.shape[0]} do not match kernel "
+            f"conv2d: input channels {x.data.shape[-3]} do not match kernel "
             f"input channels {c_in} (input {x.data.shape}, kernel {kernel.data.shape})"
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} must be ({c_out},)")
     p = int(padding)
-    _, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: window {k} too large for padded input {h}×{w}")
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))       # C_in,Ho,Wo,K,K
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c_in * k * k)
-    wmat = kernel.data.reshape(c_out, c_in * k * k)
-    flat = cols @ wmat.T + bias.data                              # Ho*Wo, C_out
+    single = x.data.ndim == 3
+    xd = x.data[None] if single else x.data
+    b = xd.shape[0]
+    if c_in <= c_out:
+        wmat = kernel.data.reshape(c_out, c_in * k * k)
+        cols = _im2col(xd, k, p, ho, wo)                          # B, Ho*Wo, C_in*K*K
+        flat = (cols.reshape(-1, c_in * k * k) @ wmat.T).reshape(b, ho * wo, c_out)
+        flat = flat.swapaxes(1, 2)                                # channel-minor view
+    else:
+        wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
+        flat_x = xd.reshape(b, c_in, h * w)
+        taps = wmat @ flat_x                                      # B, C_out*K*K, H*W
+        flat = _tap_sum(taps.reshape(b, c_out, k, k, h, w), p, ho, wo).reshape(b, c_out, ho * wo)
+    flat += bias.data[:, None]                                   # a fresh array: add in place
+    data = flat.reshape(b, c_out, ho, wo)
     tape = _common_tape(x, kernel, bias)
-    out = Tensor(flat.T.reshape(c_out, ho, wo), tape)
+    out = Tensor(data[0] if single else data, tape)
     if tape is not None:
-        kshape = kernel.data.shape
+        # closures capture arrays and shapes only: a captured Tensor would
+        # tie its tape into a reference cycle that outlives the step
+        kshape, xshape = kernel.data.shape, x.data.shape
 
-        def back_x(g):
-            dcols = g.reshape(c_out, ho * wo).T @ wmat            # Ho*Wo, C_in*K*K
-            dc = dcols.reshape(ho, wo, c_in, k, k)
-            dxp = np.zeros((c_in, h + 2 * p, w + 2 * p))
-            for ki in range(k):
-                for kj in range(k):
-                    dxp[:, ki:ki + ho, kj:kj + wo] += dc[:, :, :, ki, kj].transpose(2, 0, 1)
-            return dxp[:, p:p + h, p:p + w] if p else dxp
+        if c_in <= c_out:
+            def back_x(g):
+                dcols = g.reshape(b, c_out, ho * wo).swapaxes(1, 2) @ wmat
+                return _col2im(dcols, c_in, k, p, h, w, ho, wo).reshape(xshape)
 
-        def back_w(g):
-            return (g.reshape(c_out, ho * wo) @ cols).reshape(kshape)
+            def back_w(g):
+                g = g.reshape(b, c_out, ho * wo)
+                return (g @ cols).sum(axis=0).reshape(kshape)
+        else:
+            def spread(g):
+                return _tap_spread(g.reshape(b, c_out, ho, wo), k, p, h, w).reshape(
+                    b, c_out * k * k, h * w)
+
+            def back_x(g):
+                return (wmat.T @ spread(g)).reshape(xshape)
+
+            def back_w(g):
+                dw = (spread(g) @ flat_x.swapaxes(1, 2)).sum(axis=0)
+                return dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
 
         _record(tape, out, (
             (x, back_x),
             (kernel, back_w),
-            (bias, lambda g: g.sum(axis=(1, 2))),
+            (bias, lambda g: g.reshape(-1, c_out, ho * wo).sum(axis=(0, 2))),
         ))
     return out
+
+
+def _im2col(xd: np.ndarray, k: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """B×C×H×W -> B×(Ho*Wo)×(C*K*K): every K×K window of the padded input."""
+    b, c = xd.shape[:2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))        # B,C,Ho,Wo,K,K
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+
+
+def _col2im(dcols: np.ndarray, c: int, k: int, p: int, h: int, w: int,
+            ho: int, wo: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add window columns back onto B×C×H×W."""
+    b = dcols.shape[0]
+    dc = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + ho, j:j + wo] += dc[..., i, j]
+    return dxp[:, :, p:p + h, p:p + w] if p else dxp
+
+
+def _tap_sum(taps: np.ndarray, p: int, ho: int, wo: int) -> np.ndarray:
+    """B×C×K×K×H×W per-tap products -> B×C×Ho×Wo: tap (i, j) of output
+    pixel (y, x) sits at input pixel (y + i - p, x + j - p)."""
+    b, c, k = taps.shape[:3]
+    tp = np.pad(taps, ((0, 0),) * 4 + ((p, p), (p, p))) if p else taps
+    out = np.zeros((b, c, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            out += tp[:, :, i, j, i:i + ho, j:j + wo]
+    return out
+
+
+def _tap_spread(g: np.ndarray, k: int, p: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of _tap_sum: B×C×Ho×Wo -> B×C×K×K×H×W."""
+    b, c, ho, wo = g.shape
+    dtp = np.zeros((b, c, k, k, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            dtp[:, :, i, j, i:i + ho, j:j + wo] = g
+    return dtp[..., p:p + h, p:p + w] if p else dtp
 
 
 # ---------------------------------------------------------------------------

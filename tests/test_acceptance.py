@@ -135,7 +135,7 @@ class TestCriterion1:
             logit_rows, z_rows, d_sum = [], [], None
             for img, (pixels, target) in zip(images, frozen):
                 co = coarse_forward(m.coarse, img, training=False)
-                tokens = embed_pixels(m.embedder, pixels)
+                tokens = embed_pixels(m.embedder, pixels.triplets)
                 fo = fine_forward(m.fine, tokens)
                 logits = classifier_forward(m.classifier,
                                             fuse(fo.z_fine, co.z_coarse))
@@ -205,7 +205,7 @@ class TestCriterion4:
                 scores = np.round(scores, 1)       # force ties
             k = int(rng.integers(1, h * w + 1))
             picked = select_top_k(Tensor(scores), Tensor(scores), k)
-            got = [p.row * w + p.col for p in picked]
+            got = picked.index.tolist()
             ok = ok and got == brute_force_order(scores)[:k]
         report(4, "top-k matches full-sort brute force on 200 maps", ok)
 
@@ -332,7 +332,7 @@ class TestCriterion11:
         for sample in trained_run["test_set"]:
             out = coarse_forward(model.coarse, sample.pixels)
             picked = select_top_k(out.attention_map, sample.pixels, k_final)
-            inside = sum(sample.foreground_mask[p.row, p.col] for p in picked)
+            inside = int(sample.foreground_mask[picked.row, picked.col].sum())
             rates.append(inside / len(picked))
         mean_rate = float(np.mean(rates))
         report(11, "at least 70% of selected pixels inside the foreground",

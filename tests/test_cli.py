@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from sparseattn.cli import main
-from sparseattn.data import read_pgm
+from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
+from sparseattn.cli import checkpoint_from_bytes, main
+from sparseattn.data import DatasetError, read_pgm
+from sparseattn.model import build_model, checkpoint_bytes
 
 FAST_TRAIN = ["--epochs", "2", "--samples-per-class", "4", "--image-size", "16",
               "--hidden", "8", "--k-init", "40", "--k-min", "16", "--batch", "4"]
@@ -130,6 +132,40 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(tmp_path / "none.satm"),
                      "--synthetic"])
         assert code == 3
+
+    def test_eval_on_images_of_another_shape_exits_3(self, tmp_path, capsys):
+        run_train(tmp_path)                       # a 16×16 checkpoint
+        code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.satm"),
+                     "--synthetic", "--samples-per-class", "2", "--image-size", "32"])
+        assert code == 3
+        assert "shape" in capsys.readouterr().err
+
+
+class TestTruncatedCheckpoints:
+    """Every strict prefix of a checkpoint is a data error (exit 3), never a
+    traceback."""
+
+    @staticmethod
+    def small_files():
+        model = build_model(seed=0, image_shape=(4, 4), class_count=2, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        return [checkpoint_bytes(model),
+                baseline_checkpoint_bytes(build_baseline(0, (4, 4), 2))]
+
+    def test_every_prefix_is_a_data_error(self):
+        for data in self.small_files():
+            checkpoint_from_bytes(data)           # the whole file loads
+            for n in range(len(data)):
+                with pytest.raises(DatasetError):
+                    checkpoint_from_bytes(data[:n])
+
+    def test_cli_exits_3_on_a_truncated_file(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        for data in self.small_files():
+            for n in (2, 10, 60, 300, len(data) // 2, len(data) - 1):
+                path.write_bytes(data[:n])
+                assert main(["eval", "--checkpoint", str(path), "--synthetic"]) == 3
+                assert main(["cost", "--checkpoint", str(path)]) == 3
 
 
 class TestCostCommand:

@@ -81,8 +81,8 @@ class TestGradientPaths:
         tape.watch(*[t for _, t in model.params()])
         logits, diag = sa.model_forward(model, img, k=10, training=True)
         report = total_loss(reshape(logits, (1, 3)), [1], None,
-                            [(diag.coarse.attention_map,
-                              diag.fine.pixel_importance, diag.pixels)], cfg)
+                            (diag.coarse.attention_map,
+                             diag.fine.pixel_importance, diag.pixels), cfg)
         tape.backward(report.total_tensor)
         assert np.abs(model.coarse.conv1_w.grad).sum() > 0
 
@@ -94,8 +94,8 @@ class TestGradientPaths:
         tape.watch(*[t for _, t in model.params()])
         logits, diag = sa.model_forward(model, img, k=10, training=True)
         report = total_loss(reshape(logits, (1, 3)), [1], None,
-                            [(diag.coarse.attention_map,
-                              diag.fine.pixel_importance, diag.pixels)],
+                            (diag.coarse.attention_map,
+                             diag.fine.pixel_importance, diag.pixels),
                             LossConfig(lambda_distill=0.0))
         tape.backward(report.total_tensor)
         np.testing.assert_array_equal(model.coarse.conv2_w.grad, 0.0)

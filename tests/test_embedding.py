@@ -5,12 +5,11 @@ import pytest
 
 import sparseattn as sa
 from sparseattn.embedding import Embedder, embed_pixels
-from sparseattn.selector import SparsePixel
 from sparseattn.tensor import GradientTape, reduce_sum, mul
 
 
 def px(x, y, v):
-    return SparsePixel(x=x, y=y, v=v, row=0, col=0)
+    return (x, y, v)
 
 
 def make_embedder(seed=0, dim=4):
@@ -42,7 +41,7 @@ class TestEmbedPixels:
 
     def test_empty_pixel_list_rejected(self):
         with pytest.raises(ValueError):
-            embed_pixels(make_embedder(), [])
+            embed_pixels(make_embedder(), np.zeros((0, 3)))
 
     def test_permuting_pixels_permutes_rows(self):
         emb = make_embedder(5)

@@ -17,13 +17,13 @@ from sparseattn.losses import (
     focal_loss,
     total_loss,
 )
-from sparseattn.selector import SparsePixel
+from sparseattn.selector import Selection
 from sparseattn.tensor import GradientTape, Tensor, grad_check
 
 
 def pixels_at(flat_indices, width):
-    return [SparsePixel(x=0.0, y=0.0, v=0.0, row=i // width, col=i % width)
-            for i in flat_indices]
+    index = np.asarray(flat_indices, dtype=np.intp)
+    return Selection(index=index, triplets=np.zeros(index.shape + (3,)), width=width)
 
 
 class TestFocalLoss:
@@ -186,10 +186,17 @@ class TestDistillLoss:
         target = distill_target(imp, 2, emphasis=1.0)
         np.testing.assert_allclose(target, [0.5, 0.5])
 
+    def test_zero_mass_uniform_and_nan_mass_propagates(self):
+        imp = Tensor(np.array([[0.0, 0.0, 1.0], [np.nan, 0.2, 1.0], [0.3, 0.1, 1.0]]))
+        target = distill_target(imp, 2, emphasis=1.0)
+        np.testing.assert_allclose(target[0], [0.5, 0.5])
+        assert not np.any(np.isfinite(target[1]))    # a NaN teacher is not hidden
+        np.testing.assert_allclose(target[2], [0.75, 0.25])
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            distill_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros(1)), [],
-                         LossConfig())
+            distill_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros(1)),
+                         pixels_at([], 2), LossConfig())
 
     def test_grad_check_wrt_coarse_map(self):
         rng = np.random.default_rng(13)
@@ -212,7 +219,7 @@ class TestTotalLoss:
         coarse = Tensor(rng.uniform(0, 1, (4, 4)))
         importance = Tensor(rng.uniform(0.05, 1, 4))
         selected = pixels_at([1, 5, 9], 4)
-        return logits, labels, z, [(coarse, importance, selected)]
+        return logits, labels, z, (coarse, importance, selected)
 
     def test_zero_weights_reduce_to_focal(self):
         logits, labels, z, d = self._batch()

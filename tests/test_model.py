@@ -173,7 +173,7 @@ class TestEndToEndGradients:
 
         def loss():
             co = coarse_forward(m.coarse, img, training=False)
-            tokens = embed_pixels(m.embedder, frozen_pixels)
+            tokens = embed_pixels(m.embedder, frozen_pixels.triplets)
             fo = fine_forward(m.fine, tokens)
             fused = fuse(fo.z_fine, co.z_coarse)
             logits = classifier_forward(m.classifier, fused)

@@ -5,7 +5,7 @@ import pytest
 
 from sparseattn.selector import (
     KController,
-    SparsePixel,
+    Selection,
     select_top_k,
     update_k,
     write_topk_csv,
@@ -24,20 +24,20 @@ class TestSelectTopK:
         score = Tensor([[0.9, 0.1], [0.8, 0.2]])
         img = Tensor([[1.0, 2.0], [3.0, 4.0]])
         picked = select_top_k(score, img, 2)
-        assert [(p.row, p.col) for p in picked] == [(0, 0), (1, 0)]
-        assert picked[0].v == 1.0 and picked[1].v == 3.0
+        assert picked.row.tolist() == [0, 1] and picked.col.tolist() == [0, 0]
+        assert picked.triplets[:, 2].tolist() == [1.0, 3.0]
 
     def test_k_equals_all_pixels(self):
         rng = np.random.default_rng(2)
         score = Tensor(rng.uniform(0, 1, (5, 7)))
         picked = select_top_k(score, Tensor(np.zeros((5, 7))), 35)
         assert len(picked) == 35
-        assert sorted(p.row * 7 + p.col for p in picked) == list(range(35))
+        assert sorted(picked.index.tolist()) == list(range(35))
 
     def test_constant_map_tie_break_by_flat_index(self):
         score = Tensor(np.full((2, 2), 0.3))
         picked = select_top_k(score, Tensor(np.zeros((2, 2))), 3)
-        assert [p.row * 2 + p.col for p in picked] == [0, 1, 2]
+        assert picked.index.tolist() == [0, 1, 2]
 
     def test_matches_brute_force_on_random_maps(self):
         rng = np.random.default_rng(11)
@@ -49,7 +49,20 @@ class TestSelectTopK:
             k = int(rng.integers(1, h * w + 1))
             picked = select_top_k(Tensor(scores), Tensor(scores), k)
             expected = brute_force_order(scores)[:k]
-            assert [p.row * w + p.col for p in picked] == expected
+            assert picked.index.tolist() == expected
+
+    def test_batch_rows_match_brute_force(self):
+        rng = np.random.default_rng(17)
+        scores = np.round(rng.uniform(0, 1, (5, 6, 7)), 1)     # ties in every row
+        images = rng.uniform(0, 1, (5, 6, 7))
+        picked = select_top_k(Tensor(scores), Tensor(images), 9)
+        assert picked.index.shape == (5, 9) and picked.triplets.shape == (5, 9, 3)
+        for b in range(5):
+            assert picked.index[b].tolist() == brute_force_order(scores[b])[:9]
+            single = select_top_k(Tensor(scores[b]), Tensor(images[b]), 9)
+            np.testing.assert_array_equal(picked.triplets[b], single.triplets)
+            np.testing.assert_array_equal(
+                single.triplets[:, 2], images[b][single.row, single.col])
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -57,7 +70,8 @@ class TestSelectTopK:
         img = Tensor(rng.uniform(0, 1, (16, 16)))
         a = select_top_k(scores, img, 40)
         b = select_top_k(scores, img, 40)
-        assert a == b
+        assert np.array_equal(a.index, b.index)
+        assert np.array_equal(a.triplets, b.triplets)
 
     def test_k_out_of_range(self):
         score = Tensor(np.zeros((2, 2)))
@@ -71,14 +85,14 @@ class TestSelectTopK:
         score[0, 0] = 2.0
         score[2, 3] = 1.0
         picked = select_top_k(Tensor(score), Tensor(score), 2)
-        assert (picked[0].x, picked[0].y) == (0.0, 0.0)
-        assert (picked[1].x, picked[1].y) == (1.0, 1.0)
+        assert picked.triplets[0, :2].tolist() == [0.0, 0.0]
+        assert picked.triplets[1, :2].tolist() == [1.0, 1.0]
 
     def test_values_dominate_unselected(self):
         rng = np.random.default_rng(13)
         scores = rng.uniform(0, 1, (32, 32))
         picked = select_top_k(Tensor(scores), Tensor(scores), 50)
-        chosen = {p.row * 32 + p.col for p in picked}
+        chosen = set(picked.index.tolist())
         floor = min(scores.ravel()[i] for i in chosen)
         rest = [scores.ravel()[i] for i in range(1024) if i not in chosen]
         assert floor >= max(rest)
@@ -154,8 +168,8 @@ class TestKController:
 
 
 def test_topk_csv_layout(tmp_path):
-    pixels = [SparsePixel(x=0.0, y=0.0, v=0.5, row=0, col=0),
-              SparsePixel(x=1.0, y=1.0, v=0.25, row=3, col=3)]
+    pixels = Selection(index=np.array([0, 15]),
+                       triplets=np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 0.25]]), width=4)
     path = tmp_path / "out_topk.csv"
     write_topk_csv(path, pixels, scores=[0.9, 0.8], fine_scores=[0.6, 0.4])
     lines = path.read_text().splitlines()

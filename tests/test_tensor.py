@@ -315,3 +315,167 @@ class TestSerialization:
         assert lines[0] == "# shape: 2x2"
         assert [float(v) for v in lines[1].split(",")] == [1.5, 2.0]
         assert [float(v) for v in lines[2].split(",")] == [3.0, 4.25]
+
+
+class TestBatchedOps:
+    """Ops that carry a leading batch axis: each is checked against finite
+    differences and, where it has one, against its per-item 2-D form."""
+
+    @staticmethod
+    def readout(shape, seed):
+        """A fixed random weighting, so no gradient entry is trivially equal."""
+        return Tensor(np.random.default_rng(seed).uniform(0.5, 1.5, shape))
+
+    def weighted(self, fn, shape, seed=0):
+        w = self.readout(shape, seed)
+        return lambda x: T.reduce_sum(T.mul(fn(x), w))
+
+    def test_matmul_batched_both_operands(self):
+        rng = np.random.default_rng(51)
+        a = Tensor(rng.normal(0, 1, (3, 4, 5)))
+        b = Tensor(rng.normal(0, 1, (3, 5, 2)))
+        assert grad_check(self.weighted(lambda t: T.matmul(t, b), (3, 4, 2)), a) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.matmul(a, t), (3, 4, 2)), b) <= 1e-6
+        out = T.matmul(a, b).data
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], T.matmul(Tensor(a.data[i]),
+                                                           Tensor(b.data[i])).data)
+
+    def test_matmul_batch_with_shared_matrix(self):
+        rng = np.random.default_rng(52)
+        a = Tensor(rng.normal(0, 1, (3, 4, 5)))
+        w = Tensor(rng.normal(0, 1, (5, 2)))
+        assert grad_check(self.weighted(lambda t: T.matmul(t, w), (3, 4, 2)), a) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.matmul(a, t), (3, 4, 2)), w) <= 1e-6
+        out = T.matmul(a, w).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a.data[i] @ w.data, rtol=1e-14, atol=0)
+
+    def test_matmul_batch_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.ones((3, 4, 5))), Tensor(np.ones((2, 5, 2))))
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.ones((4, 5))), Tensor(np.ones((3, 5, 2))))
+
+    def test_transpose_batched(self):
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.normal(0, 1, (2, 3, 4)))
+        assert T.transpose(x).data.shape == (2, 4, 3)
+        assert grad_check(self.weighted(T.transpose, (2, 4, 3)), x) <= 1e-6
+
+    def test_rowvec_ops_per_item(self):
+        rng = np.random.default_rng(54)
+        m = Tensor(rng.uniform(0.5, 1.5, (2, 4, 3)))
+        v = Tensor(rng.uniform(0.5, 1.5, (2, 3)))
+        for op in (T.add_rowvec, T.mul_rowvec, T.div_rowvec):
+            out = op(m, v).data
+            for i in range(2):
+                np.testing.assert_array_equal(
+                    out[i], op(Tensor(m.data[i]), Tensor(v.data[i])).data)
+            assert grad_check(self.weighted(lambda t: op(t, v), (2, 4, 3)), m) <= 1e-6
+            assert grad_check(self.weighted(lambda t: op(m, t), (2, 4, 3)), v) <= 1e-6
+        with pytest.raises(DimensionError):
+            T.add_rowvec(m, Tensor(np.ones(3)))
+
+    def test_channel_affine_per_item_of_a_batch(self):
+        rng = np.random.default_rng(55)
+        x = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
+        scale = Tensor(rng.uniform(0.5, 1.5, 3))
+        shift = Tensor(rng.normal(0, 1, 3))
+        out = T.channel_affine(x, scale, shift).data
+        for i in range(2):
+            np.testing.assert_array_equal(
+                out[i], T.channel_affine(Tensor(x.data[i]), scale, shift).data)
+        f = self.weighted
+        assert grad_check(f(lambda t: T.channel_affine(t, scale, shift),
+                            x.data.shape), x) <= 1e-6
+        assert grad_check(f(lambda t: T.channel_affine(x, t, shift),
+                            x.data.shape), scale) <= 1e-6
+        assert grad_check(f(lambda t: T.channel_affine(x, scale, t),
+                            x.data.shape), shift) <= 1e-6
+
+    def test_broadcast_to(self):
+        rng = np.random.default_rng(56)
+        v = Tensor(rng.normal(0, 1, 4))
+        out = T.broadcast_to(v, (3, 1, 4))
+        np.testing.assert_array_equal(out.data[2, 0], v.data)
+        assert grad_check(self.weighted(lambda t: T.broadcast_to(t, (3, 1, 4)),
+                                        (3, 1, 4)), v) <= 1e-6
+        col = Tensor(rng.normal(0, 1, (2, 1)))
+        assert grad_check(self.weighted(lambda t: T.broadcast_to(t, (5, 2, 3)),
+                                        (5, 2, 3)), col) <= 1e-6
+        with pytest.raises(DimensionError):
+            T.broadcast_to(v, (3, 5))
+
+    def test_take_several_per_row(self):
+        rng = np.random.default_rng(57)
+        a = Tensor(rng.normal(0, 1, (3, 6)))
+        idx = np.array([[5, 0], [2, 2], [1, 4]])        # a repeated index accumulates
+        out = T.take(a, idx)
+        np.testing.assert_array_equal(out.data, np.take_along_axis(a.data, idx, axis=1))
+        assert grad_check(self.weighted(lambda t: T.take(t, idx), (3, 2)), a) <= 1e-6
+        tape = GradientTape()
+        tape.watch(a)
+        tape.backward(T.reduce_sum(T.take(a, idx)))
+        assert a.grad[1, 2] == 2.0 and a.grad[1, 0] == 0.0
+
+    def test_take_one_per_row(self):
+        rng = np.random.default_rng(58)
+        a = Tensor(rng.normal(0, 1, (2, 3, 4)))
+        idx = np.array([[0, 3, 1], [2, 2, 0]])
+        out = T.take(a, idx)
+        assert out.data.shape == (2, 3)
+        assert out.data[1, 0] == a.data[1, 0, 2]
+        assert grad_check(self.weighted(lambda t: T.take(t, idx), (2, 3)), a) <= 1e-6
+
+    def test_take_rejects_bad_indices(self):
+        a = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            T.take(a, [[0], [3]])
+        with pytest.raises(DimensionError):
+            T.take(a, [[0, 1]])
+
+    def test_softmax_rows(self):
+        rng = np.random.default_rng(59)
+        x = Tensor(rng.normal(0, 2, (3, 5)))
+        p = T.softmax(x).data
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-15)
+        e = np.exp(x.data[1] - x.data[1].max())
+        np.testing.assert_array_equal(p[1], e / e.sum())
+        assert grad_check(self.weighted(T.softmax, (3, 5)), x) <= 1e-6
+        big = T.softmax(Tensor([[1000.0, 0.0]])).data
+        assert np.all(np.isfinite(big)) and big[0, 0] == 1.0
+
+    @pytest.mark.parametrize("c_in,c_out", [(1, 3), (3, 2), (2, 2)])
+    def test_conv2d_batch_matches_per_image(self, c_in, c_out):
+        """Both window strategies (c_in <= c_out shifts the input, c_in >
+        c_out the output) against the per-image call and finite differences."""
+        rng = np.random.default_rng(60 + c_in)
+        x = Tensor(rng.normal(0, 1, (3, c_in, 5, 6)))
+        w = Tensor(rng.normal(0, 0.5, (c_out, c_in, 3, 3)))
+        b = Tensor(rng.normal(0, 0.5, c_out))
+        out = T.conv2d(x, w, b, padding=1)
+        assert out.data.shape == (3, c_out, 5, 6)
+        for i in range(3):
+            single = T.conv2d(Tensor(x.data[i]), w, b, padding=1).data
+            np.testing.assert_allclose(out.data[i], single, rtol=1e-14, atol=1e-15)
+        shape = out.data.shape
+        assert grad_check(self.weighted(lambda t: T.conv2d(t, w, b, 1), shape), x) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.conv2d(x, t, b, 1), shape), w) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.conv2d(x, w, t, 1), shape), b) <= 1e-6
+
+    @pytest.mark.parametrize("c_in,c_out,padding", [(1, 2, 0), (3, 1, 0), (3, 1, 2)])
+    def test_conv2d_against_direct_sum(self, c_in, c_out, padding):
+        """Every output pixel as the literal sum over channels and window."""
+        rng = np.random.default_rng(70 + padding)
+        x = rng.normal(0, 1, (2, c_in, 5, 4))
+        w = rng.normal(0, 1, (c_out, c_in, 3, 3))
+        b = rng.normal(0, 1, c_out)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding).data
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        for n in range(2):
+            for o in range(c_out):
+                for y in range(out.shape[2]):
+                    for z in range(out.shape[3]):
+                        want = b[o] + (w[o] * xp[n, :, y:y + 3, z:z + 3]).sum()
+                        assert out[n, o, y, z] == pytest.approx(want, rel=1e-12, abs=1e-12)
