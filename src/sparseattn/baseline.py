@@ -1,38 +1,35 @@
 """Dense CNN reference point: two conv blocks with average pooling and an
-affine head, trained with focal loss only. It processes every pixel, so
-its cost scales with the image area rather than the pixel budget.
+affine head, trained with focal loss only by the sparse model's epoch loop.
+It processes every pixel, so its cost scales with the image area rather
+than the pixel budget.
 """
 
 from __future__ import annotations
-
-import io
-import json
-import struct
 
 import numpy as np
 
 from .cost import CostReport, conv_flops
 from .data import LabeledImage, check_image_shapes
-from .losses import LossConfig, class_weights, focal_loss
+from .losses import BatchLossReport, LossConfig, focal_loss
 from .tensor import (
-    GradientTape,
-    NumericError,
+    GradientTape,  # noqa: F401  (bench/tracer.py wraps the name here to time steps)
     Tensor,
     add_rowvec,
+    assign_params,
     concat,
     conv2d,
-    dump_tensor,
     matmul,
-    read_tensor,
+    pack,
     reduce_mean,
     relu,
     reshape,
+    unpack,
 )
 from .train import (
-    AdamW,
     MetricsReport,
-    PlateauSchedule,
     TrainConfig,
+    chunked_confusion,
+    fit,
     metrics_from_confusion,
 )
 
@@ -46,7 +43,7 @@ class BaselineNet:
         if h % 4 or w % 4:
             raise ValueError(f"image shape {image_shape} must be divisible by 4")
         self.image_shape = (h, w)
-        self.classes = classes
+        self.class_count = classes
         self.ksize = ksize
         self.pad = (ksize - 1) // 2
         self.channels = (16, 32)
@@ -80,101 +77,44 @@ def build_baseline(seed: int, image_shape: tuple[int, int],
 
 
 def _avg_pool2(x: Tensor) -> Tensor:
-    c, h, w = x.data.shape
-    y = reshape(x, (c, h // 2, 2, w // 2, 2))
-    return reduce_mean(reduce_mean(y, axis=4), axis=2)
+    b, c, h, w = x.data.shape
+    y = reshape(x, (b, c, h // 2, 2, w // 2, 2))
+    return reduce_mean(reduce_mean(y, axis=5), axis=3)
 
 
-def baseline_forward(net: BaselineNet, image: Tensor) -> Tensor:
-    x = image if image.data.ndim == 3 else reshape(image, (1,) + image.data.shape)
+def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
+    """(C,) logits of one H×W image, or B×C logits of a B×H×W batch."""
+    shape = images.data.shape
+    x = reshape(images, (-1, 1) + shape[-2:])
     h = _avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, net.pad)))
     h = _avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, net.pad)))
-    flat = reshape(h, (1, -1))
+    flat = reshape(h, (x.data.shape[0], -1))
     logits = add_rowvec(matmul(flat, net.head_w), net.head_b)
-    return reshape(logits, (net.classes,))
+    return reshape(logits, shape[:-2] + (net.class_count,))
 
 
-def baseline_predict(net: BaselineNet, image: Tensor) -> int:
-    return int(np.argmax(baseline_forward(net, image).data))
+def _batch_report(net: BaselineNet, batch,
+                  cfg: LossConfig) -> tuple[BatchLossReport, np.ndarray]:
+    """Focal loss over a batch, one forward pass per image: one pass over
+    the whole batch ran slower and held more memory."""
+    rows = [reshape(baseline_forward(net, s.pixels), (1, net.class_count)) for s in batch]
+    logits = concat(rows, axis=0)
+    loss = focal_loss(logits, [s.label for s in batch], cfg)
+    value = loss.item()
+    report = BatchLossReport(focal=value, contrastive=0.0, distill=0.0, total=value,
+                             total_tensor=loss)
+    return report, np.argmax(logits.data, axis=1)
 
 
 def train_baseline(net: BaselineNet, dataset: list[LabeledImage],
                    config: TrainConfig) -> tuple[BaselineNet, list[dict]]:
-    """Same optimizer, schedule, and shuffling as the sparse trainer, but the
-    loss is focal only and there is no pixel budget."""
-    if not dataset:
-        raise ValueError("train_baseline needs a non-empty dataset")
-    check_image_shapes(dataset, net.image_shape)
-    from .train import _stratified_val_split
-
-    fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
-                                               config.seed)
-    if not val_data:
-        val_data = fit_data
-    alpha = config.alpha_per_class or class_weights(
-        [s.label for s in fit_data], net.classes)
-    cfg = LossConfig(gamma=config.gamma, alpha_per_class=alpha,
-                     lambda_contrast=0.0, lambda_distill=0.0,
-                     tau=config.tau, emphasis=config.emphasis)
-    named = net.params()
-    tensors = [t for _, t in named]
-    opt = AdamW(named, learning_rate=config.learning_rate,
-                weight_decay=config.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 37]))
-    logs = []
-    schedule = PlateauSchedule(config.learning_rate, config.plateau_factor,
-                               config.plateau_patience)
-    best = baseline_checkpoint_bytes(net)
-    bs = max(1, config.batch_size)
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(fit_data))
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, len(order), bs):
-            batch = [fit_data[i] for i in order[start:start + bs]]
-            tape = GradientTape()
-            tape.watch(*tensors)
-            rows, labels = [], []
-            for sample in batch:
-                logits = baseline_forward(net, sample.pixels)
-                if int(np.argmax(logits.data)) == sample.label:
-                    correct += 1
-                rows.append(reshape(logits, (1, net.classes)))
-                labels.append(sample.label)
-            loss = focal_loss(concat(rows, axis=0), labels, cfg)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError("baseline training loss is not finite")
-            tape.backward(loss)
-            opt.step()
-            loss_sum += value * len(batch)
-
-        val_loss = 0.0
-        conf = np.zeros((net.classes, net.classes), dtype=np.int64)
-        for start in range(0, len(val_data), bs):
-            batch = val_data[start:start + bs]
-            rows = [reshape(baseline_forward(net, s.pixels), (1, net.classes))
-                    for s in batch]
-            val_loss += focal_loss(concat(rows, axis=0),
-                                   [s.label for s in batch], cfg).item() * len(batch)
-            for row, sample in zip(rows, batch):
-                conf[sample.label, int(np.argmax(row.data))] += 1
-        val_loss /= len(val_data)
-
-        opt.learning_rate, improved = schedule.observe(val_loss)
-        if improved:
-            best = baseline_checkpoint_bytes(net)
-        logs.append({
-            "epoch": epoch,
-            "lr": opt.learning_rate,
-            "train_loss": loss_sum / len(fit_data),
-            "train_accuracy": correct / len(fit_data),
-            "val_loss": val_loss,
-            "val_accuracy": float(np.trace(conf) / conf.sum()),
-        })
-
-    restore_baseline(net, best)
+    """The sparse model's epoch loop (`train.fit`) with a focal-only loss
+    and no pixel budget."""
+    logs = fit(net, dataset, config,
+               lambda batch, cfg: _batch_report(net, batch, cfg),
+               lambda: baseline_checkpoint_bytes(net),
+               lambda data: assign_params(net.params(), unpack(data, _MAGIC, _VERSION)[1]),
+               lambda train_loss: {})
     return net, logs
 
 
@@ -182,9 +122,8 @@ def evaluate_baseline(net: BaselineNet, dataset: list[LabeledImage]) -> MetricsR
     if not dataset:
         raise ValueError("evaluate_baseline needs a non-empty dataset")
     check_image_shapes(dataset, net.image_shape)
-    conf = np.zeros((net.classes, net.classes), dtype=np.int64)
-    for sample in dataset:
-        conf[sample.label, baseline_predict(net, sample.pixels)] += 1
+    conf = chunked_confusion(lambda images: (baseline_forward(net, images), None),
+                             dataset, net.class_count)
     h, w = net.image_shape
     return metrics_from_confusion(conf, float(h * w), 100.0)
 
@@ -197,69 +136,32 @@ def baseline_cost(net: BaselineNet) -> CostReport:
     stages = {
         "conv1": conv_flops(h, w, 1, k, c1),
         "conv2": conv_flops(h // 2, w // 2, c1, k, c2),
-        "head": c2 * (h // 4) * (w // 4) * net.classes,
+        "head": c2 * (h // 4) * (w // 4) * net.class_count,
     }
     return CostReport(parameters=net.param_count(), stage_flops=stages,
                       pixel_percent=100.0)
 
 
 # ---------------------------------------------------------------------------
-# checkpointing (same tensor records as the sparse model, simpler header)
+# checkpointing: the tensor.pack container, as for the sparse model
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SATB"
+_VERSION = 1
 
 
 def baseline_checkpoint_bytes(net: BaselineNet) -> bytes:
-    meta = json.dumps({"image_shape": list(net.image_shape),
-                       "classes": net.classes}, sort_keys=True).encode()
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", 1))
-    buf.write(struct.pack("<I", len(meta)))
-    buf.write(meta)
-    entries = net.params()
-    buf.write(struct.pack("<I", len(entries)))
-    for name, t in entries:
-        raw = name.encode()
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        dump_tensor(t, buf)
-    return buf.getvalue()
+    meta = {"image_shape": list(net.image_shape), "classes": net.class_count}
+    return pack(_MAGIC, _VERSION, meta, net.params())
 
 
 def baseline_from_bytes(data: bytes) -> BaselineNet:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
-        raise ValueError("not a baseline checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != 1:
-        raise ValueError(f"unsupported baseline checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", buf.read(4))
-    meta = json.loads(buf.read(meta_len).decode())
-    (count,) = struct.unpack("<I", buf.read(4))
-    loaded = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(nlen).decode()
-        loaded[name] = read_tensor(buf)
+    meta, arrays = unpack(data, _MAGIC, _VERSION)
     net = build_baseline(0, tuple(meta["image_shape"]), meta["classes"])
-    for name, t in net.params():
-        t.data = loaded[name].data
+    assign_params(net.params(), arrays)
     return net
-
-
-def restore_baseline(net: BaselineNet, data: bytes) -> None:
-    src = baseline_from_bytes(data)
-    for (_, dst), (_, s) in zip(net.params(), src.params()):
-        dst.data = s.data
 
 
 def save_baseline(net: BaselineNet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(baseline_checkpoint_bytes(net))
-
-
-def load_baseline(path) -> BaselineNet:
-    with open(path, "rb") as fh:
-        return baseline_from_bytes(fh.read())

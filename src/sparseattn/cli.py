@@ -206,29 +206,22 @@ def cmd_train(args) -> int:
     _write_resolved(settings, out_dir)
 
     if settings["model"] == "baseline":
-        net = build_baseline(settings["seed"], shape, classes)
+        model = build_baseline(settings["seed"], shape, classes)
         ckpt_path = out_dir / "checkpoint.satb"
-        try:
-            net, logs = train_baseline(net, train_set, config)
-        except NumericError as err:
-            save_baseline(net, ckpt_path)
-            print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}",
-                  file=sys.stderr)
-            return 4
-        save_baseline(net, ckpt_path)
-        metrics = evaluate_baseline(net, test_set) if test_set else None
+        train_fn, save_fn, eval_fn = train_baseline, save_baseline, evaluate_baseline
     else:
         model = _build_from_settings(settings, shape, classes)
         ckpt_path = out_dir / "checkpoint.satm"
-        try:
-            model, logs = train(model, train_set, config)
-        except NumericError as err:
-            save_model(model, ckpt_path)
-            print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}",
-                  file=sys.stderr)
-            return 4
-        save_model(model, ckpt_path)
-        metrics = evaluate(model, test_set) if test_set else None
+        train_fn, save_fn, eval_fn = train, save_model, evaluate
+    try:
+        model, logs = train_fn(model, train_set, config)
+    except NumericError as err:
+        save_fn(model, ckpt_path)
+        print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}",
+              file=sys.stderr)
+        return 4
+    save_fn(model, ckpt_path)
+    metrics = eval_fn(model, test_set) if test_set else None
 
     with open(out_dir / "metrics.jsonl", "w") as fh:
         for record in logs:
@@ -249,15 +242,17 @@ _CHECKPOINT_KINDS = {
 
 
 def checkpoint_from_bytes(data: bytes, source="checkpoint"):
-    """(kind, model) of a SATM or SATB byte string. Bad magic, truncation
-    and corrupt records all raise DatasetError, naming `source`."""
+    """(kind, model) of a SATM or SATB byte string. Bad magic, another
+    version, truncation, trailing bytes, corrupt records, missing, unknown
+    or wrong-shaped tensors and metadata of the wrong type all raise
+    DatasetError, naming `source`."""
     magic = data[:4]
     if magic not in _CHECKPOINT_KINDS:
         raise DatasetError(f"{source}: unrecognized checkpoint magic {magic!r}")
     kind, parse = _CHECKPOINT_KINDS[magic]
     try:
         return kind, parse(data)
-    except (ValueError, KeyError, struct.error) as err:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, struct.error) as err:
         # ValueError covers bad JSON and bad UTF-8 as well
         raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
 
@@ -349,7 +344,7 @@ def cmd_viz(args) -> int:
     h, w = pixels.shape
     k = max(1, min(model.controller.k, h * w))
     image = Tensor(pixels)
-    logits, diag = model_forward(model, image, k, training=False)
+    logits, diag = model_forward(model, image, k)
 
     coarse_map = diag.coarse.attention_map.data
     write_pgm(out_dir / f"{stem}_coarse.pgm", coarse_map)

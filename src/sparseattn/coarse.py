@@ -1,10 +1,10 @@
 """Convolutional front-end: full-resolution saliency map plus pooled features.
 
-Two 3x3 conv layers (1 -> 8 -> 1 channels, same padding) with batch norm
-after the first. The sigmoid of the final map ranks pixels for selection;
-the spatial mean of the 8-channel post-ReLU map is the pooled global
-feature that joins the fused representation. A B×1×H×W batch runs through
-the same convolutions in one call.
+Two 3x3 conv layers (1 -> 8 -> 1 channels, same padding) with a fixed
+per-channel affine after the first. The sigmoid of the final map ranks
+pixels for selection; the spatial mean of the 8-channel post-ReLU map is
+the pooled global feature that joins the fused representation. A B×1×H×W
+batch runs through the same convolutions in one call.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ from .tensor import (
     channel_affine,
     conv2d,
     div,
-    mul,
     reduce_mean,
     relu,
     reshape,
     sigmoid,
-    sub,
 )
 
-BN_EPS = 1e-5
+# batch norm's divisor at its never-updated running variance 1 (eps 1e-5), kept:
+# gamma*x + beta moves outputs 1e-5 relative and derails seed-fixed training runs
+AFFINE_DIVISOR = float(np.sqrt(1.0 + 1e-5))
 
 
 @dataclass
@@ -40,13 +40,10 @@ class CoarseOutput:
 
 
 class CoarseNet:
-    """1 -> channels -> 1 conv stack with batch norm on the hidden layer.
-
-    Running batch-norm statistics are state, not parameters. Normalization
-    always uses the running statistics, batched or not, so an image's
-    output never depends on the other images of its batch; gamma/beta
-    still learn freely.
-    """
+    """1 -> channels -> 1 conv stack with a learnable per-channel affine
+    (bn_gamma / AFFINE_DIVISOR, bn_beta) on the hidden layer. No statistic
+    is taken over a batch, so an image's output never depends on the other
+    images of its batch."""
 
     def __init__(self, rng: np.random.Generator, channels: int = 8, ksize: int = 3):
         if ksize % 2 != 1:
@@ -62,9 +59,6 @@ class CoarseNet:
         self.bn_beta = Tensor(np.zeros(channels))
         self.conv2_w = Tensor(rng.uniform(-lim2, lim2, (1, channels, ksize, ksize)))
         self.conv2_b = Tensor(np.zeros(1))
-        # running stats: state, serialized with the model
-        self.bn_mean = np.zeros(channels)
-        self.bn_var = np.ones(channels)
 
     def params(self):
         return [
@@ -75,9 +69,6 @@ class CoarseNet:
             ("conv2_w", self.conv2_w),
             ("conv2_b", self.conv2_b),
         ]
-
-    def buffers(self):
-        return [("bn_mean", self.bn_mean), ("bn_var", self.bn_var)]
 
 
 def _as_batch(image: Tensor) -> tuple[Tensor, tuple[int, ...]]:
@@ -95,20 +86,14 @@ def _as_batch(image: Tensor) -> tuple[Tensor, tuple[int, ...]]:
     )
 
 
-def coarse_forward(net: CoarseNet, image: Tensor, training: bool = False) -> CoarseOutput:
-    """Run the conv stack on one [0,1]-normalized image or on a batch.
-
-    training toggles batch-norm mode, but both modes resolve to the
-    running statistics; see CoarseNet.
-    """
+def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
+    """Run the conv stack on one [0,1]-normalized image or on a batch."""
     x, lead = _as_batch(image)
     b, _, height, width = x.data.shape
-    sigma = Tensor(np.sqrt(net.bn_var + BN_EPS))
-    scale = div(net.bn_gamma, sigma)
-    shift = sub(net.bn_beta, mul(scale, Tensor(net.bn_mean)))
+    scale = div(net.bn_gamma, AFFINE_DIVISOR)
     # nested, so a tape-free pass frees each B×C×H×W intermediate at once
     a = relu(channel_affine(conv2d(x, net.conv1_w, net.conv1_b, net.pad),
-                            scale, shift))
+                            scale, net.bn_beta))
     pooled = reduce_mean(reshape(a, (b, net.channels, height * width)), axis=2)
     z_coarse = reshape(pooled, lead + (net.channels,))
     f = conv2d(a, net.conv2_w, net.conv2_b, net.pad)

@@ -1,5 +1,6 @@
 """Full model assembly: fusion of coarse and fine features, residual MLP
-classifier, end-to-end forward pass, and the versioned checkpoint format.
+classifier with a fixed per-channel affine in each block, end-to-end
+forward pass, and the versioned SATM checkpoint format.
 
 Every stage takes one H×W image or a B×H×W batch; a batch runs each stage
 once for all its images, and one image is the batch-free case of the same
@@ -8,14 +9,11 @@ code.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import BN_EPS, CoarseNet, CoarseOutput, coarse_forward
+from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
 from .data import DatasetError
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
@@ -24,26 +22,24 @@ from .tensor import (
     Tensor,
     add,
     add_rowvec,
+    assign_params,
     concat,
     div,
-    dump_tensor,
     matmul,
-    mul,
     mul_rowvec,
-    read_tensor,
+    pack,
     relu,
     reshape,
-    sub,
+    unpack,
 )
 
 
 class Classifier:
     """Affine in, two pre-activation residual blocks, affine out.
 
-    Block form: affine -> batch norm -> relu -> affine, added to the skip.
-    Batch norm normalizes with its running statistics, batched or not, so
-    a sample's logits never depend on the rest of its batch; gamma/beta
-    remain learnable.
+    Block form: affine -> per-channel affine (gamma / AFFINE_DIVISOR,
+    beta) -> relu -> affine, added to the skip. No statistic is taken over
+    a batch, so a sample's logits never depend on the rest of its batch.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -64,8 +60,6 @@ class Classifier:
                 "beta": Tensor(np.zeros(hidden)),
                 "w2": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
                 "b2": Tensor(np.zeros(hidden)),
-                "bn_mean": np.zeros(hidden),
-                "bn_var": np.ones(hidden),
             })
         self.w_out = Tensor(rng.uniform(-lim_h, lim_h, (hidden, classes)))
         self.b_out = Tensor(np.zeros(classes))
@@ -75,16 +69,7 @@ class Classifier:
         for i, blk in enumerate(self.blocks):
             for key in ("w1", "b1", "gamma", "beta", "w2", "b2"):
                 out.append((f"block{i}.{key}", blk[key]))
-        out.append(("w_out", self.w_out))
-        out.append(("b_out", self.b_out))
-        return out
-
-    def buffers(self):
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out.append((f"block{i}.bn_mean", blk["bn_mean"]))
-            out.append((f"block{i}.bn_var", blk["bn_var"]))
-        return out
+        return out + [("w_out", self.w_out), ("b_out", self.b_out)]
 
 
 def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
@@ -95,10 +80,8 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     h = add_rowvec(matmul(x, clf.w_in), clf.b_in)
     for blk in clf.blocks:
         t = add_rowvec(matmul(h, blk["w1"]), blk["b1"])
-        sigma = Tensor(np.sqrt(blk["bn_var"] + BN_EPS))
-        scale = div(blk["gamma"], sigma)
-        shift = sub(blk["beta"], mul(scale, Tensor(blk["bn_mean"])))
-        t = add_rowvec(mul_rowvec(t, scale), shift)
+        scale = div(blk["gamma"], AFFINE_DIVISOR)
+        t = add_rowvec(mul_rowvec(t, scale), blk["beta"])
         r = relu(t)
         u = add_rowvec(matmul(r, blk["w2"]), blk["b2"])
         h = add(h, u)
@@ -144,13 +127,6 @@ class ModelState:
                 out.append((f"{prefix}.{name}", t))
         return out
 
-    def buffers(self):
-        out = []
-        for prefix, module in (("coarse", self.coarse), ("classifier", self.classifier)):
-            for name, arr in module.buffers():
-                out.append((f"{prefix}.{name}", arr))
-        return out
-
     def param_count(self) -> int:
         return sum(t.data.size for _, t in self.params())
 
@@ -186,7 +162,7 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
     )
 
 
-def model_forward(m: ModelState, images: Tensor, k: int, training: bool = False):
+def model_forward(m: ModelState, images: Tensor, k: int):
     """coarse map -> top-k pixels -> embed -> fine attention -> fuse -> logits.
 
     images is one H×W image, which gives (C,) logits, or a B×H×W batch,
@@ -200,7 +176,7 @@ def model_forward(m: ModelState, images: Tensor, k: int, training: bool = False)
             f"images of shape {shape} do not match the model's H×W {tuple(m.image_shape)}"
         )
     x = images if len(shape) == 2 else reshape(images, (shape[0], 1) + shape[1:])
-    co = coarse_forward(m.coarse, x, training=training)
+    co = coarse_forward(m.coarse, x)
     pixels = select_top_k(co.attention_map.detach(), images.detach(), k)
     tokens = embed_pixels(m.embedder, pixels.triplets)
     fo = fine_forward(m.fine, tokens)
@@ -211,7 +187,7 @@ def model_forward(m: ModelState, images: Tensor, k: int, training: bool = False)
 
 def predict(m: ModelState, image: Tensor) -> int:
     """Class index with the highest logit; ties go to the lowest index."""
-    logits, _ = model_forward(m, image, m.controller.k, training=False)
+    logits, _ = model_forward(m, image, m.controller.k)
     return int(np.argmax(logits.data))
 
 
@@ -220,15 +196,14 @@ def predict(m: ModelState, image: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SATM"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def checkpoint_bytes(m: ModelState) -> bytes:
-    """Serialize the model to one self-describing byte string.
-
-    Layout: magic, u32 version, u32 JSON length + metadata, u32 blob
-    count, then named tensor records. Round-trips bit-exactly.
-    """
+    """Serialize the model to one self-describing byte string: the
+    tensor.pack container with the hyperparameters and controller state as
+    metadata and every parameter as a named record. Round-trips
+    bit-exactly."""
     meta = {
         "class_count": m.class_count,
         "image_shape": list(m.image_shape),
@@ -238,58 +213,18 @@ def checkpoint_bytes(m: ModelState) -> bytes:
         "coarse_channels": m.coarse_channels,
         "controller": m.controller.state(),
     }
-    blob = json.dumps(meta, sort_keys=True).encode()
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(struct.pack("<I", _CKPT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    entries = m.params() + [(name, Tensor(arr)) for name, arr in m.buffers()]
-    buf.write(struct.pack("<I", len(entries)))
-    for name, t in entries:
-        raw = name.encode()
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        dump_tensor(t, buf)
-    return buf.getvalue()
+    return pack(_CKPT_MAGIC, _CKPT_VERSION, meta, m.params())
 
 
 def model_from_bytes(data: bytes) -> ModelState:
-    buf = io.BytesIO(data)
-    if buf.read(4) != _CKPT_MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", buf.read(4))
-    meta = json.loads(buf.read(meta_len).decode())
-    (count,) = struct.unpack("<I", buf.read(4))
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(name_len).decode()
-        tensors[name] = read_tensor(buf)
-    # built only once every record has been read, so a truncated file fails fast
+    meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
     m = build_model(seed=0,
                     image_shape=tuple(meta["image_shape"]),
                     class_count=meta["class_count"],
                     dim=meta["dim"], heads=meta["heads"], hidden=meta["hidden"],
                     coarse_channels=meta["coarse_channels"])
+    assign_params(m.params(), arrays)
     m.controller = KController.from_state(meta["controller"])
-    for name, t in m.params():
-        if name not in tensors:
-            raise ValueError(f"checkpoint missing parameter {name}")
-        loaded = tensors[name]
-        if loaded.data.shape != t.data.shape:
-            raise ValueError(
-                f"checkpoint parameter {name} has shape {loaded.data.shape}, "
-                f"expected {t.data.shape}"
-            )
-        t.data = loaded.data
-    for name, arr in m.buffers():
-        if name not in tensors:
-            raise ValueError(f"checkpoint missing buffer {name}")
-        arr[...] = tensors[name].data
     return m
 
 
@@ -304,10 +239,7 @@ def load_model(path) -> ModelState:
 
 
 def restore_model(m: ModelState, data: bytes) -> None:
-    """In-place restore of parameters, buffers, and controller state."""
-    loaded = model_from_bytes(data)
-    for (_, dst), (_, src) in zip(m.params(), loaded.params()):
-        dst.data = src.data
-    for (_, dst), (_, src) in zip(m.buffers(), loaded.buffers()):
-        dst[...] = src
-    m.controller = loaded.controller
+    """In-place restore of parameters and controller state."""
+    meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
+    assign_params(m.params(), arrays)
+    m.controller = KController.from_state(meta["controller"])

@@ -12,6 +12,8 @@ transpose, the row-vector ops, conv2d) also accept a leading batch axis.
 
 from __future__ import annotations
 
+import io
+import json
 import struct
 
 import numpy as np
@@ -815,34 +817,37 @@ def _tap_spread(g: np.ndarray, k: int, p: int, h: int, w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def grad_check(f, point: Tensor, eps: float = 1e-5) -> float:
-    """Worst relative error between taped and central-difference gradients.
-
-    f must map a Tensor at `point` to a scalar Tensor and be deterministic.
-    The relative error denominator is max(|analytic|, |numeric|, 1e-8).
-    """
+    """Worst relative error between taped and central-difference gradients;
+    f must map a Tensor at `point` to a scalar Tensor and be deterministic."""
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
     tape = GradientTape()
     probe = Tensor(point.data.copy())
     tape.watch(probe)
-    out = f(probe)
-    tape.backward(out)
-    analytic = probe.grad.ravel()
-
-    base = point.data.ravel().copy()
+    tape.backward(f(probe))
+    values = point.data.ravel().copy()
     shape = point.data.shape
+    return central_difference_error(
+        probe.grad, values, lambda: f(Tensor(values.reshape(shape))).item(), eps)
+
+
+def central_difference_error(analytic, values: np.ndarray, evaluate,
+                             eps: float) -> float:
+    """Worst relative error of `analytic` against central differences of
+    evaluate() as each entry of the flat array `values` moves to ±eps
+    around its value in place (and back). The relative error denominator
+    is max(|analytic|, |numeric|, 1e-8)."""
+    analytic = np.asarray(analytic).ravel()
     worst = 0.0
-    for i in range(base.size):
-        for sign in (1.0, -1.0):
-            base[i] += sign * eps
-            val = f(Tensor(base.reshape(shape))).item()
-            if not np.isfinite(val):
-                raise NumericError(f"non-finite value while probing coordinate {i}")
-            if sign > 0:
-                plus = val
-            else:
-                minus = val
-            base[i] -= sign * eps
+    for i in range(values.size):
+        orig = values[i]
+        values[i] = orig + eps
+        plus = evaluate()
+        values[i] = orig - eps
+        minus = evaluate()
+        values[i] = orig
+        if not (np.isfinite(plus) and np.isfinite(minus)):
+            raise NumericError(f"non-finite value while probing coordinate {i}")
         numeric = (plus - minus) / (2.0 * eps)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[i] - numeric) / denom)
@@ -885,6 +890,60 @@ def save_tensor(t: Tensor, path) -> None:
 def load_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
         return read_tensor(fh)
+
+
+def pack(magic: bytes, version: int, meta: dict, named) -> bytes:
+    """Checkpoint container: 4-byte magic, u32 version, u32 length plus
+    sorted-key JSON metadata, u32 record count, then per record a u16
+    length plus UTF-8 name and one SATN tensor record."""
+    blob = json.dumps(meta, sort_keys=True).encode()
+    buf = io.BytesIO()
+    buf.write(magic + struct.pack("<II", version, len(blob)) + blob
+              + struct.pack("<I", len(named)))
+    for name, t in named:
+        raw = name.encode()
+        buf.write(struct.pack("<H", len(raw)) + raw)
+        dump_tensor(t, buf)
+    return buf.getvalue()
+
+
+def unpack(data: bytes, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """(metadata, name -> array) of a pack() byte string. Another magic or
+    version, a repeated name or bytes after the last record raise
+    ValueError; a truncated string raises ValueError or struct.error."""
+    buf = io.BytesIO(data)
+    if buf.read(4) != magic:
+        raise ValueError(f"not a {magic.decode()} checkpoint (bad magic)")
+    found, meta_len = struct.unpack("<II", buf.read(8))
+    if found != version:
+        raise ValueError(f"unsupported {magic.decode()} checkpoint version {found}")
+    meta = json.loads(buf.read(meta_len).decode())
+    (count,) = struct.unpack("<I", buf.read(4))
+    arrays = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", buf.read(2))
+        name = buf.read(name_len).decode()
+        if name in arrays:
+            raise ValueError(f"checkpoint repeats tensor {name}")
+        arrays[name] = read_tensor(buf).data
+    if buf.read(1):
+        raise ValueError(f"{len(data) - buf.tell() + 1} trailing bytes after the last record")
+    return meta, arrays
+
+
+def assign_params(named, arrays: dict[str, np.ndarray]) -> None:
+    """Set each named parameter to the array of its name; ValueError, and no
+    assignment, unless the names match exactly and every shape fits."""
+    names = {name for name, _ in named}
+    if names != set(arrays):
+        raise ValueError(f"checkpoint lacks tensors {sorted(names - set(arrays))} "
+                         f"and has unknown tensors {sorted(set(arrays) - names)}")
+    for name, t in named:
+        if arrays[name].shape != t.data.shape:
+            raise ValueError(f"checkpoint tensor {name} has shape {arrays[name].shape}, "
+                             f"expected {t.data.shape}")
+    for name, t in named:
+        t.data = arrays[name]
 
 
 def tensor_to_csv(t: Tensor, path) -> None:

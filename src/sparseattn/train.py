@@ -3,7 +3,8 @@ per-epoch pixel-budget updates, and evaluation metrics.
 
 A training batch is one B×H×W tensor: each optimizer step records one
 forward pass and one loss on its tape, and evaluation runs tape-free over
-chunks of the dataset.
+chunks of the dataset. The dense baseline shares the epoch loop (`fit`)
+and the chunked confusion matrix.
 """
 
 from __future__ import annotations
@@ -159,18 +160,29 @@ def stack_images(samples: list[LabeledImage]) -> Tensor:
     return Tensor(np.stack([s.pixels.data for s in samples]))
 
 
+def chunked_confusion(forward, dataset: list[LabeledImage],
+                      class_count: int) -> np.ndarray:
+    """Rows-are-truth confusion matrix of the logits' argmax over chunks of
+    EVAL_CHUNK images; forward(B×H×W tensor) -> (B×C logits, diagnostics).
+    A chunk's diagnostics live until the next forward returns: freed
+    first, their pages went back to the OS and were faulted in again for
+    every chunk (3.5× the page faults, evaluate about 10% slower)."""
+    conf = np.zeros((class_count, class_count), dtype=np.int64)
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        chunk = dataset[start:start + EVAL_CHUNK]
+        logits, _ = forward(stack_images(chunk))
+        np.add.at(conf, ([s.label for s in chunk], np.argmax(logits.data, axis=1)), 1)
+    return conf
+
+
 def evaluate(model: ModelState, dataset: list[LabeledImage]) -> MetricsReport:
     """Confusion-matrix metrics over a dataset with the current budget k."""
     if not dataset:
         raise ValueError("evaluate needs a non-empty dataset")
-    c = model.class_count
-    conf = np.zeros((c, c), dtype=np.int64)
     k = model.controller.k
     check_image_shapes(dataset, model.image_shape)
-    for start in range(0, len(dataset), EVAL_CHUNK):
-        chunk = dataset[start:start + EVAL_CHUNK]
-        logits, _ = model_forward(model, stack_images(chunk), k, training=False)
-        np.add.at(conf, ([s.label for s in chunk], np.argmax(logits.data, axis=1)), 1)
+    conf = chunked_confusion(lambda images: model_forward(model, images, k),
+                             dataset, model.class_count)
     h, w = model.image_shape
     return metrics_from_confusion(conf, float(k), 100.0 * k / (h * w))
 
@@ -195,11 +207,11 @@ def _stratified_val_split(dataset, fraction, seed):
     return [dataset[i] for i in fit_idx], [dataset[i] for i in val_idx]
 
 
-def _batch_report(model: ModelState, batch, k: int, cfg: LossConfig,
-                  training: bool) -> tuple[BatchLossReport, np.ndarray]:
+def _batch_report(model: ModelState, batch, k: int,
+                  cfg: LossConfig) -> tuple[BatchLossReport, np.ndarray]:
     """One forward pass and loss over a batch of images sharing one k;
     returns the loss report and the argmax prediction per sample."""
-    logits, diag = model_forward(model, stack_images(batch), k, training=training)
+    logits, diag = model_forward(model, stack_images(batch), k)
     embeddings = diag.fine.z_fine if len(batch) >= 2 else None
     report = total_loss(logits, [s.label for s in batch], embeddings,
                         (diag.coarse.attention_map, diag.fine.pixel_importance,
@@ -207,21 +219,21 @@ def _batch_report(model: ModelState, batch, k: int, cfg: LossConfig,
     return report, np.argmax(logits.data, axis=1)
 
 
-def train(model: ModelState, dataset: list[LabeledImage],
-          config: TrainConfig) -> tuple[ModelState, list[dict]]:
-    """Train in place; returns the model restored to its best-validation
-    parameters plus one metrics record per epoch.
-
-    A non-finite loss aborts with NumericError after restoring the last
-    completed epoch's parameters.
-    """
+def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
+        snapshot, restore, end_epoch) -> list[dict]:
+    """The epoch loop of both trainers: one record per epoch, and `model`
+    (with params(), image_shape, class_count) left at its best-validation
+    snapshot() -> bytes. batch_report(samples, loss config) returns the
+    batch's loss report and argmax predictions, taped inside a step.
+    end_epoch(mean training loss) runs after validation and returns extra
+    record fields. A non-finite loss restore()s the last completed epoch
+    and raises NumericError."""
     if not dataset:
-        raise ValueError("train needs a non-empty dataset")
+        raise ValueError("training needs a non-empty dataset")
     check_image_shapes(dataset, model.image_shape)
     fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
                                                config.seed)
-    if not val_data:
-        val_data = fit_data
+    val_data = val_data or fit_data
     cfg = config.loss_config([s.label for s in fit_data], model.class_count)
     named_params = model.params()
     tensors = [t for _, t in named_params]
@@ -232,21 +244,21 @@ def train(model: ModelState, dataset: list[LabeledImage],
     logs: list[dict] = []
     schedule = PlateauSchedule(config.learning_rate, config.plateau_factor,
                                config.plateau_patience)
-    best_snapshot = checkpoint_bytes(model)
+    best_snapshot = snapshot()
     last_good = best_snapshot
     bs = max(1, config.batch_size)
+    n_fit = len(fit_data)
 
     for epoch in range(config.epochs):
-        k = model.controller.k
-        order = rng.permutation(len(fit_data))
+        order = rng.permutation(n_fit)
         loss_sum = comp_focal = comp_contr = comp_dist = 0.0
         correct = 0
         try:
-            for start in range(0, len(order), bs):
+            for start in range(0, n_fit, bs):
                 batch = [fit_data[i] for i in order[start:start + bs]]
                 tape = GradientTape()
                 tape.watch(*tensors)
-                report, preds = _batch_report(model, batch, k, cfg, training=True)
+                report, preds = batch_report(batch, cfg)
                 tape.backward(report.total_tensor)
                 opt.step()
                 n = len(batch)
@@ -256,32 +268,29 @@ def train(model: ModelState, dataset: list[LabeledImage],
                 comp_dist += report.distill * n
                 correct += sum(int(p) == s.label for p, s in zip(preds, batch))
         except NumericError:
-            restore_model(model, last_good)
+            restore(last_good)
             raise
-        n_fit = len(fit_data)
         mean_loss = loss_sum / n_fit
-        update_k(model.controller, mean_loss)
 
-        # validation pass: loss and confusion in one sweep, eval mode
+        # validation pass: loss and confusion in one tape-free sweep
         val_loss = 0.0
         conf = np.zeros((model.class_count, model.class_count), dtype=np.int64)
         for start in range(0, len(val_data), bs):
             batch = val_data[start:start + bs]
-            report, preds = _batch_report(model, batch, k, cfg, training=False)
+            report, preds = batch_report(batch, cfg)
             val_loss += report.total * len(batch)
             np.add.at(conf, ([s.label for s in batch], preds), 1)
         val_loss /= len(val_data)
-        h, w = model.image_shape
-        val_metrics = metrics_from_confusion(conf, float(k), 100.0 * k / (h * w))
+        val_metrics = metrics_from_confusion(conf, 0.0, 0.0)
+        extra = end_epoch(mean_loss)
 
         opt.learning_rate, improved = schedule.observe(val_loss)
         if improved:
-            best_snapshot = checkpoint_bytes(model)
-
-        last_good = checkpoint_bytes(model)
+            best_snapshot = snapshot()
+        last_good = snapshot()
         logs.append({
             "epoch": epoch,
-            "k": k,
+            **extra,
             "lr": opt.learning_rate,
             "train_loss": mean_loss,
             "focal": comp_focal / n_fit,
@@ -293,5 +302,22 @@ def train(model: ModelState, dataset: list[LabeledImage],
             "val_f1": val_metrics.f1,
         })
 
-    restore_model(model, best_snapshot)
+    restore(best_snapshot)
+    return logs
+
+
+def train(model: ModelState, dataset: list[LabeledImage],
+          config: TrainConfig) -> tuple[ModelState, list[dict]]:
+    """Train in place with `fit`. Each epoch runs at the controller's k,
+    which update_k moves after the epoch's validation pass."""
+    def end_epoch(train_loss: float) -> dict:
+        k = model.controller.k
+        update_k(model.controller, train_loss)
+        return {"k": k}
+
+    logs = fit(model, dataset, config,
+               lambda batch, cfg: _batch_report(model, batch, model.controller.k, cfg),
+               lambda: checkpoint_bytes(model),
+               lambda data: restore_model(model, data),
+               end_epoch)
     return model, logs

@@ -1,6 +1,6 @@
 """Shared test helpers."""
 
-from sparseattn.tensor import GradientTape
+from sparseattn.tensor import GradientTape, central_difference_error
 
 
 def param_grad_errors(named_params, loss_fn, eps: float = 1e-5) -> dict[str, float]:
@@ -20,20 +20,9 @@ def param_grad_errors(named_params, loss_fn, eps: float = 1e-5) -> dict[str, flo
 
     errors = {}
     for name, t in named_params:
-        base = t.data.copy()
-        flat = t.data.ravel()
-        grads = analytic[name].ravel()
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            plus = loss_fn().item()
-            flat[i] = orig - eps
-            minus = loss_fn().item()
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * eps)
-            denom = max(abs(grads[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(grads[i] - numeric) / denom)
+        base = t.data
+        t.data = base.copy()    # probed in place through a flat view
+        errors[name] = central_difference_error(
+            analytic[name], t.data.reshape(-1), lambda: loss_fn().item(), eps)
         t.data = base
-        errors[name] = worst
     return errors

@@ -126,7 +126,7 @@ class TestCriterion1:
                           tau=0.5)
         frozen = []
         for img in images:
-            _, diag0 = model_forward(m, img, k=4, training=False)
+            _, diag0 = model_forward(m, img, k=4)
             frozen.append((diag0.pixels,
                            distill_target(diag0.fine.pixel_importance, 4,
                                           mcfg.emphasis)))
@@ -134,7 +134,7 @@ class TestCriterion1:
         def loss():
             logit_rows, z_rows, d_sum = [], [], None
             for img, (pixels, target) in zip(images, frozen):
-                co = coarse_forward(m.coarse, img, training=False)
+                co = coarse_forward(m.coarse, img)
                 tokens = embed_pixels(m.embedder, pixels.triplets)
                 fo = fine_forward(m.fine, tokens)
                 logits = classifier_forward(m.classifier,
@@ -217,7 +217,7 @@ class TestCriterion5:
         img = Tensor(np.random.default_rng(2).uniform(0, 1, (10, 10)))
         tape = GradientTape()
         tape.watch(*[t for _, t in model.params()])
-        _, diag = model_forward(model, img, k=12, training=True)
+        _, diag = model_forward(model, img, k=12)
         loss = distill_loss(diag.coarse.attention_map,
                             diag.fine.pixel_importance, diag.pixels,
                             LossConfig())

@@ -3,7 +3,8 @@
 One B×H×W forward and one batched loss must give every sample the logits
 that B=1 calls of the same stages give it, the loss that plain-numpy
 per-sample references give, and the parameter gradients of the per-image
-composition of the loss, all to 1e-12 relative error.
+composition of the loss, all to 1e-12 relative error. The dense baseline's
+batched forward and chunked evaluation are held to the same oracle.
 """
 
 import gc
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 
 import sparseattn as sa
+from sparseattn.baseline import baseline_forward, build_baseline
 from sparseattn.data import DatasetError
 from sparseattn.losses import LossConfig, distill_loss, distill_target, focal_loss
 from sparseattn.model import model_forward
-from sparseattn.tensor import GradientTape, Tensor, add, concat, mul, reshape
+from sparseattn.tensor import GradientTape, NumericError, Tensor, add, concat, mul, reshape
 
 train_module = importlib.import_module("sparseattn.train")
+baseline_module = importlib.import_module("sparseattn.baseline")
 
 SHAPE = (10, 10)
 K = 8
@@ -82,7 +85,7 @@ class TestBatchedMatchesPerImage:
     def run_batched(self, m, imgs):
         tape = GradientTape()
         tape.watch(*[t for _, t in m.params()])
-        logits, diag = model_forward(m, Tensor(np.stack(imgs)), K, training=True)
+        logits, diag = model_forward(m, Tensor(np.stack(imgs)), K)
         report = sa.total_loss(logits, LABELS, diag.fine.z_fine,
                                (diag.coarse.attention_map, diag.fine.pixel_importance,
                                 diag.pixels), CFG)
@@ -99,7 +102,7 @@ class TestBatchedMatchesPerImage:
         tape.watch(*[t for _, t in m.params()])
         rows, z_rows, focal_terms, kl_terms, outputs = [], [], [], [], []
         for img, y in zip(imgs, LABELS):
-            logits, diag = model_forward(m, Tensor(img), K, training=True)
+            logits, diag = model_forward(m, Tensor(img), K)
             rows.append(logits.data)
             z_rows.append(reshape(diag.fine.z_fine, (1, 4)))
             focal_terms.append(focal_loss(reshape(logits, (1, 3)), [y], CFG))
@@ -163,12 +166,55 @@ class TestBatchedMatchesPerImage:
         np.testing.assert_array_equal(conf, want)
 
 
+class TestDenseBaseline:
+    def test_batched_forward_matches_single_images(self):
+        net = build_baseline(3, (16, 16), 3)
+        imgs = [np.random.default_rng(i).uniform(0, 1, (16, 16)) for i in range(5)]
+        batch = baseline_forward(net, Tensor(np.stack(imgs))).data
+        single = np.stack([baseline_forward(net, Tensor(img)).data for img in imgs])
+        assert batch.shape == single.shape == (5, 3)
+        assert rel_err(batch, single) <= 1e-12
+
+    def test_evaluate_chunks_agree_with_per_image_argmax(self, monkeypatch):
+        data = sa.generate(sa.SyntheticSpec(image_size=16, seed=4, samples_per_class=4))
+        net = build_baseline(4, (16, 16), 3)
+        monkeypatch.setattr(train_module, "EVAL_CHUNK", 5)   # 12 images: a ragged last chunk
+        conf = np.asarray(sa.evaluate_baseline(net, data).confusion)
+        want = np.zeros((3, 3), dtype=np.int64)
+        for s in data:
+            want[s.label, int(np.argmax(baseline_forward(net, s.pixels).data))] += 1
+        np.testing.assert_array_equal(conf, want)
+
+    def test_numeric_abort_restores_the_last_completed_epoch(self, monkeypatch):
+        """12 images: 9 fit in 3 steps and 3 validate in 1 batch per epoch, so
+        the 6th loss is the second step of epoch 1; it is made NaN."""
+        data = sa.generate(sa.SyntheticSpec(image_size=16, seed=6, samples_per_class=4))
+        config = sa.TrainConfig(epochs=1, batch_size=4, seed=6, learning_rate=3e-3)
+        one_epoch, _ = sa.train_baseline(build_baseline(6, (16, 16), 3), data, config)
+
+        calls = []
+
+        def poisoned(logits, labels, cfg):
+            calls.append(len(calls))
+            loss = focal_loss(logits, labels, cfg)
+            return mul(loss, np.nan) if len(calls) == 6 else loss
+
+        monkeypatch.setattr(baseline_module, "focal_loss", poisoned)
+        net = build_baseline(6, (16, 16), 3)
+        config.epochs = 3
+        with pytest.raises(NumericError):
+            sa.train_baseline(net, data, config)
+        assert len(calls) == 6
+        for (name, got), (_, want) in zip(net.params(), one_epoch.params()):
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+
+
 class TestTapeCost:
     def step_ops(self, m, batch):
         cfg = sa.TrainConfig().loss_config()
         tape = GradientTape()
         tape.watch(*[t for _, t in m.params()])
-        report, _ = train_module._batch_report(m, batch, K, cfg, training=True)
+        report, _ = train_module._batch_report(m, batch, K, cfg)
         ops = len(tape._ops)
         tape.backward(report.total_tensor)
         for _, t in m.params():

@@ -12,6 +12,7 @@ from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
 from sparseattn.cli import checkpoint_from_bytes, main
 from sparseattn.data import DatasetError, read_pgm
 from sparseattn.model import build_model, checkpoint_bytes
+from sparseattn.tensor import Tensor, pack, unpack
 
 FAST_TRAIN = ["--epochs", "2", "--samples-per-class", "4", "--image-size", "16",
               "--hidden", "8", "--k-init", "40", "--k-min", "16", "--batch", "4"]
@@ -142,8 +143,8 @@ class TestEvalCommand:
 
 
 class TestTruncatedCheckpoints:
-    """Every strict prefix of a checkpoint is a data error (exit 3), never a
-    traceback."""
+    """Every strict prefix of a checkpoint, and every other damaged one, is a
+    data error (exit 3), never a traceback."""
 
     @staticmethod
     def small_files():
@@ -166,6 +167,72 @@ class TestTruncatedCheckpoints:
                 path.write_bytes(data[:n])
                 assert main(["eval", "--checkpoint", str(path), "--synthetic"]) == 3
                 assert main(["cost", "--checkpoint", str(path)]) == 3
+
+    # checkpoints of 16×16 models, so `eval` runs on matching synthetic data
+    # and only the damage can make it fail
+    EVAL_16 = ["--synthetic", "--image-size", "16", "--samples-per-class", "1"]
+
+    @staticmethod
+    def damaged_files():
+        """(label, bytes) of one SATM and one SATB with each container fault:
+        an unknown, a missing or a wrong-shaped tensor, trailing bytes and
+        another version (1 for SATM, 2 for SATB)."""
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        cases = []
+        for data, magic, version, other, reshaped in (
+                (checkpoint_bytes(model), b"SATM", 2, 1, "classifier.w_out"),
+                (baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)), b"SATB", 1, 2,
+                 "head_w")):
+            meta, arrays = unpack(data, magic, version)
+            named = [(name, Tensor(a)) for name, a in arrays.items()]
+            wrong = [(name, Tensor(a.T if name == reshaped else a)) for name, a in arrays.items()]
+            kind = magic.decode()
+            cases += [
+                (f"{kind} unknown tensor",
+                 pack(magic, version, meta, named + [("extra", Tensor(np.zeros(2)))])),
+                (f"{kind} missing tensor", pack(magic, version, meta, named[1:])),
+                (f"{kind} wrong-shaped {reshaped}", pack(magic, version, meta, wrong)),
+                (f"{kind} trailing bytes", data + b"\x00\x00"),
+                (f"{kind} version {other}", pack(magic, other, meta, named)),
+            ]
+        return model, cases
+
+    def test_container_faults_are_data_errors(self, tmp_path):
+        model, cases = self.damaged_files()
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(checkpoint_bytes(model))
+        assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 0
+        assert len(cases) == 10
+        for label, data in cases:
+            with pytest.raises(DatasetError):
+                checkpoint_from_bytes(data)
+            path.write_bytes(data)
+            assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3, label
+            assert main(["cost", "--checkpoint", str(path)]) == 3, label
+
+    @pytest.mark.parametrize("magic, version, key, value", [
+        (b"SATM", 2, "heads", "2"),
+        (b"SATM", 2, "heads", 0),
+        (b"SATM", 2, "image_shape", None),
+        (b"SATM", 2, "controller", [1]),
+        (b"SATB", 1, "classes", "3"),
+    ])
+    def test_metadata_of_the_wrong_type_is_a_data_error(self, tmp_path, magic, version,
+                                                        key, value):
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        data = (checkpoint_bytes(model) if magic == b"SATM"
+                else baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)))
+        meta, arrays = unpack(data, magic, version)
+        meta[key] = value
+        data = pack(magic, version, meta, [(n, Tensor(a)) for n, a in arrays.items()])
+        with pytest.raises(DatasetError):
+            checkpoint_from_bytes(data)
+        path = tmp_path / "meta.ckpt"
+        path.write_bytes(data)
+        assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3
+        assert main(["cost", "--checkpoint", str(path)]) == 3
 
 
 class TestCostCommand:

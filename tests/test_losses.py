@@ -262,7 +262,7 @@ class TestDistillDirectionality:
         img = Tensor(np.random.default_rng(2).uniform(0, 1, (10, 10)))
         tape = GradientTape()
         tape.watch(*[t for _, t in model.params()])
-        _, diag = sa.model_forward(model, img, k=12, training=True)
+        _, diag = sa.model_forward(model, img, k=12)
         loss = distill_loss(diag.coarse.attention_map,
                             diag.fine.pixel_importance, diag.pixels,
                             LossConfig())

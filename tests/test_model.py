@@ -160,7 +160,7 @@ class TestEndToEndGradients:
                         hidden=8, k_init=4, k_min=2)
         img = rand_image((8, 8), seed=11)
         cfg = LossConfig(gamma=2.0, lambda_contrast=0.1, lambda_distill=0.5)
-        _, diag0 = model_forward(m, img, k=4, training=False)
+        _, diag0 = model_forward(m, img, k=4)
         frozen_pixels = diag0.pixels
         frozen_target = distill_target(diag0.fine.pixel_importance, 4, cfg.emphasis)
 
@@ -172,7 +172,7 @@ class TestEndToEndGradients:
         from sparseattn.tensor import add, mul as tmul
 
         def loss():
-            co = coarse_forward(m.coarse, img, training=False)
+            co = coarse_forward(m.coarse, img)
             tokens = embed_pixels(m.embedder, frozen_pixels.triplets)
             fo = fine_forward(m.fine, tokens)
             fused = fuse(fo.z_fine, co.z_coarse)
