@@ -14,8 +14,9 @@ from .losses import BatchLossReport, LossConfig, focal_loss
 from .tensor import (
     GradientTape,  # noqa: F401  (bench/tracer.py wraps the name here to time steps)
     Tensor,
-    add_rowvec,
+    add,
     assign_params,
+    check_sizes,
     concat,
     conv2d,
     matmul,
@@ -34,20 +35,28 @@ from .train import (
 )
 
 
+CHANNELS = (16, 32)
+
+
+def _flat_size(h: int, w: int) -> int:
+    """Length of the feature vector the head reads: two 2x2 pools."""
+    return CHANNELS[1] * (h // 4) * (w // 4)
+
+
 class BaselineNet:
     """1 -> 16 -> 32 channel conv net; each block is conv, relu, 2x2 avg pool."""
 
     def __init__(self, rng: np.random.Generator, image_shape: tuple[int, int],
                  classes: int, ksize: int = 3):
         h, w = image_shape
-        if h % 4 or w % 4:
-            raise ValueError(f"image shape {image_shape} must be divisible by 4")
+        if h < 4 or w < 4 or h % 4 or w % 4:
+            raise ValueError(f"image shape {image_shape} must be positive multiples of 4")
         self.image_shape = (h, w)
         self.class_count = classes
         self.ksize = ksize
         self.pad = (ksize - 1) // 2
-        self.channels = (16, 32)
-        flat = self.channels[1] * (h // 4) * (w // 4)
+        self.channels = CHANNELS
+        flat = _flat_size(h, w)
         lim1 = (1.0 / (1 * ksize * ksize)) ** 0.5
         lim2 = (1.0 / (self.channels[0] * ksize * ksize)) ** 0.5
         lim3 = (1.0 / flat) ** 0.5
@@ -89,7 +98,7 @@ def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
     h = _avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, net.pad)))
     h = _avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, net.pad)))
     flat = reshape(h, (x.data.shape[0], -1))
-    logits = add_rowvec(matmul(flat, net.head_w), net.head_b)
+    logits = add(matmul(flat, net.head_w), net.head_b)
     return reshape(logits, shape[:-2] + (net.class_count,))
 
 
@@ -157,7 +166,9 @@ def baseline_checkpoint_bytes(net: BaselineNet) -> bytes:
 
 def baseline_from_bytes(data: bytes) -> BaselineNet:
     meta, arrays = unpack(data, _MAGIC, _VERSION)
-    net = build_baseline(0, tuple(meta["image_shape"]), meta["classes"])
+    h, w = meta["image_shape"]
+    check_sizes(arrays, [("head_w", 0, _flat_size(h, w)), ("head_w", 1, meta["classes"])])
+    net = build_baseline(0, (h, w), meta["classes"])
     assign_params(net.params(), arrays)
     return net
 

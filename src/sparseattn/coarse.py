@@ -16,7 +16,7 @@ import numpy as np
 from .tensor import (
     DimensionError,
     Tensor,
-    channel_affine,
+    affine,
     conv2d,
     div,
     reduce_mean,
@@ -90,10 +90,11 @@ def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
     """Run the conv stack on one [0,1]-normalized image or on a batch."""
     x, lead = _as_batch(image)
     b, _, height, width = x.data.shape
-    scale = div(net.bn_gamma, AFFINE_DIVISOR)
+    per_channel = (net.channels, 1, 1)
+    scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
     # nested, so a tape-free pass frees each B×C×H×W intermediate at once
-    a = relu(channel_affine(conv2d(x, net.conv1_w, net.conv1_b, net.pad),
-                            scale, net.bn_beta))
+    a = relu(affine(conv2d(x, net.conv1_w, net.conv1_b, net.pad),
+                    scale, reshape(net.bn_beta, per_channel)))
     pooled = reduce_mean(reshape(a, (b, net.channels, height * width)), axis=2)
     z_coarse = reshape(pooled, lead + (net.channels,))
     f = conv2d(a, net.conv2_w, net.conv2_b, net.pad)

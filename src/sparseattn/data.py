@@ -162,6 +162,8 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise DatasetError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if w < 1 or h < 1:
+        raise DatasetError(f"{path}: PGM size {w}×{h} is not at least 1×1")
     body = raw[pos:pos + w * h]
     if len(body) != w * h:
         raise DatasetError(f"{path}: truncated PGM payload")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add_rowvec, broadcast_to, concat, matmul, relu, reshape
+from .tensor import Tensor, add, broadcast_to, concat, matmul, relu, reshape
 
 
 class Embedder:
@@ -50,7 +50,7 @@ def embed_pixels(emb: Embedder, triplets) -> Tensor:
     if t.ndim not in (2, 3) or t.shape[-1] != 3 or t.shape[-2] == 0:
         raise ValueError(f"embed_pixels needs k >= 1 triplets as (..., k, 3), got {t.shape}")
     lead, k = t.shape[:-2], t.shape[-2]
-    h = relu(add_rowvec(matmul(Tensor(t.reshape(-1, 3)), emb.w1), emb.b1))
-    rows = reshape(add_rowvec(matmul(h, emb.w2), emb.b2), lead + (k, emb.dim))
+    h = relu(add(matmul(Tensor(t.reshape(-1, 3)), emb.w1), emb.b1))
+    rows = reshape(add(matmul(h, emb.w2), emb.b2), lead + (k, emb.dim))
     cls_rows = broadcast_to(emb.cls_token, lead + (1, emb.dim))
     return concat([rows, cls_rows], axis=-2)

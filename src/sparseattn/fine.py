@@ -23,12 +23,11 @@ from .tensor import (
     add,
     concat,
     div,
-    div_rowvec,
-    gather,
     matmul,
     reduce_sum,
     relu,
     reshape,
+    take,
     transpose,
 )
 
@@ -88,12 +87,13 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     values = matmul(x, fa.w_v)                                   # B × (k+1) × D
     q = matmul(x, concat(fa.w_q, axis=1))                        # B × (k+1) × H*d_h
     keys = add(relu(matmul(x, concat(fa.w_k, axis=1))), fa.epsilon)
-    a = div_rowvec(keys, reduce_sum(keys, axis=1))               # columns sum to 1
+    a = div(keys, reshape(reduce_sum(keys, axis=1), (b, 1, -1)))  # columns sum to 1
     context = matmul(transpose(a), values)                       # B × H*d_h × D
     # contracting over all H*d_h columns adds up the heads' q_h @ context_h
     out = matmul(q, context)                                     # B × (k+1) × D
-    cls_rows = np.arange(1, b + 1) * n_tokens - 1
-    z_fine = div(gather(reshape(out, (b * n_tokens, fa.dim)), cls_rows), float(fa.heads))
+    # the CLS row is the last D entries of each item's flattened output
+    cls_cols = np.broadcast_to((n_tokens - 1) * fa.dim + np.arange(fa.dim), (b, fa.dim))
+    z_fine = div(take(reshape(out, (b, n_tokens * fa.dim)), cls_cols), float(fa.heads))
 
     # token j's weight in head h's CLS readout is sum_c q_cls[c] * a[j, c]
     # over the head's columns; its magnitude, averaged over heads, is the

@@ -23,9 +23,7 @@ from .tensor import (
     add,
     clamp_min,
     div,
-    div_colvec,
     exp,
-    gather,
     log,
     matmul,
     mul,
@@ -130,13 +128,13 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
 
     sq = reduce_sum(mul(embeddings, embeddings), axis=1)
     norms = power(clamp_min(sq, PROB_FLOOR ** 2), 0.5)
-    z = div_colvec(embeddings, norms)
+    z = div(embeddings, reshape(norms, (b, 1)))
     sims = matmul(z, transpose(z))
     scores = exp(mul(sims, 1.0 / cfg.tau))
 
     denom = sub(reduce_sum(scores, axis=1), take(scores, np.arange(b)))
     ratio = div(take(scores, positive), denom)
-    return reduce_mean(neg(log(gather(ratio, anchors))))
+    return reduce_mean(neg(log(take(ratio, anchors))))
 
 
 def distill_target(pixel_importance: Tensor, k: int, emphasis: float) -> np.ndarray:

@@ -21,12 +21,12 @@ from .selector import KController, Selection, select_top_k
 from .tensor import (
     Tensor,
     add,
-    add_rowvec,
+    affine,
     assign_params,
+    check_sizes,
     concat,
     div,
     matmul,
-    mul_rowvec,
     pack,
     relu,
     reshape,
@@ -77,15 +77,14 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     batch of them to B×C logits."""
     lead = fused.data.shape[:-1]
     x = reshape(fused, (-1, clf.in_dim))
-    h = add_rowvec(matmul(x, clf.w_in), clf.b_in)
+    h = add(matmul(x, clf.w_in), clf.b_in)
     for blk in clf.blocks:
-        t = add_rowvec(matmul(h, blk["w1"]), blk["b1"])
-        scale = div(blk["gamma"], AFFINE_DIVISOR)
-        t = add_rowvec(mul_rowvec(t, scale), blk["beta"])
+        t = add(matmul(h, blk["w1"]), blk["b1"])
+        t = affine(t, div(blk["gamma"], AFFINE_DIVISOR), blk["beta"])
         r = relu(t)
-        u = add_rowvec(matmul(r, blk["w2"]), blk["b2"])
+        u = add(matmul(r, blk["w2"]), blk["b2"])
         h = add(h, u)
-    logits = add_rowvec(matmul(h, clf.w_out), clf.b_out)
+    logits = add(matmul(h, clf.w_out), clf.b_out)
     return reshape(logits, lead + (clf.classes,))
 
 
@@ -140,6 +139,8 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
     """Initialize all modules from one seed; controller bounds are clamped
     to the pixel count so paper-scale defaults stay valid on small images."""
     h, w = image_shape
+    if h < 1 or w < 1:
+        raise ValueError(f"image shape {image_shape} is not at least 1×1")
     n = h * w
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
     k_max = n if k_max is None else min(int(k_max), n)
@@ -218,6 +219,10 @@ def checkpoint_bytes(m: ModelState) -> bytes:
 
 def model_from_bytes(data: bytes) -> ModelState:
     meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
+    check_sizes(arrays, [("coarse.conv1_w", 0, meta["coarse_channels"]),
+                         ("embedder.w2", 1, meta["dim"]),
+                         ("classifier.w_in", 1, meta["hidden"]),
+                         ("classifier.w_out", 1, meta["class_count"])])
     m = build_model(seed=0,
                     image_shape=tuple(meta["image_shape"]),
                     class_count=meta["class_count"],

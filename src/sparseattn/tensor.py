@@ -3,11 +3,11 @@
 A GradientTape records operations in execution order and replays them in
 exact reverse on backward(). Tapes are single-use. Tensors created without
 a tape are constants, so the same forward code runs tape-free for cheap
-inference. Broadcasting is limited to scalar-with-tensor; the few vector
-broadcasts the model needs (bias rows, column normalizers, per-channel
-affines, a token repeated over a batch) are dedicated ops with their own
-backward rules. The structural ops that a batched model needs (matmul,
-transpose, the row-vector ops, conv2d) also accept a leading batch axis.
+inference. add, sub, mul, div and affine broadcast their operands the way
+numpy does (a bias row, a per-channel scale, a per-row normalizer), and
+one rule, _unbroadcast, sums each gradient back to its operand's shape.
+The structural ops that a batched model needs (matmul, transpose, take,
+conv2d) also accept a leading batch axis.
 """
 
 from __future__ import annotations
@@ -200,74 +200,103 @@ def _record(tape: GradientTape, out: Tensor, pairs) -> None:
     ))
 
 
-def _fit(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce an upstream gradient onto a scalar-broadcast parent."""
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum an upstream gradient over the axes that broadcasting added or
+    stretched, back to the operand's shape, in one sum call."""
     if g.shape == shape:
         return g
-    return np.asarray(g.sum()).reshape(shape)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
-def _check_pair(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape == b.data.shape or a.data.size == 1 or b.data.size == 1:
-        return
-    raise DimensionError(
-        f"{op}: shapes {a.data.shape} and {b.data.shape} differ and neither is scalar"
-    )
+def _binary(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """ufunc(a, b) with numpy broadcasting; shapes that do not broadcast
+    raise DimensionError naming both."""
+    try:
+        return ufunc(a.data, b.data)
+    except ValueError as err:
+        raise DimensionError(f"{ufunc.__name__}: shapes {a.data.shape} and "
+                             f"{b.data.shape} do not broadcast") from err
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (same-shape or scalar broadcast)
+# elementwise ops (numpy broadcasting)
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair(a, b, "add")
     tape = _common_tape(a, b)
-    out = Tensor(a.data + b.data, tape)
+    out = Tensor(_binary(np.add, a, b), tape)
     if tape is not None:
         ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, ((a, lambda g: _fit(g, ash)), (b, lambda g: _fit(g, bsh))))
+        _record(tape, out, ((a, lambda g: _unbroadcast(g, ash)),
+                            (b, lambda g: _unbroadcast(g, bsh))))
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair(a, b, "sub")
     tape = _common_tape(a, b)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = Tensor(a.data - b.data, tape)
+        out = Tensor(_binary(np.subtract, a, b), tape)
     if tape is not None:
         ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, ((a, lambda g: _fit(g, ash)), (b, lambda g: _fit(-g, bsh))))
+        _record(tape, out, ((a, lambda g: _unbroadcast(g, ash)),
+                            (b, lambda g: _unbroadcast(-g, bsh))))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair(a, b, "mul")
     tape = _common_tape(a, b)
     with np.errstate(over="ignore"):
-        out = Tensor(a.data * b.data, tape)
+        out = Tensor(_binary(np.multiply, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
         _record(tape, out, (
-            (a, lambda g: _fit(g * bd, ad.shape)),
-            (b, lambda g: _fit(g * ad, bd.shape)),
+            (a, lambda g: _unbroadcast(g * bd, ad.shape)),
+            (b, lambda g: _unbroadcast(g * ad, bd.shape)),
         ))
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair(a, b, "div")
     tape = _common_tape(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data / b.data, tape)
+        out = Tensor(_binary(np.divide, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
+        # negate after the sum: -g would be a fresh array whose layout
+        # changes the order in which the sum adds up g * ad
         _record(tape, out, (
-            (a, lambda g: _fit(g / bd, ad.shape)),
-            (b, lambda g: _fit(-g * ad / (bd * bd), bd.shape)),
+            (a, lambda g: _unbroadcast(g / bd, ad.shape)),
+            (b, lambda g: -_unbroadcast(g * ad, bd.shape) / (bd * bd)),
+        ))
+    return out
+
+
+def affine(x, scale, shift) -> Tensor:
+    """x*scale + shift with numpy broadcasting. shift is added in place, so
+    a large x costs one temporary, not two; it must broadcast to the shape
+    of x*scale."""
+    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
+    tape = _common_tape(x, scale, shift)
+    try:
+        data = x.data * scale.data
+        data += shift.data
+    except ValueError as err:
+        raise DimensionError(f"affine: shapes {x.data.shape}, {scale.data.shape} and "
+                             f"{shift.data.shape} do not broadcast") from err
+    out = Tensor(data, tape)
+    if tape is not None:
+        xd, sd, bsh = x.data, scale.data, shift.data.shape
+        _record(tape, out, (
+            (x, lambda g: _unbroadcast(g * sd, xd.shape)),
+            (scale, lambda g: _unbroadcast(g * xd, sd.shape)),
+            (shift, lambda g: _unbroadcast(g, bsh)),
         ))
     return out
 
@@ -352,109 +381,6 @@ def clamp_min(a, floor: float) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------------
-# vector-broadcast ops: v matches one axis of a matrix (or batch of matrices)
-# ---------------------------------------------------------------------------
-
-def _check_rowvec(m: Tensor, v: Tensor, op: str) -> None:
-    md, vd = m.data, v.data
-    if md.ndim < 2 or vd.shape != md.shape[:-2] + md.shape[-1:]:
-        raise DimensionError(f"{op}: matrix {md.shape} with row vector {vd.shape}")
-
-
-def add_rowvec(m, v) -> Tensor:
-    """m + v with v broadcast across rows (the affine-bias pattern).
-
-    m is R×F with v of length F, or a B×R×F batch with one row vector
-    per item (v is B×F).
-    """
-    m, v = _as_tensor(m), _as_tensor(v)
-    _check_rowvec(m, v, "add_rowvec")
-    tape = _common_tape(m, v)
-    out = Tensor(m.data + v.data[..., None, :], tape)
-    if tape is not None:
-        _record(tape, out, ((m, lambda g: g), (v, lambda g: g.sum(axis=-2))))
-    return out
-
-
-def mul_rowvec(m, v) -> Tensor:
-    m, v = _as_tensor(m), _as_tensor(v)
-    _check_rowvec(m, v, "mul_rowvec")
-    tape = _common_tape(m, v)
-    row = v.data[..., None, :]
-    out = Tensor(m.data * row, tape)
-    if tape is not None:
-        md = m.data
-        _record(tape, out, (
-            (m, lambda g: g * row),
-            (v, lambda g: (g * md).sum(axis=-2)),
-        ))
-    return out
-
-
-def div_rowvec(m, v) -> Tensor:
-    """m / v with v broadcast across rows (per-column normalization)."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    _check_rowvec(m, v, "div_rowvec")
-    tape = _common_tape(m, v)
-    row = v.data[..., None, :]
-    out = Tensor(m.data / row, tape)
-    if tape is not None:
-        md, vd = m.data, v.data
-        _record(tape, out, (
-            (m, lambda g: g / row),
-            (v, lambda g: -(g * md).sum(axis=-2) / (vd * vd)),
-        ))
-    return out
-
-
-def div_colvec(m, v) -> Tensor:
-    """m / v with v matching the row axis (per-row normalization)."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.data.ndim != 2 or v.data.ndim != 1 or v.data.shape[0] != m.data.shape[0]:
-        raise DimensionError(f"div_colvec: matrix {m.data.shape} with column vector {v.data.shape}")
-    tape = _common_tape(m, v)
-    col = v.data[:, None]
-    out = Tensor(m.data / col, tape)
-    if tape is not None:
-        md, vd = m.data, v.data
-        _record(tape, out, (
-            (m, lambda g: g / vd[:, None]),
-            (v, lambda g: -(g * md).sum(axis=1) / (vd * vd)),
-        ))
-    return out
-
-
-def channel_affine(x, scale, shift) -> Tensor:
-    """x*scale + shift with scale/shift per channel: the leading axis of a
-    C×H×W image, the second of a B×C×H×W batch."""
-    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    if x.data.ndim not in (3, 4):
-        raise DimensionError(f"channel_affine: x {x.data.shape} must be C×H×W or B×C×H×W")
-    axis = x.data.ndim - 3
-    c = x.data.shape[axis]
-    if scale.data.shape != (c,) or shift.data.shape != (c,):
-        raise DimensionError(
-            f"channel_affine: x {x.data.shape} needs ({c},) scale/shift, "
-            f"got {scale.data.shape} and {shift.data.shape}"
-        )
-    tape = _common_tape(x, scale, shift)
-    ext = (c, 1, 1)
-    s = scale.data.reshape(ext)
-    data = x.data * s
-    data += shift.data.reshape(ext)
-    out = Tensor(data, tape)
-    if tape is not None:
-        xd = x.data
-        others = tuple(i for i in range(xd.ndim) if i != axis)
-        _record(tape, out, (
-            (x, lambda g: g * s),
-            (scale, lambda g: (g * xd).sum(axis=others)),
-            (shift, lambda g: g.sum(axis=others)),
-        ))
-    return out
-
-
 def broadcast_to(a, shape) -> Tensor:
     """a repeated along new leading axes and along its size-1 axes (numpy
     broadcasting rules); backward sums the copies."""
@@ -467,15 +393,7 @@ def broadcast_to(a, shape) -> Tensor:
     out = Tensor(data, a.tape)
     if a.tape is not None:
         orig = a.data.shape
-        extra = tuple(range(len(shape) - len(orig)))
-        stretched = tuple(len(extra) + i for i, e in enumerate(orig)
-                          if e == 1 and shape[len(extra) + i] != 1)
-
-        def back(g):
-            if stretched:
-                g = g.sum(axis=stretched, keepdims=True)
-            return g.sum(axis=extra) if extra else g
-        _record(a.tape, out, ((a, back),))
+        _record(a.tape, out, ((a, lambda g: _unbroadcast(g, orig)),))
     return out
 
 
@@ -550,29 +468,6 @@ def concat(parts, axis: int = 0) -> Tensor:
                 return g[tuple(sl)]
             pairs.append((p, back))
         _record(tape, out, tuple(pairs))
-    return out
-
-
-def gather(a, indices) -> Tensor:
-    """Select rows (2-D) or elements (1-D) by index; backward scatters-adds."""
-    a = _as_tensor(a)
-    if a.data.ndim not in (1, 2):
-        raise DimensionError(f"gather expects a 1-D or 2-D tensor, got shape {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("gather indices must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise DimensionError(
-            f"gather index out of range for leading extent {a.data.shape[0]}"
-        )
-    out = Tensor(a.data[idx], a.tape)
-    if a.tape is not None:
-        shape = a.data.shape
-        def back(g):
-            z = np.zeros(shape)
-            np.add.at(z, idx, g)
-            return z
-        _record(a.tape, out, ((a, back),))
     return out
 
 
@@ -658,25 +553,6 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
             if axis is None:
                 return np.broadcast_to(g / n, shape)
             return np.broadcast_to(np.expand_dims(g, axis) / n, shape)
-        _record(a.tape, out, ((a, back),))
-    return out
-
-
-def reduce_max(a, axis: int | None = None) -> Tensor:
-    """Max reduction; ties route the gradient to the lowest flat index."""
-    a = _as_tensor(a)
-    _check_axis(a, axis)
-    out = Tensor(a.data.max(axis=axis), a.tape)
-    if a.tape is not None:
-        ad = a.data
-        def back(g):
-            z = np.zeros_like(ad)
-            if axis is None:
-                z.flat[int(ad.argmax())] = np.asarray(g).reshape(())
-            else:
-                idx = np.expand_dims(ad.argmax(axis=axis), axis)
-                np.put_along_axis(z, idx, np.expand_dims(g, axis), axis)
-            return z
         _record(a.tape, out, ((a, back),))
     return out
 
@@ -944,6 +820,17 @@ def assign_params(named, arrays: dict[str, np.ndarray]) -> None:
                              f"expected {t.data.shape}")
     for name, t in named:
         t.data = arrays[name]
+
+
+def check_sizes(arrays: dict[str, np.ndarray], sizes) -> None:
+    """ValueError unless, for each (name, axis, size), that axis of the
+    named array has that extent. Run before a model is built, it bounds
+    every size in checkpoint metadata by the records already read."""
+    for name, axis, size in sizes:
+        extent = arrays[name].shape[axis:axis + 1]
+        if extent != (size,):
+            raise ValueError(f"checkpoint metadata gives size {size!r} where tensor "
+                             f"{name} has shape {arrays[name].shape}")
 
 
 def tensor_to_csv(t: Tensor, path) -> None:

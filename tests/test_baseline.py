@@ -33,8 +33,9 @@ class TestBaselineForward:
         assert a == b
 
     def test_shape_must_divide_by_four(self):
-        with pytest.raises(ValueError):
-            build_baseline(0, (10, 10), 3)
+        for shape in ((10, 10), (-4, -4), (0, 8)):
+            with pytest.raises(ValueError):
+                build_baseline(0, shape, 3)
 
 
 def test_single_sample_overfit():

@@ -141,6 +141,18 @@ class TestEvalCommand:
         assert code == 3
         assert "shape" in capsys.readouterr().err
 
+    def test_eval_on_a_pgm_below_one_pixel_exits_3(self, tmp_path, capsys):
+        model = build_model(seed=0, image_shape=(4, 4), class_count=2, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        ckpt = tmp_path / "model.satm"
+        ckpt.write_bytes(checkpoint_bytes(model))
+        (tmp_path / "manifest.csv").write_text("filename,label\nimg.pgm,0\n")
+        for raw in (b"P5\n-4 -4\n255\n" + b"\x00" * 16, b"P5\n0 0\n255\n"):
+            (tmp_path / "img.pgm").write_bytes(raw)
+            assert main(["eval", "--checkpoint", str(ckpt),
+                         "--dataset", str(tmp_path)]) == 3
+            assert "at least 1×1" in capsys.readouterr().err
+
 
 class TestTruncatedCheckpoints:
     """Every strict prefix of a checkpoint, and every other damaged one, is a
@@ -211,12 +223,20 @@ class TestTruncatedCheckpoints:
             assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3, label
             assert main(["cost", "--checkpoint", str(path)]) == 3, label
 
+    # hidden, dim, coarse_channels and the first SATB image_shape lie far
+    # beyond any host's memory: each must fail against the shapes of the
+    # tensor records before anything is allocated
     @pytest.mark.parametrize("magic, version, key, value", [
         (b"SATM", 2, "heads", "2"),
         (b"SATM", 2, "heads", 0),
         (b"SATM", 2, "image_shape", None),
         (b"SATM", 2, "controller", [1]),
         (b"SATB", 1, "classes", "3"),
+        (b"SATM", 2, "hidden", 10**12),
+        (b"SATM", 2, "dim", 10**12),
+        (b"SATM", 2, "coarse_channels", 10**12),
+        (b"SATB", 1, "image_shape", [4 * 10**6, 4 * 10**6]),
+        (b"SATM", 2, "image_shape", [-4, -4]),
     ])
     def test_metadata_of_the_wrong_type_is_a_data_error(self, tmp_path, magic, version,
                                                         key, value):

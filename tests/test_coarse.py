@@ -61,10 +61,11 @@ class TestCoarseForward:
         out = coarse_forward(net, img)
         # recompute the intermediate map by hand
         from sparseattn.coarse import AFFINE_DIVISOR
-        from sparseattn.tensor import channel_affine, conv2d, div, relu
+        from sparseattn.tensor import affine, conv2d, div, relu
         h = conv2d(reshape(img, (1, 9, 9)), net.conv1_w, net.conv1_b, 1)
-        scale = div(net.bn_gamma, AFFINE_DIVISOR)
-        a = relu(channel_affine(h, scale, net.bn_beta)).data
+        per_channel = (net.channels, 1, 1)
+        scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
+        a = relu(affine(h, scale, reshape(net.bn_beta, per_channel))).data
         np.testing.assert_allclose(out.z_coarse.data, a.mean(axis=(1, 2)), atol=1e-12)
 
 

@@ -149,6 +149,13 @@ class TestPgm:
         with pytest.raises(DatasetError, match="magic"):
             read_pgm(path)
 
+    def test_size_below_one_pixel(self, tmp_path):
+        path = tmp_path / "empty.pgm"
+        for raw in (b"P5\n-4 -4\n255\n" + b"\x00" * 16, b"P5\n0 0\n255\n"):
+            path.write_bytes(raw)
+            with pytest.raises(DatasetError, match="at least 1×1"):
+                read_pgm(path)
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# comment line\n2 2\n255\n" + bytes([0, 128, 255, 64]))
