@@ -14,8 +14,6 @@ from .tensor import (
     TapeError,
     Tensor,
     grad_check,
-    load_tensor,
-    save_tensor,
 )
 from .coarse import CoarseNet, CoarseOutput, coarse_forward
 from .selector import KController, Selection, select_top_k, update_k

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import CostReport, conv_flops
-from .data import LabeledImage, check_image_shapes
+from .data import LabeledImage, check_dataset
 from .losses import BatchLossReport, LossConfig, focal_loss
 from .tensor import (
     GradientTape,  # noqa: F401  (bench/tracer.py wraps the name here to time steps)
@@ -36,6 +36,7 @@ from .train import (
 
 
 CHANNELS = (16, 32)
+KSIZE, PAD = 3, 1   # both convolutions: 3x3 kernels, same padding
 
 
 def _flat_size(h: int, w: int) -> int:
@@ -47,24 +48,21 @@ class BaselineNet:
     """1 -> 16 -> 32 channel conv net; each block is conv, relu, 2x2 avg pool."""
 
     def __init__(self, rng: np.random.Generator, image_shape: tuple[int, int],
-                 classes: int, ksize: int = 3):
+                 classes: int):
         h, w = image_shape
         if h < 4 or w < 4 or h % 4 or w % 4:
             raise ValueError(f"image shape {image_shape} must be positive multiples of 4")
         self.image_shape = (h, w)
         self.class_count = classes
-        self.ksize = ksize
-        self.pad = (ksize - 1) // 2
-        self.channels = CHANNELS
+        c1, c2 = CHANNELS
         flat = _flat_size(h, w)
-        lim1 = (1.0 / (1 * ksize * ksize)) ** 0.5
-        lim2 = (1.0 / (self.channels[0] * ksize * ksize)) ** 0.5
+        lim1 = (1.0 / (1 * KSIZE * KSIZE)) ** 0.5
+        lim2 = (1.0 / (c1 * KSIZE * KSIZE)) ** 0.5
         lim3 = (1.0 / flat) ** 0.5
-        self.conv1_w = Tensor(rng.uniform(-lim1, lim1, (self.channels[0], 1, ksize, ksize)))
-        self.conv1_b = Tensor(np.zeros(self.channels[0]))
-        self.conv2_w = Tensor(rng.uniform(-lim2, lim2,
-                                          (self.channels[1], self.channels[0], ksize, ksize)))
-        self.conv2_b = Tensor(np.zeros(self.channels[1]))
+        self.conv1_w = Tensor(rng.uniform(-lim1, lim1, (c1, 1, KSIZE, KSIZE)))
+        self.conv1_b = Tensor(np.zeros(c1))
+        self.conv2_w = Tensor(rng.uniform(-lim2, lim2, (c2, c1, KSIZE, KSIZE)))
+        self.conv2_b = Tensor(np.zeros(c2))
         self.head_w = Tensor(rng.uniform(-lim3, lim3, (flat, classes)))
         self.head_b = Tensor(np.zeros(classes))
 
@@ -95,8 +93,8 @@ def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
     """(C,) logits of one H×W image, or B×C logits of a B×H×W batch."""
     shape = images.data.shape
     x = reshape(images, (-1, 1) + shape[-2:])
-    h = _avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, net.pad)))
-    h = _avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, net.pad)))
+    h = _avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, PAD)))
+    h = _avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, PAD)))
     flat = reshape(h, (x.data.shape[0], -1))
     logits = add(matmul(flat, net.head_w), net.head_b)
     return reshape(logits, shape[:-2] + (net.class_count,))
@@ -130,7 +128,7 @@ def train_baseline(net: BaselineNet, dataset: list[LabeledImage],
 def evaluate_baseline(net: BaselineNet, dataset: list[LabeledImage]) -> MetricsReport:
     if not dataset:
         raise ValueError("evaluate_baseline needs a non-empty dataset")
-    check_image_shapes(dataset, net.image_shape)
+    check_dataset(dataset, net.image_shape, net.class_count)
     conf = chunked_confusion(lambda images: (baseline_forward(net, images), None),
                              dataset, net.class_count)
     h, w = net.image_shape
@@ -140,11 +138,10 @@ def evaluate_baseline(net: BaselineNet, dataset: list[LabeledImage]) -> MetricsR
 def baseline_cost(net: BaselineNet) -> CostReport:
     """Dense cost: every stage scales with the full image area."""
     h, w = net.image_shape
-    c1, c2 = net.channels
-    k = net.ksize
+    c1, c2 = CHANNELS
     stages = {
-        "conv1": conv_flops(h, w, 1, k, c1),
-        "conv2": conv_flops(h // 2, w // 2, c1, k, c2),
+        "conv1": conv_flops(h, w, 1, KSIZE, c1),
+        "conv2": conv_flops(h // 2, w // 2, c1, KSIZE, c2),
         "head": c2 * (h // 4) * (w // 4) * net.class_count,
     }
     return CostReport(parameters=net.param_count(), stage_flops=stages,

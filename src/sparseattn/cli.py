@@ -38,6 +38,7 @@ from .data import (
     split,
     write_pgm,
 )
+from .losses import LossConfig
 from .model import build_model, model_forward, model_from_bytes, save_model
 from .selector import write_topk_csv
 from .tensor import NumericError, Tensor, tensor_to_csv
@@ -166,10 +167,11 @@ def _train_config(settings: dict) -> TrainConfig:
     return TrainConfig(
         epochs=settings["epochs"], batch_size=settings["batch"],
         learning_rate=settings["lr"], weight_decay=settings["wd"],
-        seed=settings["seed"], gamma=settings["gamma"],
-        lambda_contrast=settings["lambda-contrast"],
-        lambda_distill=settings["lambda-distill"],
-        tau=settings["tau"], emphasis=settings["emphasis"],
+        seed=settings["seed"],
+        loss=LossConfig(gamma=settings["gamma"],
+                        lambda_contrast=settings["lambda-contrast"],
+                        lambda_distill=settings["lambda-distill"],
+                        tau=settings["tau"], emphasis=settings["emphasis"]),
     )
 
 

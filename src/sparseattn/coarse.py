@@ -29,6 +29,8 @@ from .tensor import (
 # gamma*x + beta moves outputs 1e-5 relative and derails seed-fixed training runs
 AFFINE_DIVISOR = float(np.sqrt(1.0 + 1e-5))
 
+KSIZE, PAD = 3, 1   # both convolutions: 3x3 kernels, same padding
+
 
 @dataclass
 class CoarseOutput:
@@ -45,19 +47,15 @@ class CoarseNet:
     is taken over a batch, so an image's output never depends on the other
     images of its batch."""
 
-    def __init__(self, rng: np.random.Generator, channels: int = 8, ksize: int = 3):
-        if ksize % 2 != 1:
-            raise ValueError(f"kernel size must be odd, got {ksize}")
+    def __init__(self, rng: np.random.Generator, channels: int = 8):
         self.channels = channels
-        self.ksize = ksize
-        self.pad = (ksize - 1) // 2
-        lim1 = (1.0 / (1 * ksize * ksize)) ** 0.5
-        lim2 = (1.0 / (channels * ksize * ksize)) ** 0.5
-        self.conv1_w = Tensor(rng.uniform(-lim1, lim1, (channels, 1, ksize, ksize)))
+        lim1 = (1.0 / (1 * KSIZE * KSIZE)) ** 0.5
+        lim2 = (1.0 / (channels * KSIZE * KSIZE)) ** 0.5
+        self.conv1_w = Tensor(rng.uniform(-lim1, lim1, (channels, 1, KSIZE, KSIZE)))
         self.conv1_b = Tensor(np.zeros(channels))
         self.bn_gamma = Tensor(np.ones(channels))
         self.bn_beta = Tensor(np.zeros(channels))
-        self.conv2_w = Tensor(rng.uniform(-lim2, lim2, (1, channels, ksize, ksize)))
+        self.conv2_w = Tensor(rng.uniform(-lim2, lim2, (1, channels, KSIZE, KSIZE)))
         self.conv2_b = Tensor(np.zeros(1))
 
     def params(self):
@@ -73,16 +71,14 @@ class CoarseNet:
 
 def _as_batch(image: Tensor) -> tuple[Tensor, tuple[int, ...]]:
     """B×1×H×W form of the input, plus the leading shape the outputs keep:
-    () for one H×W or 1×H×W image, (B,) for a B×1×H×W batch."""
+    () for one H×W image, (B,) for a B×1×H×W batch."""
     shape = image.data.shape
     if len(shape) == 2:
         return reshape(image, (1, 1) + shape), ()
-    if len(shape) == 3 and shape[0] == 1:
-        return reshape(image, (1,) + shape), ()
     if len(shape) == 4 and shape[1] == 1:
         return image, shape[:1]
     raise DimensionError(
-        f"expected a single-channel image (H×W or 1×H×W) or a B×1×H×W batch, got shape {shape}"
+        f"expected an H×W image or a B×1×H×W batch, got shape {shape}"
     )
 
 
@@ -93,10 +89,10 @@ def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
     per_channel = (net.channels, 1, 1)
     scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
     # nested, so a tape-free pass frees each B×C×H×W intermediate at once
-    a = relu(affine(conv2d(x, net.conv1_w, net.conv1_b, net.pad),
+    a = relu(affine(conv2d(x, net.conv1_w, net.conv1_b, PAD),
                     scale, reshape(net.bn_beta, per_channel)))
     pooled = reduce_mean(reshape(a, (b, net.channels, height * width)), axis=2)
     z_coarse = reshape(pooled, lead + (net.channels,))
-    f = conv2d(a, net.conv2_w, net.conv2_b, net.pad)
+    f = conv2d(a, net.conv2_w, net.conv2_b, PAD)
     pre = reshape(f, lead + (height, width))
     return CoarseOutput(attention_map=sigmoid(pre), z_coarse=z_coarse, pre_sigmoid=pre)

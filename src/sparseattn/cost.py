@@ -9,8 +9,9 @@ against the baseline's H*W growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .coarse import KSIZE
 from .model import ModelState
 
 
@@ -25,12 +26,7 @@ class CostReport:
         return sum(self.stage_flops.values())
 
     def to_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "stage_flops": dict(self.stage_flops),
-            "total_flops": self.total_flops,
-            "pixel_percent": self.pixel_percent,
-        }
+        return {**asdict(self), "total_flops": self.total_flops}
 
 
 def conv_flops(h: int, w: int, c_in: int, ksize: int, c_out: int) -> int:
@@ -40,20 +36,19 @@ def conv_flops(h: int, w: int, c_in: int, ksize: int, c_out: int) -> int:
 def count_cost(model: ModelState, image_shape: tuple[int, int], k: int) -> CostReport:
     """Per-stage cost of one forward pass at pixel budget k."""
     h, w = image_shape
-    ch = model.coarse_channels
-    ksize = model.coarse.ksize
-    coarse = conv_flops(h, w, 1, ksize, ch) + conv_flops(h, w, ch, ksize, 1)
+    ch = model.coarse.channels
+    coarse = conv_flops(h, w, 1, KSIZE, ch) + conv_flops(h, w, ch, KSIZE, 1)
 
     emb_hidden = model.embedder.hidden
-    d = model.dim
+    d = model.fine.dim
     embedding = k * (3 * emb_hidden + emb_hidden * d)
 
     tokens = k + 1                      # selected pixels plus the CLS token
-    d_h = d // model.heads
+    d_h = model.fine.head_dim
     per_head = 2 * tokens * d * d_h + tokens * d_h + 2 * tokens * d_h * d
-    fine = tokens * d * d + model.heads * per_head
+    fine = tokens * d * d + model.fine.heads * per_head
 
-    hid = model.hidden
+    hid = model.classifier.hidden
     classifier = (d + ch) * hid
     for _ in model.classifier.blocks:
         classifier += hid * hid + hid + hid * hid

@@ -85,14 +85,19 @@ def generate(spec: SyntheticSpec) -> list[LabeledImage]:
     return out
 
 
-def check_image_shapes(dataset: list[LabeledImage], shape) -> None:
-    """DatasetError unless every image is H×W as a model's `shape` says."""
+def check_dataset(dataset: list[LabeledImage], shape, class_count: int) -> None:
+    """DatasetError unless every image is H×W as a model's `shape` says and
+    every label is one of its `class_count` classes."""
     shape = tuple(shape)
     for sample in dataset:
         if sample.pixels.data.shape != shape:
             raise DatasetError(
                 f"image of shape {sample.pixels.data.shape} does not match "
                 f"the model's {shape}"
+            )
+        if not 0 <= sample.label < class_count:
+            raise DatasetError(
+                f"label {sample.label} is not one of the model's {class_count} classes"
             )
 
 
@@ -192,32 +197,35 @@ def load_dataset(dir_path, manifest: str = "manifest.csv",
         raise DatasetError(f"manifest not found: {manifest_path}")
     samples: list[LabeledImage] = []
     shape = None
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or (lineno == 1 and rec[0].strip().lower() == "filename"):
-                continue
-            if len(rec) < 2:
-                raise DatasetError(f"{manifest_path}:{lineno}: expected filename,label")
-            name, raw_label = rec[0].strip(), rec[1].strip()
-            try:
-                label = int(raw_label)
-            except ValueError as err:
-                raise DatasetError(
-                    f"{manifest_path}:{lineno}: label {raw_label!r} is not an integer"
-                ) from err
-            if label < 0 or (class_count is not None and label >= class_count):
-                raise DatasetError(
-                    f"{manifest_path}:{lineno}: label {label} out of range for "
-                    f"{class_count} classes"
-                )
-            img = read_pgm(root / name)
-            if shape is None:
-                shape = img.shape
-            elif img.shape != shape:
-                raise DatasetError(
-                    f"{root / name}: shape {img.shape} differs from {shape}; "
-                    "mixed image sizes are not supported"
-                )
-            samples.append(LabeledImage(pixels=Tensor(img), label=label))
+    try:
+        with open(manifest_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{manifest_path}: not UTF-8 text: {err}") from err
+    for lineno, rec in enumerate(rows, start=1):
+        if not rec or (lineno == 1 and rec[0].strip().lower() == "filename"):
+            continue
+        if len(rec) < 2:
+            raise DatasetError(f"{manifest_path}:{lineno}: expected filename,label")
+        name, raw_label = rec[0].strip(), rec[1].strip()
+        try:
+            label = int(raw_label)
+        except ValueError as err:
+            raise DatasetError(
+                f"{manifest_path}:{lineno}: label {raw_label!r} is not an integer"
+            ) from err
+        if label < 0 or (class_count is not None and label >= class_count):
+            raise DatasetError(
+                f"{manifest_path}:{lineno}: label {label} out of range for "
+                f"{class_count} classes"
+            )
+        img = read_pgm(root / name)
+        if shape is None:
+            shape = img.shape
+        elif img.shape != shape:
+            raise DatasetError(
+                f"{root / name}: shape {img.shape} differs from {shape}; "
+                "mixed image sizes are not supported"
+            )
+        samples.append(LabeledImage(pixels=Tensor(img), label=label))
     return samples

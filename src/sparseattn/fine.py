@@ -21,7 +21,6 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
-    concat,
     div,
     matmul,
     reduce_sum,
@@ -42,7 +41,8 @@ class FineOutput:
 
 
 class FineAttention:
-    """Shared value projection; per-head query/key projections of width D/H."""
+    """Shared value projection; query and key projections of D×(H*d_h),
+    head h owning columns h*d_h to (h+1)*d_h, with d_h = D/H."""
 
     def __init__(self, rng: np.random.Generator, dim: int = 4, heads: int = 2,
                  epsilon: float = 1e-6):
@@ -56,17 +56,14 @@ class FineAttention:
         self.epsilon = epsilon
         lim = (1.0 / dim) ** 0.5
         self.w_v = Tensor(rng.uniform(-lim, lim, (dim, dim)))
-        self.w_q = [Tensor(rng.uniform(-lim, lim, (dim, self.head_dim)))
-                    for _ in range(heads)]
-        self.w_k = [Tensor(rng.uniform(-lim, lim, (dim, self.head_dim)))
-                    for _ in range(heads)]
+        # every query head is drawn before every key head; side by side
+        # along the columns, each head's D×d_h block becomes one matrix
+        q, k = rng.uniform(-lim, lim, (2, heads, dim, self.head_dim))
+        self.w_q = Tensor(q.transpose(1, 0, 2).reshape(dim, dim))
+        self.w_k = Tensor(k.transpose(1, 0, 2).reshape(dim, dim))
 
     def params(self):
-        out = [("w_v", self.w_v)]
-        for h in range(self.heads):
-            out.append((f"w_q{h}", self.w_q[h]))
-            out.append((f"w_k{h}", self.w_k[h]))
-        return out
+        return [("w_v", self.w_v), ("w_q", self.w_q), ("w_k", self.w_k)]
 
 
 def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
@@ -85,8 +82,8 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     b = x.data.shape[0]
 
     values = matmul(x, fa.w_v)                                   # B × (k+1) × D
-    q = matmul(x, concat(fa.w_q, axis=1))                        # B × (k+1) × H*d_h
-    keys = add(relu(matmul(x, concat(fa.w_k, axis=1))), fa.epsilon)
+    q = matmul(x, fa.w_q)                                        # B × (k+1) × H*d_h
+    keys = add(relu(matmul(x, fa.w_k)), fa.epsilon)
     a = div(keys, reshape(reduce_sum(keys, axis=1), (b, 1, -1)))  # columns sum to 1
     context = matmul(transpose(a), values)                       # B × H*d_h × D
     # contracting over all H*d_h columns adds up the heads' q_h @ context_h

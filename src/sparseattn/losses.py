@@ -13,7 +13,7 @@ gather of the selected map values for the distillation term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class BatchLossReport:
     contrastive: float
     distill: float
     total: float
-    p_correct: list[float] = field(default_factory=list)
     total_tensor: Tensor | None = None   # live tape tensor for backward
 
 
@@ -84,8 +83,10 @@ def _labels(labels, classes: int) -> np.ndarray:
     return out
 
 
-def _focal_terms(logits: Tensor, labels, cfg: LossConfig):
-    """Per-sample focal terms (B,) and correct-class probabilities."""
+def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
+    """Batch mean of alpha_y * (1 - p_y)^gamma * (-log p_y) over softmax p."""
+    if logits.data.ndim != 2:
+        raise ValueError(f"logits must be B×C, got shape {logits.data.shape}")
     b, c = logits.data.shape
     y = _labels(labels, c)
     if y.shape != (b,):
@@ -93,16 +94,7 @@ def _focal_terms(logits: Tensor, labels, cfg: LossConfig):
     p_y = clamp_min(take(softmax(logits), y), PROB_FLOOR)
     modulator = power(sub(1.0, p_y), cfg.gamma)
     alpha = Tensor([cfg.alpha_for(label) for label in y.tolist()])
-    terms = mul(alpha, mul(modulator, neg(log(p_y))))
-    return terms, p_y.data.tolist()
-
-
-def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
-    """Batch mean of alpha_y * (1 - p_y)^gamma * (-log p_y) over softmax p."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"logits must be B×C, got shape {logits.data.shape}")
-    terms, _ = _focal_terms(logits, labels, cfg)
-    return reduce_mean(terms)
+    return reduce_mean(mul(alpha, mul(modulator, neg(log(p_y)))))
 
 
 def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
@@ -185,8 +177,7 @@ def total_loss(logits: Tensor, labels, embeddings: Tensor | None,
     of the batch, each with a leading batch axis (or of one image), or
     None for no distillation term.
     """
-    terms, probs = _focal_terms(logits, labels, cfg)
-    focal = reduce_mean(terms)
+    focal = focal_loss(logits, labels, cfg)
 
     if embeddings is not None and embeddings.data.shape[0] >= 2:
         contr = contrastive_loss(embeddings, labels, cfg)
@@ -203,7 +194,6 @@ def total_loss(logits: Tensor, labels, embeddings: Tensor | None,
         contrastive=contr.item(),
         distill=dist.item(),
         total=total.item(),
-        p_correct=probs,
         total_tensor=total,
     )
 

@@ -113,10 +113,6 @@ class ModelState:
     controller: KController
     class_count: int
     image_shape: tuple[int, int]
-    dim: int = 4
-    heads: int = 2
-    hidden: int = 64
-    coarse_channels: int = 8
 
     def params(self):
         out = []
@@ -156,10 +152,6 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
         controller=ctrl,
         class_count=class_count,
         image_shape=(h, w),
-        dim=dim,
-        heads=heads,
-        hidden=hidden,
-        coarse_channels=coarse_channels,
     )
 
 
@@ -197,7 +189,7 @@ def predict(m: ModelState, image: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SATM"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 def checkpoint_bytes(m: ModelState) -> bytes:
@@ -208,10 +200,10 @@ def checkpoint_bytes(m: ModelState) -> bytes:
     meta = {
         "class_count": m.class_count,
         "image_shape": list(m.image_shape),
-        "dim": m.dim,
-        "heads": m.heads,
-        "hidden": m.hidden,
-        "coarse_channels": m.coarse_channels,
+        "dim": m.fine.dim,
+        "heads": m.fine.heads,
+        "hidden": m.classifier.hidden,
+        "coarse_channels": m.coarse.channels,
         "controller": m.controller.state(),
     }
     return pack(_CKPT_MAGIC, _CKPT_VERSION, meta, m.params())
@@ -219,15 +211,20 @@ def checkpoint_bytes(m: ModelState) -> bytes:
 
 def model_from_bytes(data: bytes) -> ModelState:
     meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
-    check_sizes(arrays, [("coarse.conv1_w", 0, meta["coarse_channels"]),
-                         ("embedder.w2", 1, meta["dim"]),
-                         ("classifier.w_in", 1, meta["hidden"]),
+    dim, hidden, channels = meta["dim"], meta["hidden"], meta["coarse_channels"]
+    # each size is bounded by a record at least as large as anything built from it
+    check_sizes(arrays, [("coarse.conv1_w", 0, channels),
+                         ("fine.w_v", 0, dim), ("fine.w_v", 1, dim),
+                         ("classifier.w_in", 0, dim + channels),
+                         ("classifier.block0.w1", 0, hidden),
+                         ("classifier.block0.w1", 1, hidden),
+                         ("classifier.w_out", 0, hidden),
                          ("classifier.w_out", 1, meta["class_count"])])
     m = build_model(seed=0,
                     image_shape=tuple(meta["image_shape"]),
                     class_count=meta["class_count"],
-                    dim=meta["dim"], heads=meta["heads"], hidden=meta["hidden"],
-                    coarse_channels=meta["coarse_channels"])
+                    dim=dim, heads=meta["heads"], hidden=hidden,
+                    coarse_channels=channels)
     assign_params(m.params(), arrays)
     m.controller = KController.from_state(meta["controller"])
     return m

@@ -54,8 +54,6 @@ def select_top_k(score_map: Tensor, image: Tensor, k: int) -> Selection:
     """
     scores = score_map.data
     img = image.data
-    if img.ndim == 3 and img.shape[0] == 1 and scores.ndim == 2:
-        img = img[0]
     if scores.ndim not in (2, 3) or img.shape != scores.shape:
         raise ValueError(
             f"map shape {scores.shape} and image shape {img.shape} must be equal, "
@@ -140,17 +138,12 @@ def update_k(ctrl: KController, current_loss: float) -> int:
     return ctrl.k
 
 
-def write_topk_csv(path, selection: Selection, scores, fine_scores=None) -> None:
-    """Export one image's selected pixels as row,col,x,y,v,score[,fine_score]."""
-    header = ["row", "col", "x", "y", "v", "score"]
-    if fine_scores is not None:
-        header.append("fine_score")
+def write_topk_csv(path, selection: Selection, scores, fine_scores) -> None:
+    """Export one image's selected pixels as row,col,x,y,v,score,fine_score."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(header)
+        out.writerow(["row", "col", "x", "y", "v", "score", "fine_score"])
         rows, cols = selection.row.tolist(), selection.col.tolist()
         for i, (x, y, v) in enumerate(selection.triplets.tolist()):
-            rec = [rows[i], cols[i], repr(x), repr(y), repr(v), repr(float(scores[i]))]
-            if fine_scores is not None:
-                rec.append(repr(float(fine_scores[i])))
-            out.writerow(rec)
+            out.writerow([rows[i], cols[i], repr(x), repr(y), repr(v),
+                          repr(float(scores[i])), repr(float(fine_scores[i]))])

@@ -758,16 +758,6 @@ def read_tensor(fh) -> Tensor:
     return Tensor(data.reshape(shape))
 
 
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        dump_tensor(t, fh)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)
-
-
 def pack(magic: bytes, version: int, meta: dict, named) -> bytes:
     """Checkpoint container: 4-byte magic, u32 version, u32 length plus
     sorted-key JSON metadata, u32 record count, then per record a u16

@@ -9,11 +9,11 @@ and the chunked confusion matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledImage, check_image_shapes
+from .data import LabeledImage, check_dataset
 from .losses import BatchLossReport, LossConfig, class_weights, total_loss
 from .model import ModelState, checkpoint_bytes, model_forward, restore_model
 from .selector import update_k
@@ -33,23 +33,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     val_fraction: float = 0.2
-    plateau_factor: float = 0.9
-    plateau_patience: int = 5
-    gamma: float = 2.0
-    lambda_contrast: float = 0.1
-    lambda_distill: float = 0.02
-    tau: float = 0.07
-    emphasis: float = 2.0
-    alpha_per_class: list[float] | None = None   # None -> inverse frequency
-
-    def loss_config(self, labels=None, class_count: int | None = None) -> LossConfig:
-        alpha = self.alpha_per_class
-        if alpha is None and labels is not None and class_count:
-            alpha = class_weights(labels, class_count)
-        return LossConfig(gamma=self.gamma, alpha_per_class=alpha,
-                          lambda_contrast=self.lambda_contrast,
-                          lambda_distill=self.lambda_distill,
-                          tau=self.tau, emphasis=self.emphasis)
+    loss: LossConfig = field(default_factory=LossConfig)   # alpha None: inverse class frequency
 
 
 class AdamW:
@@ -59,13 +43,13 @@ class AdamW:
     exactly lr * weight_decay * value.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, named_params, learning_rate: float = 1e-3,
-                 weight_decay: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 1e-4):
         self.named_params = list(named_params)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in self.named_params}
         self._v = {name: np.zeros_like(t.data) for name, t in self.named_params}
@@ -121,12 +105,7 @@ class MetricsReport:
     k_percent: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-            "confusion": self.confusion,
-            "k_mean": self.k_mean, "k_percent": self.k_percent,
-        }
+        return asdict(self)
 
 
 def metrics_from_confusion(confusion: np.ndarray, k_mean: float,
@@ -180,7 +159,7 @@ def evaluate(model: ModelState, dataset: list[LabeledImage]) -> MetricsReport:
     if not dataset:
         raise ValueError("evaluate needs a non-empty dataset")
     k = model.controller.k
-    check_image_shapes(dataset, model.image_shape)
+    check_dataset(dataset, model.image_shape, model.class_count)
     conf = chunked_confusion(lambda images: model_forward(model, images, k),
                              dataset, model.class_count)
     h, w = model.image_shape
@@ -230,11 +209,14 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
     and raises NumericError."""
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
-    check_image_shapes(dataset, model.image_shape)
+    check_dataset(dataset, model.image_shape, model.class_count)
     fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
                                                config.seed)
     val_data = val_data or fit_data
-    cfg = config.loss_config([s.label for s in fit_data], model.class_count)
+    cfg = config.loss
+    if cfg.alpha_per_class is None:
+        cfg = replace(cfg, alpha_per_class=class_weights([s.label for s in fit_data],
+                                                         model.class_count))
     named_params = model.params()
     tensors = [t for _, t in named_params]
     opt = AdamW(named_params, learning_rate=config.learning_rate,
@@ -242,10 +224,8 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 37]))
 
     logs: list[dict] = []
-    schedule = PlateauSchedule(config.learning_rate, config.plateau_factor,
-                               config.plateau_patience)
-    best_snapshot = snapshot()
-    last_good = best_snapshot
+    schedule = PlateauSchedule(config.learning_rate)
+    best_snapshot = last_good = snapshot()
     bs = max(1, config.batch_size)
     n_fit = len(fit_data)
 
@@ -285,9 +265,9 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
         extra = end_epoch(mean_loss)
 
         opt.learning_rate, improved = schedule.observe(val_loss)
-        if improved:
-            best_snapshot = snapshot()
         last_good = snapshot()
+        if improved:
+            best_snapshot = last_good
         logs.append({
             "epoch": epoch,
             **extra,

@@ -211,7 +211,7 @@ class TestDenseBaseline:
 
 class TestTapeCost:
     def step_ops(self, m, batch):
-        cfg = sa.TrainConfig().loss_config()
+        cfg = sa.TrainConfig().loss
         tape = GradientTape()
         tape.watch(*[t for _, t in m.params()])
         report, _ = train_module._batch_report(m, batch, K, cfg)

@@ -2,6 +2,7 @@
 round trip, and byte-determinism of emitted files.
 """
 
+import inspect
 import json
 import os
 
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 
 from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
-from sparseattn.cli import checkpoint_from_bytes, main
-from sparseattn.data import DatasetError, read_pgm
+import sparseattn.model as model_module
+from sparseattn.cli import _OPTIONS, checkpoint_from_bytes, main
+from sparseattn.data import DatasetError, SyntheticSpec, read_pgm, write_pgm
+from sparseattn.losses import LossConfig
 from sparseattn.model import build_model, checkpoint_bytes
 from sparseattn.tensor import Tensor, pack, unpack
+from sparseattn.train import TrainConfig
 
 FAST_TRAIN = ["--epochs", "2", "--samples-per-class", "4", "--image-size", "16",
               "--hidden", "8", "--k-init", "40", "--k-min", "16", "--batch", "4"]
@@ -153,6 +157,60 @@ class TestEvalCommand:
                          "--dataset", str(tmp_path)]) == 3
             assert "at least 1×1" in capsys.readouterr().err
 
+    def test_eval_on_a_label_beyond_the_classes_exits_3(self, tmp_path, capsys):
+        write_pgm(tmp_path / "img.pgm", np.zeros((16, 16)))
+        (tmp_path / "manifest.csv").write_text("filename,label\nimg.pgm,9\n")
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        for name, data in (("model.satm", checkpoint_bytes(model)),
+                           ("model.satb", baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)))):
+            (tmp_path / name).write_bytes(data)
+            assert main(["eval", "--checkpoint", str(tmp_path / name),
+                         "--dataset", str(tmp_path)]) == 3, name
+            assert "label 9" in capsys.readouterr().err
+
+
+class TestDamagedDatasets:
+    """Every strict prefix and every single-byte substitution of a small
+    manifest.csv and of a 4×4 PGM either evaluates or is a data error."""
+
+    MANIFEST = b"filename,label\nsample_00.pgm,1\n"
+    PGM = b"P5\n4 4\n255\n" + bytes(range(0, 160, 10))
+    SUBSTITUTES = b"\x00\xff\x80# 9-\n\","
+
+    @classmethod
+    def variants(cls, data: bytes):
+        for n in range(len(data)):
+            yield data[:n]
+        for i in range(len(data)):
+            for byte in cls.SUBSTITUTES:
+                yield data[:i] + bytes([byte]) + data[i + 1:]
+
+    def eval_codes(self, tmp_path, manifests, pgms):
+        model = build_model(seed=0, image_shape=(4, 4), class_count=2, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        ckpt = tmp_path / "model.satm"
+        ckpt.write_bytes(checkpoint_bytes(model))
+        codes = []
+        for manifest, pgm in zip(manifests, pgms):
+            (tmp_path / "manifest.csv").write_bytes(manifest)
+            (tmp_path / "sample_00.pgm").write_bytes(pgm)
+            codes.append(main(["eval", "--checkpoint", str(ckpt), "--dataset", str(tmp_path)]))
+        return codes
+
+    def test_manifest_prefixes_and_substitutions(self, tmp_path, capsys):
+        manifests = list(self.variants(self.MANIFEST))
+        assert len(manifests) == 341
+        codes = self.eval_codes(tmp_path, manifests, [self.PGM] * len(manifests))
+        assert set(codes) == {0, 3}
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_pgm_prefixes_and_substitutions(self, tmp_path):
+        pgms = list(self.variants(self.PGM))
+        assert len(pgms) == 297
+        codes = self.eval_codes(tmp_path, [self.MANIFEST] * len(pgms), pgms)
+        assert set(codes) == {0, 3}
+
 
 class TestTruncatedCheckpoints:
     """Every strict prefix of a checkpoint, and every other damaged one, is a
@@ -188,12 +246,12 @@ class TestTruncatedCheckpoints:
     def damaged_files():
         """(label, bytes) of one SATM and one SATB with each container fault:
         an unknown, a missing or a wrong-shaped tensor, trailing bytes and
-        another version (1 for SATM, 2 for SATB)."""
+        another version (2 for SATM, 2 for SATB)."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
         cases = []
         for data, magic, version, other, reshaped in (
-                (checkpoint_bytes(model), b"SATM", 2, 1, "classifier.w_out"),
+                (checkpoint_bytes(model), b"SATM", 3, 2, "classifier.w_out"),
                 (baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)), b"SATB", 1, 2,
                  "head_w")):
             meta, arrays = unpack(data, magic, version)
@@ -223,20 +281,38 @@ class TestTruncatedCheckpoints:
             assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3, label
             assert main(["cost", "--checkpoint", str(path)]) == 3, label
 
+    def test_sizes_are_bounded_before_the_model_is_built(self, monkeypatch):
+        """A 50 kB file whose metadata gives hidden 2000 beside a 3×2000
+        classifier.w_in fails on the record shapes: build_model would
+        allocate four 2000×2000 matrices before the records are checked."""
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 3)
+        meta["hidden"] = 2000
+        arrays["classifier.w_in"] = np.zeros((3, 2000))
+        data = pack(b"SATM", 3, meta, [(n, Tensor(a)) for n, a in arrays.items()])
+
+        def build_model_called(*args, **kwargs):
+            raise AssertionError("build_model ran on unchecked sizes")
+
+        monkeypatch.setattr(model_module, "build_model", build_model_called)
+        with pytest.raises(DatasetError):
+            checkpoint_from_bytes(data)
+
     # hidden, dim, coarse_channels and the first SATB image_shape lie far
     # beyond any host's memory: each must fail against the shapes of the
     # tensor records before anything is allocated
     @pytest.mark.parametrize("magic, version, key, value", [
-        (b"SATM", 2, "heads", "2"),
-        (b"SATM", 2, "heads", 0),
-        (b"SATM", 2, "image_shape", None),
-        (b"SATM", 2, "controller", [1]),
+        (b"SATM", 3, "heads", "2"),
+        (b"SATM", 3, "heads", 0),
+        (b"SATM", 3, "image_shape", None),
+        (b"SATM", 3, "controller", [1]),
         (b"SATB", 1, "classes", "3"),
-        (b"SATM", 2, "hidden", 10**12),
-        (b"SATM", 2, "dim", 10**12),
-        (b"SATM", 2, "coarse_channels", 10**12),
+        (b"SATM", 3, "hidden", 10**12),
+        (b"SATM", 3, "dim", 10**12),
+        (b"SATM", 3, "coarse_channels", 10**12),
         (b"SATB", 1, "image_shape", [4 * 10**6, 4 * 10**6]),
-        (b"SATM", 2, "image_shape", [-4, -4]),
+        (b"SATM", 3, "image_shape", [-4, -4]),
     ])
     def test_metadata_of_the_wrong_type_is_a_data_error(self, tmp_path, magic, version,
                                                         key, value):
@@ -322,3 +398,31 @@ class TestVizCommand:
                      "--image", str(data_dir / "sample_00000.pgm"),
                      "--out", str(tmp_path / "viz")])
         assert code == 3
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Each option's default is the default of the library setting it feeds,
+    so the two copies cannot drift apart."""
+    train, loss, spec = TrainConfig(), LossConfig(), SyntheticSpec()
+    build = {name: p.default for name, p in inspect.signature(build_model).parameters.items()}
+    feeds = {
+        "epochs": train.epochs, "batch": train.batch_size, "lr": train.learning_rate,
+        "wd": train.weight_decay, "gamma": loss.gamma,
+        "lambda-contrast": loss.lambda_contrast, "lambda-distill": loss.lambda_distill,
+        "tau": loss.tau, "emphasis": loss.emphasis,
+        "k-init": build["k_init"], "k-min": build["k_min"],
+        "k-step-up": build["k_step_up"], "k-step-down": build["k_step_down"],
+        "ema-beta": build["ema_beta"], "k-alpha": build["k_alpha"],
+        "dim": build["dim"], "heads": build["heads"], "hidden": build["hidden"],
+        "samples-per-class": spec.samples_per_class, "image-size": spec.image_size,
+        "noise-sigma": spec.noise_sigma,
+    }
+    # no library default: the CLI's own choices, and two sentinels (seed None
+    # falls back to SPARSEATTN_SEED and then 0, k-max 0 is build_model's None)
+    own = {"synthetic", "dataset", "model", "seed", "k-max", "k", "json", "baseline"}
+    assert not set(feeds) & own
+    assert set(feeds) | own == set(_OPTIONS)
+    for key, default in feeds.items():
+        assert _OPTIONS[key][1] == default and type(_OPTIONS[key][1]) is type(default), key
+    assert _OPTIONS["k-max"][1] == 0 and build["k_max"] is None
+    assert _OPTIONS["seed"][1] is None and train.seed == spec.seed == 0

@@ -29,7 +29,7 @@ class TestCoarseForward:
             assert out.attention_map.data.max() < 1.0
 
     def test_shapes_for_32x32(self):
-        out = coarse_forward(make_net(), Tensor(np.zeros((1, 32, 32))))
+        out = coarse_forward(make_net(), Tensor(np.zeros((32, 32))))
         assert out.z_coarse.data.shape == (8,)
         assert out.attention_map.data.shape == (32, 32)
         assert out.pre_sigmoid.data.shape == (32, 32)

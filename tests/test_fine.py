@@ -27,12 +27,14 @@ def loop_oracle(fa: FineAttention, tokens: np.ndarray):
     attn = []
     importance = np.zeros(n)
     for h in range(fa.heads):
+        w_q = fa.w_q.data[:, h * d_h:(h + 1) * d_h]
+        w_k = fa.w_k.data[:, h * d_h:(h + 1) * d_h]
         q = np.zeros((n, d_h))
         k = np.zeros((n, d_h))
         for i in range(n):
             for c in range(d_h):
-                q[i, c] = sum(tokens[i, m] * fa.w_q[h].data[m, c] for m in range(d))
-                k[i, c] = sum(tokens[i, m] * fa.w_k[h].data[m, c] for m in range(d))
+                q[i, c] = sum(tokens[i, m] * w_q[m, c] for m in range(d))
+                k[i, c] = sum(tokens[i, m] * w_k[m, c] for m in range(d))
         kp = np.maximum(k, 0.0) + fa.epsilon
         a = np.zeros((n, d_h))
         for c in range(d_h):
@@ -68,8 +70,8 @@ class TestFineForward:
         tokens = Tensor(rng.normal(0, 1, (6, 4)))
         out = fine_forward(fa, tokens)
         # recompute the head output at the CLS row directly
-        q = tokens.data @ fa.w_q[0].data
-        kp = np.maximum(tokens.data @ fa.w_k[0].data, 0.0) + fa.epsilon
+        q = tokens.data @ fa.w_q.data
+        kp = np.maximum(tokens.data @ fa.w_k.data, 0.0) + fa.epsilon
         a = kp / kp.sum(axis=0)
         o = q @ (a.T @ (tokens.data @ fa.w_v.data))
         np.testing.assert_allclose(out.z_fine.data, o[-1], atol=1e-12)
@@ -77,8 +79,8 @@ class TestFineForward:
     def test_scalar_worked_example(self):
         """k=1, D=1, H=1 with hand-picked projections."""
         fa = make_attention(0, dim=1, heads=1, epsilon=1e-6)
-        fa.w_q[0].data = np.array([[1.0]])
-        fa.w_k[0].data = np.array([[1.0]])
+        fa.w_q.data = np.array([[1.0]])
+        fa.w_k.data = np.array([[1.0]])
         fa.w_v.data = np.array([[1.0]])
         tokens = Tensor([[2.0], [-3.0]])   # K = [2, -3], ε → A ≈ [1, 5e-7]
         out = fine_forward(fa, tokens)
@@ -111,8 +113,7 @@ class TestFineForward:
         fa = make_attention(3, epsilon=1e-12)
         tokens = Tensor(rng.normal(0, 1, (8, 4)))
         base = [a.data.copy() for a in fine_forward(fa, tokens).head_attn]
-        for h in range(fa.heads):
-            fa.w_k[h].data = fa.w_k[h].data * 7.5
+        fa.w_k.data = fa.w_k.data * 7.5
         scaled = [a.data for a in fine_forward(fa, tokens).head_attn]
         for b, s in zip(base, scaled):
             np.testing.assert_allclose(s, b, atol=1e-9)

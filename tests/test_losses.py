@@ -247,12 +247,6 @@ class TestTotalLoss:
         assert cfg.emphasis == 2.0
         assert cfg.gamma == 2.0
 
-    def test_report_carries_per_sample_probabilities(self):
-        logits, labels, z, d = self._batch(5)
-        report = total_loss(logits, labels, z, d, LossConfig())
-        assert len(report.p_correct) == 3
-        assert all(0.0 < p <= 1.0 for p in report.p_correct)
-
 
 class TestDistillDirectionality:
     def test_step_on_distill_alone_freezes_fine_side(self):
