@@ -24,7 +24,6 @@ from .model import (
     Diagnostics,
     ModelState,
     build_model,
-    fuse,
     load_model,
     model_forward,
     predict,

@@ -104,8 +104,7 @@ def _batch_report(net: BaselineNet, batch,
                   cfg: LossConfig) -> tuple[BatchLossReport, np.ndarray]:
     """Focal loss over a batch, one forward pass per image: one pass over
     the whole batch ran slower and held more memory."""
-    rows = [reshape(baseline_forward(net, s.pixels), (1, net.class_count)) for s in batch]
-    logits = concat(rows, axis=0)
+    logits = concat([baseline_forward(net, Tensor(s.pixels.data[None])) for s in batch], axis=0)
     loss = focal_loss(logits, [s.label for s in batch], cfg)
     value = loss.item()
     report = BatchLossReport(focal=value, contrastive=0.0, distill=0.0, total=value,

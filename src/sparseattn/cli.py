@@ -91,9 +91,6 @@ _OPTIONS: dict[str, tuple] = {
     "baseline": (bool, False, "also report the dense baseline cost"),
 }
 
-_PATH_FLAGS = ("out", "config", "checkpoint", "image")
-
-
 def _read_config_file(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -147,12 +144,23 @@ def _write_resolved(settings: dict, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
+def _configured(build, **settings):
+    """build(**settings); a ValueError there rejects a setting (exit 2)."""
+    try:
+        return build(**settings)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _synthetic_spec(settings: dict) -> SyntheticSpec:
+    return _configured(SyntheticSpec, image_size=settings["image-size"],
+                       seed=settings["seed"], noise_sigma=settings["noise-sigma"],
+                       samples_per_class=settings["samples-per-class"])
+
+
 def _load_data(settings: dict):
     if settings["synthetic"]:
-        spec = SyntheticSpec(image_size=settings["image-size"],
-                             seed=settings["seed"],
-                             noise_sigma=settings["noise-sigma"],
-                             samples_per_class=settings["samples-per-class"])
+        spec = _synthetic_spec(settings)
         return generate(spec), spec.class_count
     if not settings["dataset"]:
         raise ConfigError("either --synthetic or --dataset is required")
@@ -168,15 +176,16 @@ def _train_config(settings: dict) -> TrainConfig:
         epochs=settings["epochs"], batch_size=settings["batch"],
         learning_rate=settings["lr"], weight_decay=settings["wd"],
         seed=settings["seed"],
-        loss=LossConfig(gamma=settings["gamma"],
-                        lambda_contrast=settings["lambda-contrast"],
-                        lambda_distill=settings["lambda-distill"],
-                        tau=settings["tau"], emphasis=settings["emphasis"]),
+        loss=_configured(LossConfig, gamma=settings["gamma"],
+                         lambda_contrast=settings["lambda-contrast"],
+                         lambda_distill=settings["lambda-distill"],
+                         tau=settings["tau"], emphasis=settings["emphasis"]),
     )
 
 
 def _build_from_settings(settings: dict, image_shape, classes: int):
-    return build_model(
+    return _configured(
+        build_model,
         seed=settings["seed"], image_shape=image_shape, class_count=classes,
         dim=settings["dim"], heads=settings["heads"], hidden=settings["hidden"],
         k_init=settings["k-init"], k_min=settings["k-min"],
@@ -189,9 +198,7 @@ def _build_from_settings(settings: dict, image_shape, classes: int):
 def cmd_gen(args) -> int:
     settings = _resolve(args)
     out_dir = Path(args.out)
-    spec = SyntheticSpec(image_size=settings["image-size"], seed=settings["seed"],
-                         noise_sigma=settings["noise-sigma"],
-                         samples_per_class=settings["samples-per-class"])
+    spec = _synthetic_spec(settings)
     export_dataset(generate(spec), out_dir)
     _write_resolved(settings, out_dir)
     print(f"wrote {spec.class_count * spec.samples_per_class} images to {out_dir}")
@@ -208,7 +215,8 @@ def cmd_train(args) -> int:
     _write_resolved(settings, out_dir)
 
     if settings["model"] == "baseline":
-        model = build_baseline(settings["seed"], shape, classes)
+        model = _configured(build_baseline, seed=settings["seed"], image_shape=shape,
+                            class_count=classes)
         ckpt_path = out_dir / "checkpoint.satb"
         train_fn, save_fn, eval_fn = train_baseline, save_baseline, evaluate_baseline
     else:
@@ -254,7 +262,7 @@ def checkpoint_from_bytes(data: bytes, source="checkpoint"):
     kind, parse = _CHECKPOINT_KINDS[magic]
     try:
         return kind, parse(data)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError, struct.error) as err:
+    except (ValueError, KeyError, TypeError, struct.error) as err:
         # ValueError covers bad JSON and bad UTF-8 as well
         raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
 
@@ -306,17 +314,15 @@ def cmd_cost(args) -> int:
                 _print_cost("dense baseline", report)
             return 0
         shape = model.image_shape
-        k = settings["k"] or model.controller.k
     else:
-        size = settings["image-size"]
-        shape = (size, size)
+        shape = (settings["image-size"],) * 2
         model = _build_from_settings(settings, shape, 3)
-        k = settings["k"] or model.controller.k
-    k = max(1, min(k, shape[0] * shape[1]))
+    k = max(1, min(settings["k"] or model.controller.k, shape[0] * shape[1]))
     report = count_cost(model, shape, k)
     payload = {"sparse": report.to_dict()}
     if settings["baseline"]:
-        base = baseline_cost(build_baseline(settings["seed"], shape, model.class_count))
+        base = baseline_cost(_configured(build_baseline, seed=settings["seed"],
+                                         image_shape=shape, class_count=model.class_count))
         payload["baseline"] = base.to_dict()
         payload["flops_ratio"] = report.total_flops / base.total_flops
     if settings["json"]:

@@ -3,7 +3,7 @@
 Two 3x3 conv layers (1 -> 8 -> 1 channels, same padding) with a fixed
 per-channel affine after the first. The sigmoid of the final map ranks
 pixels for selection; the spatial mean of the 8-channel post-ReLU map is
-the pooled global feature that joins the fused representation. A B×1×H×W
+the pooled global feature that joins the fused representation. A B×H×W
 batch runs through the same convolutions in one call.
 """
 
@@ -38,7 +38,6 @@ class CoarseOutput:
 
     attention_map: Tensor   # H×W, values strictly in (0, 1)
     z_coarse: Tensor        # (channels,) pooled post-ReLU features
-    pre_sigmoid: Tensor     # H×W logits of the map
 
 
 class CoarseNet:
@@ -69,30 +68,20 @@ class CoarseNet:
         ]
 
 
-def _as_batch(image: Tensor) -> tuple[Tensor, tuple[int, ...]]:
-    """B×1×H×W form of the input, plus the leading shape the outputs keep:
-    () for one H×W image, (B,) for a B×1×H×W batch."""
-    shape = image.data.shape
-    if len(shape) == 2:
-        return reshape(image, (1, 1) + shape), ()
-    if len(shape) == 4 and shape[1] == 1:
-        return image, shape[:1]
-    raise DimensionError(
-        f"expected an H×W image or a B×1×H×W batch, got shape {shape}"
-    )
-
-
 def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
-    """Run the conv stack on one [0,1]-normalized image or on a batch."""
-    x, lead = _as_batch(image)
-    b, _, height, width = x.data.shape
+    """Run the conv stack on one [0,1]-normalized H×W image or on each
+    image of a B×H×W batch."""
+    shape = image.data.shape
+    if len(shape) not in (2, 3):
+        raise DimensionError(f"expected an H×W image or a B×H×W batch, got shape {shape}")
+    lead, (height, width) = shape[:-2], shape[-2:]
+    x = reshape(image, (-1, 1, height, width))
     per_channel = (net.channels, 1, 1)
     scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
     # nested, so a tape-free pass frees each B×C×H×W intermediate at once
     a = relu(affine(conv2d(x, net.conv1_w, net.conv1_b, PAD),
                     scale, reshape(net.bn_beta, per_channel)))
-    pooled = reduce_mean(reshape(a, (b, net.channels, height * width)), axis=2)
-    z_coarse = reshape(pooled, lead + (net.channels,))
+    pooled = reduce_mean(reshape(a, (-1, net.channels, height * width)), axis=2)
     f = conv2d(a, net.conv2_w, net.conv2_b, PAD)
-    pre = reshape(f, lead + (height, width))
-    return CoarseOutput(attention_map=sigmoid(pre), z_coarse=z_coarse, pre_sigmoid=pre)
+    return CoarseOutput(attention_map=sigmoid(reshape(f, shape)),
+                        z_coarse=reshape(pooled, lead + (net.channels,)))

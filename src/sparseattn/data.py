@@ -31,8 +31,9 @@ class SyntheticSpec:
     samples_per_class: int = 100
 
     def __post_init__(self):
-        if self.image_size < 16:
-            raise ValueError(f"image_size must be >= 16, got {self.image_size}")
+        if self.image_size < 16 or self.samples_per_class < 1 or self.noise_sigma < 0:
+            raise ValueError("need image_size >= 16, samples_per_class >= 1 and "
+                             f"noise_sigma >= 0, got {self}")
 
 
 @dataclass

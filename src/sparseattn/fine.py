@@ -46,8 +46,8 @@ class FineAttention:
 
     def __init__(self, rng: np.random.Generator, dim: int = 4, heads: int = 2,
                  epsilon: float = 1e-6):
-        if dim % heads != 0:
-            raise ValueError(f"heads ({heads}) must divide dim ({dim})")
+        if dim < 1 or heads < 1 or dim % heads != 0:
+            raise ValueError(f"heads ({heads}) must be a positive divisor of dim ({dim})")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.dim = dim
@@ -77,8 +77,8 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     n_tokens = td.shape[-2]
     if n_tokens < 2:
         raise ValueError("need at least one pixel token besides CLS")
-    single = td.ndim == 2
-    x = reshape(tokens, (1,) + td.shape) if single else tokens
+    lead = td.shape[:-2]
+    x = reshape(tokens, (-1,) + td.shape[-2:])
     b = x.data.shape[0]
 
     values = matmul(x, fa.w_v)                                   # B × (k+1) × D
@@ -96,13 +96,10 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     # over the head's columns; its magnitude, averaged over heads, is the
     # attention the classifier pays to the token. It only feeds the
     # detached distillation target and diagnostics, so it stays off the tape.
-    ad = a.data
     q_cls = q.data[:, -1, :]
-    flow = (ad * q_cls[:, None, :]).reshape(b, n_tokens, fa.heads, fa.head_dim).sum(axis=-1)
-    importance = np.abs(flow).mean(axis=-1)
-    if single:
-        z_fine = reshape(z_fine, (fa.dim,))
-        ad, importance = ad[0], importance[0]
-    d_h = fa.head_dim
-    head_attn = [Tensor(ad[..., h * d_h:(h + 1) * d_h]) for h in range(fa.heads)]
-    return FineOutput(z_fine=z_fine, head_attn=head_attn, pixel_importance=Tensor(importance))
+    flow = (a.data * q_cls[:, None, :]).reshape(b, n_tokens, fa.heads, fa.head_dim).sum(axis=-1)
+    importance = np.abs(flow).mean(axis=-1).reshape(lead + (n_tokens,))
+    by_head = a.data.reshape(lead + (n_tokens, fa.heads, fa.head_dim))
+    head_attn = [Tensor(by_head[..., h, :]) for h in range(fa.heads)]
+    return FineOutput(z_fine=reshape(z_fine, lead + (fa.dim,)), head_attn=head_attn,
+                      pixel_importance=Tensor(importance))

@@ -2,9 +2,9 @@
 classifier with a fixed per-channel affine in each block, end-to-end
 forward pass, and the versioned SATM checkpoint format.
 
-Every stage takes one H×W image or a B×H×W batch; a batch runs each stage
-once for all its images, and one image is the batch-free case of the same
-code.
+Every stage takes its per-image input (an H×W image, a (k+1)×D token
+matrix, a fused vector) with or without one leading batch axis, which it
+flattens once and restores once: one image is the B=1 case of the same code.
 """
 
 from __future__ import annotations
@@ -88,18 +88,11 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     return reshape(logits, lead + (clf.classes,))
 
 
-def fuse(z_fine: Tensor, z_coarse: Tensor) -> Tensor:
-    """Concatenate [z_fine; z_coarse] (per row of a batch); gradients split
-    back by slice."""
-    return concat([z_fine, z_coarse], axis=-1)
-
-
 @dataclass
 class Diagnostics:
     coarse: CoarseOutput
     pixels: Selection
     fine: FineOutput
-    fused: Tensor
 
 
 @dataclass
@@ -135,8 +128,10 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
     """Initialize all modules from one seed; controller bounds are clamped
     to the pixel count so paper-scale defaults stay valid on small images."""
     h, w = image_shape
-    if h < 1 or w < 1:
-        raise ValueError(f"image shape {image_shape} is not at least 1×1")
+    sizes = dict(height=h, width=w, class_count=class_count, dim=dim, heads=heads,
+                 hidden=hidden, coarse_channels=coarse_channels)
+    if min(sizes.values()) < 1:
+        raise ValueError(f"every size must be at least 1, got {sizes}")
     n = h * w
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
     k_max = n if k_max is None else min(int(k_max), n)
@@ -156,7 +151,7 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
 
 
 def model_forward(m: ModelState, images: Tensor, k: int):
-    """coarse map -> top-k pixels -> embed -> fine attention -> fuse -> logits.
+    """coarse map -> top-k pixels -> embed -> fine attention -> classifier.
 
     images is one H×W image, which gives (C,) logits, or a B×H×W batch,
     which gives B×C logits; either must match m.image_shape (DatasetError
@@ -168,14 +163,12 @@ def model_forward(m: ModelState, images: Tensor, k: int):
         raise DatasetError(
             f"images of shape {shape} do not match the model's H×W {tuple(m.image_shape)}"
         )
-    x = images if len(shape) == 2 else reshape(images, (shape[0], 1) + shape[1:])
-    co = coarse_forward(m.coarse, x)
+    co = coarse_forward(m.coarse, images)
     pixels = select_top_k(co.attention_map.detach(), images.detach(), k)
     tokens = embed_pixels(m.embedder, pixels.triplets)
     fo = fine_forward(m.fine, tokens)
-    fused = fuse(fo.z_fine, co.z_coarse)
-    logits = classifier_forward(m.classifier, fused)
-    return logits, Diagnostics(coarse=co, pixels=pixels, fine=fo, fused=fused)
+    logits = classifier_forward(m.classifier, concat([fo.z_fine, co.z_coarse], axis=-1))
+    return logits, Diagnostics(coarse=co, pixels=pixels, fine=fo)
 
 
 def predict(m: ModelState, image: Tensor) -> int:

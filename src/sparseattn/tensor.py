@@ -6,8 +6,8 @@ a tape are constants, so the same forward code runs tape-free for cheap
 inference. add, sub, mul, div and affine broadcast their operands the way
 numpy does (a bias row, a per-channel scale, a per-row normalizer), and
 one rule, _unbroadcast, sums each gradient back to its operand's shape.
-The structural ops that a batched model needs (matmul, transpose, take,
-conv2d) also accept a leading batch axis.
+The structural ops that a batched model needs (matmul, transpose, take)
+also accept a leading batch axis, and conv2d takes batches only.
 """
 
 from __future__ import annotations
@@ -442,8 +442,13 @@ def transpose(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """a with a new shape; reshaping to its own shape returns a itself and
+    records nothing, so flattening a batch that is already flat is free."""
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), a.tape)
+    data = a.data.reshape(shape)
+    if data.shape == a.data.shape:
+        return a
+    out = Tensor(data, a.tape)
     if a.tape is not None:
         orig = a.data.shape
         _record(a.tape, out, ((a, lambda g: g.reshape(orig)),))
@@ -562,20 +567,19 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, bias, padding: int) -> Tensor:
-    """Cross-correlation of a C_in×H×W input, or of a B×C_in×H×W batch,
-    with a C_out×C_in×K×K kernel.
+    """Cross-correlation of a B×C_in×H×W batch with a C_out×C_in×K×K kernel.
 
-    Stride 1, symmetric zero padding. Output is C_out×H'×W' (B×C_out×H'×W'
-    for a batch) with H' = H + 2*padding - K + 1. The K*K window shifts
-    are taken on the narrower side of the kernel, so no transient holds
-    more than K*K*min(C_in, C_out) values per pixel: on the input
-    (im2col, then one product) when C_in <= C_out, otherwise on the output
-    (one product per pixel that yields every tap, then K*K shifted sums).
+    Stride 1, symmetric zero padding. Output is B×C_out×H'×W' with
+    H' = H + 2*padding - K + 1. The K*K window shifts are taken on the
+    narrower side of the kernel, so no transient holds more than
+    K*K*min(C_in, C_out) values per pixel: on the input (im2col, then one
+    product) when C_in <= C_out, otherwise on the output (one product per
+    pixel that yields every tap, then K*K shifted sums).
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
-    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(
-            f"conv2d: input {x.data.shape} must be C×H×W or B×C×H×W and kernel "
+            f"conv2d: input {x.data.shape} must be B×C×H×W and kernel "
             f"{kernel.data.shape} must be C_out×C_in×K×K"
         )
     c_out, c_in, k, k2 = kernel.data.shape
@@ -583,56 +587,50 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         raise DimensionError(f"conv2d: kernel window must be square, got {k}×{k2}")
     if k % 2 != 1:
         raise DimensionError(f"conv2d: kernel window must be odd, got {k}")
-    if x.data.shape[-3] != c_in:
+    b, channels, h, w = x.data.shape
+    if channels != c_in:
         raise DimensionError(
-            f"conv2d: input channels {x.data.shape[-3]} do not match kernel "
+            f"conv2d: input channels {channels} do not match kernel "
             f"input channels {c_in} (input {x.data.shape}, kernel {kernel.data.shape})"
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} must be ({c_out},)")
     p = int(padding)
-    h, w = x.data.shape[-2:]
     ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: window {k} too large for padded input {h}×{w}")
 
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
-    b = xd.shape[0]
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
-        cols = _im2col(xd, k, p, ho, wo)                          # B, Ho*Wo, C_in*K*K
+        cols = _im2col(x.data, k, p, ho, wo)                          # B, Ho*Wo, C_in*K*K
         flat = (cols.reshape(-1, c_in * k * k) @ wmat.T).reshape(b, ho * wo, c_out)
         flat = flat.swapaxes(1, 2)                                # channel-minor view
     else:
         wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
-        flat_x = xd.reshape(b, c_in, h * w)
+        flat_x = x.data.reshape(b, c_in, h * w)
         taps = wmat @ flat_x                                      # B, C_out*K*K, H*W
         flat = _tap_sum(taps.reshape(b, c_out, k, k, h, w), p, ho, wo).reshape(b, c_out, ho * wo)
     flat += bias.data[:, None]                                   # a fresh array: add in place
     data = flat.reshape(b, c_out, ho, wo)
     tape = _common_tape(x, kernel, bias)
-    out = Tensor(data[0] if single else data, tape)
+    out = Tensor(data, tape)
     if tape is not None:
         # closures capture arrays and shapes only: a captured Tensor would
         # tie its tape into a reference cycle that outlives the step
-        kshape, xshape = kernel.data.shape, x.data.shape
-
         if c_in <= c_out:
             def back_x(g):
                 dcols = g.reshape(b, c_out, ho * wo).swapaxes(1, 2) @ wmat
-                return _col2im(dcols, c_in, k, p, h, w, ho, wo).reshape(xshape)
+                return _col2im(dcols, c_in, k, p, h, w, ho, wo)
 
             def back_w(g):
                 g = g.reshape(b, c_out, ho * wo)
-                return (g @ cols).sum(axis=0).reshape(kshape)
+                return (g @ cols).sum(axis=0).reshape(c_out, c_in, k, k)
         else:
             def spread(g):
-                return _tap_spread(g.reshape(b, c_out, ho, wo), k, p, h, w).reshape(
-                    b, c_out * k * k, h * w)
+                return _tap_spread(g, k, p, h, w).reshape(b, c_out * k * k, h * w)
 
             def back_x(g):
-                return (wmat.T @ spread(g)).reshape(xshape)
+                return (wmat.T @ spread(g)).reshape(b, c_in, h, w)
 
             def back_w(g):
                 dw = (spread(g) @ flat_x.swapaxes(1, 2)).sum(axis=0)
@@ -641,7 +639,7 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         _record(tape, out, (
             (x, back_x),
             (kernel, back_w),
-            (bias, lambda g: g.reshape(-1, c_out, ho * wo).sum(axis=(0, 2))),
+            (bias, lambda g: g.reshape(b, c_out, ho * wo).sum(axis=(0, 2))),
         ))
     return out
 
@@ -799,7 +797,8 @@ def unpack(data: bytes, magic: bytes, version: int) -> tuple[dict, dict[str, np.
 
 def assign_params(named, arrays: dict[str, np.ndarray]) -> None:
     """Set each named parameter to the array of its name; ValueError, and no
-    assignment, unless the names match exactly and every shape fits."""
+    assignment, unless the names match exactly, every shape fits and every
+    value is finite."""
     names = {name for name, _ in named}
     if names != set(arrays):
         raise ValueError(f"checkpoint lacks tensors {sorted(names - set(arrays))} "
@@ -808,6 +807,8 @@ def assign_params(named, arrays: dict[str, np.ndarray]) -> None:
         if arrays[name].shape != t.data.shape:
             raise ValueError(f"checkpoint tensor {name} has shape {arrays[name].shape}, "
                              f"expected {t.data.shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"checkpoint tensor {name} has a non-finite value")
     for name, t in named:
         t.data = arrays[name]
 

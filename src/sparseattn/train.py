@@ -73,11 +73,10 @@ class PlateauSchedule:
     """Multiply the learning rate by `factor` after `patience` consecutive
     epochs without validation-loss improvement."""
 
-    def __init__(self, learning_rate: float, factor: float = 0.9,
-                 patience: int = 5):
+    factor, patience = 0.9, 5
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.factor = factor
-        self.patience = patience
         self.best = np.inf
         self.bad_epochs = 0
 

@@ -30,12 +30,11 @@ from sparseattn.model import (
     build_model,
     checkpoint_bytes,
     classifier_forward,
-    fuse,
     model_forward,
     model_from_bytes,
 )
 from sparseattn.selector import KController, select_top_k, update_k
-from sparseattn.tensor import GradientTape, Tensor, add, grad_check, mul, reshape
+from sparseattn.tensor import GradientTape, Tensor, add, concat, grad_check, mul, reshape
 from sparseattn.train import TrainConfig, evaluate, train
 
 
@@ -138,13 +137,12 @@ class TestCriterion1:
                 tokens = embed_pixels(m.embedder, pixels.triplets)
                 fo = fine_forward(m.fine, tokens)
                 logits = classifier_forward(m.classifier,
-                                            fuse(fo.z_fine, co.z_coarse))
+                                            concat([fo.z_fine, co.z_coarse], axis=-1))
                 logit_rows.append(reshape(logits, (1, 3)))
                 z_rows.append(reshape(fo.z_fine, (1, 4)))
                 term = distill_loss(co.attention_map, fo.pixel_importance,
                                     pixels, mcfg, target=target)
                 d_sum = term if d_sum is None else add(d_sum, term)
-            from sparseattn.tensor import concat
             f = focal_loss(concat(logit_rows, axis=0), labels, mcfg)
             c = contrastive_loss(concat(z_rows, axis=0), labels, mcfg)
             d = mul(d_sum, 1.0 / len(images))

@@ -15,9 +15,13 @@ import pytest
 
 import sparseattn as sa
 from sparseattn.baseline import baseline_forward, build_baseline
+from sparseattn.coarse import coarse_forward
 from sparseattn.data import DatasetError
+from sparseattn.embedding import embed_pixels
+from sparseattn.fine import fine_forward
 from sparseattn.losses import LossConfig, distill_loss, distill_target, focal_loss
-from sparseattn.model import model_forward
+from sparseattn.model import classifier_forward, model_forward
+from sparseattn.selector import select_top_k
 from sparseattn.tensor import GradientTape, NumericError, Tensor, add, concat, mul, reshape
 
 train_module = importlib.import_module("sparseattn.train")
@@ -164,6 +168,54 @@ class TestBatchedMatchesPerImage:
         for s in data:
             want[s.label, sa.predict(m, s.pixels)] += 1
         np.testing.assert_array_equal(conf, want)
+
+
+class TestEveryStageTakesABatch:
+    """Each stage takes its per-item input with or without one leading
+    batch axis: a B-item call gives item i what a call on item i alone
+    gives, within 1e-12."""
+
+    def check(self, stage, *inputs):
+        """stage(*arrays) -> tuple of arrays; inputs are per-item lists."""
+        batched = stage(*[np.stack(items) for items in inputs])
+        for i in range(len(inputs[0])):
+            single = stage(*[items[i] for items in inputs])
+            for got, want in zip(batched, single, strict=True):
+                assert got[i].shape == want.shape
+                assert rel_err(got[i], want) <= 1e-12
+
+    def test_coarse_forward(self):
+        m = small_model()
+        def stage(x):
+            co = coarse_forward(m.coarse, Tensor(x))
+            return co.attention_map.data, co.z_coarse.data
+        self.check(stage, images())
+
+    def test_fine_forward(self):
+        m, rng = small_model(), np.random.default_rng(7)
+        def stage(tokens):
+            fo = fine_forward(m.fine, Tensor(tokens))
+            return (fo.z_fine.data, fo.pixel_importance.data,
+                    *[a.data for a in fo.head_attn])
+        self.check(stage, [rng.normal(0, 1, (K + 1, 4)) for _ in LABELS])
+
+    def test_embed_pixels(self):
+        m, rng = small_model(), np.random.default_rng(8)
+        self.check(lambda t: (embed_pixels(m.embedder, t).data,),
+                   [rng.uniform(0, 1, (K, 3)) for _ in LABELS])
+
+    def test_select_top_k(self):
+        rng = np.random.default_rng(9)
+        maps = [rng.uniform(0, 1, SHAPE).round(1) for _ in LABELS]   # rounded: ties
+        def stage(scores, imgs):
+            sel = select_top_k(Tensor(scores), Tensor(imgs), K)
+            return sel.index, sel.triplets
+        self.check(stage, maps, images())
+
+    def test_classifier_forward(self):
+        m, rng = small_model(), np.random.default_rng(10)
+        self.check(lambda z: (classifier_forward(m.classifier, Tensor(z)).data,),
+                   [rng.normal(0, 1, m.classifier.in_dim) for _ in LABELS])
 
 
 class TestDenseBaseline:

@@ -101,6 +101,31 @@ class TestConfigFile:
             (out_flag / "metrics.jsonl").read_bytes()
 
 
+class TestRejectedSettings:
+    """A setting the library rejects is a config error (exit 2), not a
+    traceback; one case per option family."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--heads", "3"], ["--dim", "0"], ["--hidden", "0"],
+        ["--k-min", "0"],
+        ["--tau", "0"], ["--gamma", "-1"],
+        ["--samples-per-class", "0"], ["--image-size", "8"], ["--noise-sigma", "-1"],
+        ["--model", "baseline", "--image-size", "18"],
+    ], ids=["model-heads", "model-dim", "model-hidden", "budget-k-min", "loss-tau",
+            "loss-gamma", "data-samples", "data-image-size", "data-noise", "baseline-shape"])
+    def test_train_exits_2(self, tmp_path, capsys, flags):
+        code = main(["train", "--synthetic", "--out", str(tmp_path), "--epochs", "1",
+                     "--samples-per-class", "2", "--image-size", "16", *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_gen_and_cost_exit_2(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path), "--image-size", "8"]) == 2
+        assert main(["cost", "--heads", "3"]) == 2
+        assert main(["cost", "--image-size", "30", "--baseline"]) == 2
+        assert capsys.readouterr().err.count("config error") == 3
+
+
 class TestGenAndDatasetFlow:
     def test_gen_then_train_from_directory(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -280,6 +305,18 @@ class TestTruncatedCheckpoints:
             path.write_bytes(data)
             assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3, label
             assert main(["cost", "--checkpoint", str(path)]) == 3, label
+
+    def test_non_finite_weights_are_a_data_error(self, tmp_path, capsys):
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        model.classifier.w_out.data = np.full_like(model.classifier.w_out.data, np.nan)
+        net = build_baseline(0, (16, 16), 3)
+        net.head_w.data = np.full_like(net.head_w.data, np.inf)
+        for name, data in (("nan.satm", checkpoint_bytes(model)),
+                           ("inf.satb", baseline_checkpoint_bytes(net))):
+            (tmp_path / name).write_bytes(data)
+            assert main(["eval", "--checkpoint", str(tmp_path / name)] + self.EVAL_16) == 3
+            assert "non-finite" in capsys.readouterr().err, name
 
     def test_sizes_are_bounded_before_the_model_is_built(self, monkeypatch):
         """A 50 kB file whose metadata gives hidden 2000 beside a 3×2000

@@ -4,13 +4,31 @@ import numpy as np
 import pytest
 
 import sparseattn as sa
-from sparseattn.coarse import CoarseNet, coarse_forward
+from sparseattn.coarse import AFFINE_DIVISOR, CoarseNet, coarse_forward
 from sparseattn.losses import LossConfig, total_loss
-from sparseattn.tensor import DimensionError, GradientTape, Tensor, reshape
+from sparseattn.tensor import (
+    DimensionError,
+    GradientTape,
+    Tensor,
+    affine,
+    conv2d,
+    div,
+    relu,
+    reshape,
+    sigmoid,
+)
 
 
 def make_net(seed=0):
     return CoarseNet(np.random.default_rng(seed))
+
+
+def hidden_map(net, img):
+    """The 1×C×H×W post-ReLU map of one H×W image, recomputed by hand."""
+    h = conv2d(reshape(img, (1, 1) + img.data.shape), net.conv1_w, net.conv1_b, 1)
+    per_channel = (net.channels, 1, 1)
+    scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
+    return relu(affine(h, scale, reshape(net.bn_beta, per_channel)))
 
 
 class TestCoarseForward:
@@ -32,18 +50,19 @@ class TestCoarseForward:
         out = coarse_forward(make_net(), Tensor(np.zeros((32, 32))))
         assert out.z_coarse.data.shape == (8,)
         assert out.attention_map.data.shape == (32, 32)
-        assert out.pre_sigmoid.data.shape == (32, 32)
 
     def test_map_is_sigmoid_of_pre_exactly(self):
-        from sparseattn.tensor import sigmoid
         rng = np.random.default_rng(9)
-        out = coarse_forward(make_net(2), Tensor(rng.uniform(0, 1, (12, 12))))
-        expected = sigmoid(out.pre_sigmoid).data
+        net = make_net(2)
+        img = Tensor(rng.uniform(0, 1, (12, 12)))
+        out = coarse_forward(net, img)
+        pre = conv2d(hidden_map(net, img), net.conv2_w, net.conv2_b, 1).data[0, 0]
+        expected = sigmoid(Tensor(pre)).data
         np.testing.assert_array_equal(out.attention_map.data, expected)
 
     def test_rejects_multichannel_input(self):
         with pytest.raises(DimensionError):
-            coarse_forward(make_net(), Tensor(np.zeros((3, 8, 8))))
+            coarse_forward(make_net(), Tensor(np.zeros((1, 3, 8, 8))))
 
     def test_constant_image_pool_is_permutation_invariant(self):
         net = make_net(3)
@@ -59,13 +78,7 @@ class TestCoarseForward:
         rng = np.random.default_rng(6)
         img = Tensor(rng.uniform(0, 1, (9, 9)))
         out = coarse_forward(net, img)
-        # recompute the intermediate map by hand
-        from sparseattn.coarse import AFFINE_DIVISOR
-        from sparseattn.tensor import affine, conv2d, div, relu
-        h = conv2d(reshape(img, (1, 9, 9)), net.conv1_w, net.conv1_b, 1)
-        per_channel = (net.channels, 1, 1)
-        scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
-        a = relu(affine(h, scale, reshape(net.bn_beta, per_channel))).data
+        a = hidden_map(net, img).data[0]
         np.testing.assert_allclose(out.z_coarse.data, a.mean(axis=(1, 2)), atol=1e-12)
 
 

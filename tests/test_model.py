@@ -7,13 +7,12 @@ import sparseattn as sa
 from sparseattn.model import (
     build_model,
     checkpoint_bytes,
-    fuse,
     model_from_bytes,
     model_forward,
     predict,
     restore_model,
 )
-from sparseattn.tensor import GradientTape, Tensor, reduce_sum, mul
+from sparseattn.tensor import GradientTape, Tensor, concat, reduce_sum, mul
 
 
 def small_model(seed=0, shape=(12, 12), hidden=8, **kw):
@@ -27,13 +26,13 @@ def rand_image(shape=(12, 12), seed=0):
 
 class TestFuse:
     def test_concatenation_order_and_length(self):
-        out = fuse(Tensor([1.0, 2.0, 3.0, 4.0]), Tensor(np.arange(8.0)))
+        out = concat([Tensor([1.0, 2.0, 3.0, 4.0]), Tensor(np.arange(8.0))], axis=-1)
         assert out.data.shape == (12,)
         np.testing.assert_array_equal(out.data[:4], [1, 2, 3, 4])
         np.testing.assert_array_equal(out.data[4:], np.arange(8.0))
 
     def test_zero_fine_keeps_first_slots_zero(self):
-        out = fuse(Tensor(np.zeros(4)), Tensor(np.ones(8)))
+        out = concat([Tensor(np.zeros(4)), Tensor(np.ones(8))], axis=-1)
         np.testing.assert_array_equal(out.data[:4], 0.0)
 
     def test_gradient_splits_by_slice(self):
@@ -41,7 +40,7 @@ class TestFuse:
         zf = Tensor([1.0, 2.0])
         zc = Tensor([3.0, 4.0, 5.0])
         tape.watch(zf, zc)
-        fused = fuse(zf, zc)
+        fused = concat([zf, zc], axis=-1)
         weights = Tensor([10.0, 20.0, 1.0, 2.0, 3.0])
         tape.backward(reduce_sum(mul(fused, weights)))
         np.testing.assert_array_equal(zf.grad, [10.0, 20.0])
@@ -82,7 +81,6 @@ class TestModelForward:
         assert len(diag.pixels) == 9
         assert diag.coarse.attention_map.data.shape == (12, 12)
         assert diag.fine.pixel_importance.data.shape == (10,)
-        assert diag.fused.data.shape == (12,)
 
 
 class TestPredict:
@@ -175,8 +173,7 @@ class TestEndToEndGradients:
             co = coarse_forward(m.coarse, img)
             tokens = embed_pixels(m.embedder, frozen_pixels.triplets)
             fo = fine_forward(m.fine, tokens)
-            fused = fuse(fo.z_fine, co.z_coarse)
-            logits = classifier_forward(m.classifier, fused)
+            logits = classifier_forward(m.classifier, concat([fo.z_fine, co.z_coarse], axis=-1))
             f = focal_loss(reshape(logits, (1, 3)), [1], cfg)
             d = distill_loss(co.attention_map, fo.pixel_importance,
                              frozen_pixels, cfg, target=frozen_target)

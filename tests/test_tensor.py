@@ -113,34 +113,39 @@ class TestReduce:
 
 class TestConv2d:
     def test_zero_input_passes_bias(self):
-        x = Tensor(np.zeros((1, 4, 4)))
+        x = Tensor(np.zeros((1, 1, 4, 4)))
         w = Tensor(np.zeros((2, 1, 3, 3)))
         b = Tensor([0.7, -0.2])
         out = T.conv2d(x, w, b, padding=1)
-        np.testing.assert_allclose(out.data[0], 0.7)
-        np.testing.assert_allclose(out.data[1], -0.2)
+        np.testing.assert_allclose(out.data[0, 0], 0.7)
+        np.testing.assert_allclose(out.data[0, 1], -0.2)
 
     def test_ones_center_element(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = T.conv2d(x, w, Tensor([0.0]), padding=1)
-        assert out.data[0, 1, 1] == 9.0
+        assert out.data[0, 0, 1, 1] == 9.0
 
     def test_same_padding_shape(self):
-        x = Tensor(np.random.default_rng(0).normal(0, 1, (1, 32, 32)))
+        x = Tensor(np.random.default_rng(0).normal(0, 1, (1, 1, 32, 32)))
         w = Tensor(np.random.default_rng(1).normal(0, 1, (4, 1, 3, 3)))
         out = T.conv2d(x, w, Tensor(np.zeros(4)), padding=1)
-        assert out.data.shape == (4, 32, 32)
+        assert out.data.shape == (1, 4, 32, 32)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError, match="channels"):
-            T.conv2d(Tensor(np.zeros((2, 4, 4))),
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))),
                      Tensor(np.zeros((1, 3, 3, 3))), Tensor([0.0]), padding=1)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(DimensionError, match="odd"):
-            T.conv2d(Tensor(np.zeros((1, 4, 4))),
+            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))),
                      Tensor(np.zeros((1, 1, 2, 2))), Tensor([0.0]), padding=0)
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(DimensionError, match="B×C×H×W"):
+            T.conv2d(Tensor(np.zeros((1, 4, 4))),
+                     Tensor(np.zeros((1, 1, 3, 3))), Tensor([0.0]), padding=1)
 
 
 class TestGradCheck:
@@ -209,7 +214,7 @@ class TestGradCheck:
 
     def test_conv2d_all_arguments(self):
         rng = np.random.default_rng(41)
-        x = Tensor(rng.normal(0, 1, (2, 5, 5)))
+        x = Tensor(rng.normal(0, 1, (1, 2, 5, 5)))
         w = Tensor(rng.normal(0, 0.5, (3, 2, 3, 3)))
         b = Tensor(rng.normal(0, 0.5, 3))
 
@@ -270,6 +275,18 @@ class TestTape:
         tape.watch(x)
         tape.backward(T.reduce_sum(T.add(T.mul(x, 3.0), T.mul(x, 4.0))))
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_reshape_to_its_own_shape_is_free(self):
+        tape = GradientTape()
+        t = Tensor(np.ones((2, 3)))
+        tape.watch(t)
+        assert T.reshape(t, t.data.shape) is t
+        assert T.reshape(t, (-1, 3)) is t
+        assert len(tape._ops) == 0
+        flat = T.reshape(t, (6,))
+        assert len(tape._ops) == 1
+        tape.backward(T.reduce_sum(T.mul(T.reshape(flat, (6,)), 2.0)))
+        np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
 
     def test_cross_tape_operands_rejected(self):
         t1, t2 = GradientTape(), GradientTape()
@@ -463,7 +480,7 @@ class TestBatchedOps:
         out = T.conv2d(x, w, b, padding=1)
         assert out.data.shape == (3, c_out, 5, 6)
         for i in range(3):
-            single = T.conv2d(Tensor(x.data[i]), w, b, padding=1).data
+            single = T.conv2d(Tensor(x.data[i:i + 1]), w, b, padding=1).data[0]
             np.testing.assert_allclose(out.data[i], single, rtol=1e-14, atol=1e-15)
         shape = out.data.shape
         assert grad_check(self.weighted(lambda t: T.conv2d(t, w, b, 1), shape), x) <= 1e-6

@@ -58,7 +58,7 @@ class TestAdamW:
 
 class TestPlateauSchedule:
     def test_two_triggers_give_factor_squared(self):
-        sched = PlateauSchedule(1e-3, factor=0.9, patience=5)
+        sched = PlateauSchedule(1e-3)
         sched.observe(1.0)                 # sets best
         for _ in range(10):                # ten non-improving epochs
             lr, _ = sched.observe(1.0)
@@ -66,7 +66,7 @@ class TestPlateauSchedule:
         assert lr == pytest.approx(8.1e-4)
 
     def test_improvement_resets_patience(self):
-        sched = PlateauSchedule(1e-3, factor=0.9, patience=5)
+        sched = PlateauSchedule(1e-3)
         sched.observe(1.0)
         for _ in range(4):
             sched.observe(1.0)
