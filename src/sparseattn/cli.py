@@ -1,16 +1,18 @@
 """Command-line front end: dataset generation, training, evaluation, cost
 accounting, and attention-map export.
 
-Settings resolve in three layers: built-in defaults, then a key=value
-config file, then explicit flags. Every run echoes its effective settings
-to <out>/config.resolved, which is itself a valid config file, so a run
-can be reproduced with --config alone. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numeric abort.
+Settings resolve in three layers: the default of the library parameter
+each one feeds, then a key=value config file, then explicit flags. Every
+run echoes its effective settings to <out>/config.resolved, which is itself
+a valid config file, so a run can be reproduced with --config alone. Exit
+codes: 0 success, 2 config error (any setting the library rejects, NaN
+included), 3 data error, 4 numeric abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import struct
@@ -29,6 +31,7 @@ from .baseline import (
 )
 from .cost import count_cost
 from .data import (
+    SYNTHETIC_CLASSES,
     DatasetError,
     SyntheticSpec,
     export_dataset,
@@ -58,38 +61,56 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (type, default, help); key spelling uses dashes, as on the CLI
-_OPTIONS: dict[str, tuple] = {
+# The CLI's own options, key -> (type, default, help); keys are spelled as flags
+_OWN_OPTIONS: dict[str, tuple] = {
     "synthetic": (bool, False, "use the in-memory synthetic dataset"),
     "dataset": (str, "", "dataset directory containing manifest.csv"),
     "model": (str, "sparse", "model family: sparse or baseline"),
     "seed": (int, None, "RNG seed (fallback: SPARSEATTN_SEED, then 0)"),
-    "epochs": (int, 20, "training epochs"),
-    "batch": (int, 32, "batch size"),
-    "lr": (float, 1e-3, "learning rate"),
-    "wd": (float, 1e-4, "decoupled weight decay"),
-    "gamma": (float, 2.0, "focal focusing parameter"),
-    "lambda-contrast": (float, 0.1, "contrastive loss weight"),
-    "lambda-distill": (float, 0.02, "distillation loss weight"),
-    "tau": (float, 0.07, "contrastive temperature"),
-    "emphasis": (float, 2.0, "distillation target sharpening exponent"),
-    "k-init": (int, 8000, "initial pixel budget"),
-    "k-min": (int, 1500, "minimum pixel budget"),
     "k-max": (int, 0, "maximum pixel budget (0 = full image)"),
-    "k-step-up": (int, 80, "budget increase step"),
-    "k-step-down": (int, 50, "budget decrease step"),
-    "ema-beta": (float, 0.2, "loss EMA coefficient"),
-    "k-alpha": (float, 0.2, "budget momentum coefficient"),
-    "dim": (int, 4, "token embedding dimension"),
-    "heads": (int, 2, "fine attention heads"),
-    "hidden": (int, 64, "classifier hidden width"),
-    "samples-per-class": (int, 100, "synthetic samples per class"),
-    "image-size": (int, 32, "synthetic image edge length"),
-    "noise-sigma": (float, 0.05, "synthetic background noise sigma"),
     "k": (int, 0, "pixel budget for cost accounting (0 = from checkpoint)"),
     "json": (bool, False, "emit JSON instead of a table"),
     "baseline": (bool, False, "also report the dense baseline cost"),
 }
+
+# Every other option feeds one library parameter: key -> (home, parameter, help)
+_FEEDS: dict[str, tuple] = {
+    "epochs": (TrainConfig, "epochs", "training epochs"),
+    "batch": (TrainConfig, "batch_size", "batch size"),
+    "lr": (TrainConfig, "learning_rate", "learning rate"),
+    "wd": (TrainConfig, "weight_decay", "decoupled weight decay"),
+    "gamma": (LossConfig, "gamma", "focal focusing parameter"),
+    "lambda-contrast": (LossConfig, "lambda_contrast", "contrastive loss weight"),
+    "lambda-distill": (LossConfig, "lambda_distill", "distillation loss weight"),
+    "tau": (LossConfig, "tau", "contrastive temperature"),
+    "emphasis": (LossConfig, "emphasis", "distillation target sharpening exponent"),
+    "k-init": (build_model, "k_init", "initial pixel budget"),
+    "k-min": (build_model, "k_min", "minimum pixel budget"),
+    "k-step-up": (build_model, "k_step_up", "budget increase step"),
+    "k-step-down": (build_model, "k_step_down", "budget decrease step"),
+    "ema-beta": (build_model, "ema_beta", "loss EMA coefficient"),
+    "k-alpha": (build_model, "k_alpha", "budget momentum coefficient"),
+    "dim": (build_model, "dim", "token embedding dimension"),
+    "heads": (build_model, "heads", "fine attention heads"),
+    "hidden": (build_model, "hidden", "classifier hidden width"),
+    "samples-per-class": (SyntheticSpec, "samples_per_class", "synthetic samples per class"),
+    "image-size": (SyntheticSpec, "image_size", "synthetic image edge length"),
+    "noise-sigma": (SyntheticSpec, "noise_sigma", "synthetic background noise sigma"),
+}
+
+
+def _fed_by(home) -> list[str]:
+    return [key for key, feed in _FEEDS.items() if feed[0] is home]
+
+
+def _fed_option(home, parameter: str, help_text: str) -> tuple:
+    default = inspect.signature(home).parameters[parameter].default
+    return type(default), default, help_text
+
+
+# key -> (type, default, help) of every option
+_OPTIONS = {**_OWN_OPTIONS, **{key: _fed_option(*feed) for key, feed in _FEEDS.items()}}
+
 
 def _read_config_file(path: Path) -> dict:
     if not path.exists():
@@ -144,24 +165,20 @@ def _write_resolved(settings: dict, out_dir: Path) -> None:
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
-def _configured(build, **settings):
-    """build(**settings); a ValueError there rejects a setting (exit 2)."""
+def _build(home, settings: dict, **fixed):
+    """home(**fixed) plus every setting that feeds `home`; a ValueError
+    there rejects a setting (exit 2)."""
+    fed = {_FEEDS[key][1]: settings[key] for key in _fed_by(home)}
     try:
-        return build(**settings)
+        return home(**fed, **fixed)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
-def _synthetic_spec(settings: dict) -> SyntheticSpec:
-    return _configured(SyntheticSpec, image_size=settings["image-size"],
-                       seed=settings["seed"], noise_sigma=settings["noise-sigma"],
-                       samples_per_class=settings["samples-per-class"])
-
-
 def _load_data(settings: dict):
     if settings["synthetic"]:
-        spec = _synthetic_spec(settings)
-        return generate(spec), spec.class_count
+        spec = _build(SyntheticSpec, settings, seed=settings["seed"])
+        return generate(spec), SYNTHETIC_CLASSES
     if not settings["dataset"]:
         raise ConfigError("either --synthetic or --dataset is required")
     data = load_dataset(settings["dataset"])
@@ -171,37 +188,13 @@ def _load_data(settings: dict):
     return data, classes
 
 
-def _train_config(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=settings["epochs"], batch_size=settings["batch"],
-        learning_rate=settings["lr"], weight_decay=settings["wd"],
-        seed=settings["seed"],
-        loss=_configured(LossConfig, gamma=settings["gamma"],
-                         lambda_contrast=settings["lambda-contrast"],
-                         lambda_distill=settings["lambda-distill"],
-                         tau=settings["tau"], emphasis=settings["emphasis"]),
-    )
-
-
-def _build_from_settings(settings: dict, image_shape, classes: int):
-    return _configured(
-        build_model,
-        seed=settings["seed"], image_shape=image_shape, class_count=classes,
-        dim=settings["dim"], heads=settings["heads"], hidden=settings["hidden"],
-        k_init=settings["k-init"], k_min=settings["k-min"],
-        k_max=settings["k-max"] or None,
-        ema_beta=settings["ema-beta"], k_alpha=settings["k-alpha"],
-        k_step_up=settings["k-step-up"], k_step_down=settings["k-step-down"],
-    )
-
-
 def cmd_gen(args) -> int:
     settings = _resolve(args)
     out_dir = Path(args.out)
-    spec = _synthetic_spec(settings)
-    export_dataset(generate(spec), out_dir)
+    data = generate(_build(SyntheticSpec, settings, seed=settings["seed"]))
+    export_dataset(data, out_dir)
     _write_resolved(settings, out_dir)
-    print(f"wrote {spec.class_count * spec.samples_per_class} images to {out_dir}")
+    print(f"wrote {len(data)} images to {out_dir}")
     return 0
 
 
@@ -211,16 +204,18 @@ def cmd_train(args) -> int:
     data, classes = _load_data(settings)
     train_set, test_set = split(data, 0.8, settings["seed"])
     shape = train_set[0].pixels.data.shape
-    config = _train_config(settings)
+    config = _build(TrainConfig, settings, seed=settings["seed"],
+                    loss=_build(LossConfig, settings))
     _write_resolved(settings, out_dir)
 
     if settings["model"] == "baseline":
-        model = _configured(build_baseline, seed=settings["seed"], image_shape=shape,
-                            class_count=classes)
+        model = _build(build_baseline, settings, seed=settings["seed"], image_shape=shape,
+                       class_count=classes)
         ckpt_path = out_dir / "checkpoint.satb"
         train_fn, save_fn, eval_fn = train_baseline, save_baseline, evaluate_baseline
     else:
-        model = _build_from_settings(settings, shape, classes)
+        model = _build(build_model, settings, seed=settings["seed"], image_shape=shape,
+                       class_count=classes, k_max=settings["k-max"] or None)
         ckpt_path = out_dir / "checkpoint.satm"
         train_fn, save_fn, eval_fn = train, save_model, evaluate
     try:
@@ -262,8 +257,8 @@ def checkpoint_from_bytes(data: bytes, source="checkpoint"):
     kind, parse = _CHECKPOINT_KINDS[magic]
     try:
         return kind, parse(data)
-    except (ValueError, KeyError, TypeError, struct.error) as err:
-        # ValueError covers bad JSON and bad UTF-8 as well
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as err:
+        # ValueError covers bad JSON and bad UTF-8 as well; OverflowError an infinite int
         raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
 
 
@@ -316,13 +311,14 @@ def cmd_cost(args) -> int:
         shape = model.image_shape
     else:
         shape = (settings["image-size"],) * 2
-        model = _build_from_settings(settings, shape, 3)
-    k = max(1, min(settings["k"] or model.controller.k, shape[0] * shape[1]))
+        model = _build(build_model, settings, seed=settings["seed"], image_shape=shape,
+                       class_count=SYNTHETIC_CLASSES, k_max=settings["k-max"] or None)
+    k = max(1, min(settings["k"], shape[0] * shape[1])) if settings["k"] else model.controller.k
     report = count_cost(model, shape, k)
     payload = {"sparse": report.to_dict()}
     if settings["baseline"]:
-        base = baseline_cost(_configured(build_baseline, seed=settings["seed"],
-                                         image_shape=shape, class_count=model.class_count))
+        base = baseline_cost(_build(build_baseline, settings, seed=settings["seed"],
+                                    image_shape=shape, class_count=model.class_count))
         payload["baseline"] = base.to_dict()
         payload["flops_ratio"] = report.total_flops / base.total_flops
     if settings["json"]:
@@ -341,18 +337,11 @@ def cmd_viz(args) -> int:
         raise DatasetError("viz needs a sparse-model checkpoint")
     image_path = Path(args.image)
     pixels = read_pgm(image_path)
-    if pixels.shape != tuple(model.image_shape):
-        raise DatasetError(
-            f"image shape {pixels.shape} does not match model {model.image_shape}"
-        )
+    k = model.controller.k
+    logits, diag = model_forward(model, Tensor(pixels), k)   # DatasetError on a shape mismatch
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = image_path.stem
-
-    h, w = pixels.shape
-    k = max(1, min(model.controller.k, h * w))
-    image = Tensor(pixels)
-    logits, diag = model_forward(model, image, k)
 
     coarse_map = diag.coarse.attention_map.data
     write_pgm(out_dir / f"{stem}_coarse.pgm", coarse_map)
@@ -363,7 +352,7 @@ def cmd_viz(args) -> int:
     scores = coarse_map.ravel()[index]
     write_topk_csv(out_dir / f"{stem}_topk.csv", diag.pixels, scores, importance)
 
-    fine_map = np.zeros((h, w))
+    fine_map = np.zeros(pixels.shape)
     peak = importance.max()
     if peak > 0:
         fine_map.ravel()[index] = importance / peak
@@ -385,12 +374,10 @@ def _add_options(parser: argparse.ArgumentParser, keys) -> None:
             parser.add_argument(flag, type=typ, default=None, help=help_text)
 
 
+_GEN_KEYS = ["seed", *_fed_by(SyntheticSpec)]
 _TRAIN_KEYS = [k for k in _OPTIONS if k not in ("k", "json", "baseline")]
-_DATA_KEYS = ["synthetic", "dataset", "seed", "samples-per-class",
-              "image-size", "noise-sigma", "json"]
-_COST_KEYS = ["seed", "image-size", "dim", "heads", "hidden", "k-init", "k-min",
-              "k-max", "ema-beta", "k-alpha", "k-step-up", "k-step-down",
-              "k", "json", "baseline"]
+_DATA_KEYS = ["synthetic", "dataset", *_GEN_KEYS, "json"]
+_COST_KEYS = ["seed", "image-size", *_fed_by(build_model), "k-max", "k", "json", "baseline"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a synthetic PGM dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default="", help="key=value config file")
-    _add_options(p, ["seed", "samples-per-class", "image-size", "noise-sigma"])
+    _add_options(p, _GEN_KEYS)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + logs")

@@ -22,18 +22,21 @@ class DatasetError(ValueError):
     """Problems loading or validating a dataset from disk."""
 
 
+SYNTHETIC_CLASSES = 3   # label 0 disk, 1 annulus, 2 two-lobed blob
+
+
 @dataclass
 class SyntheticSpec:
     image_size: int = 32
-    class_count: int = 3
     seed: int = 0
     noise_sigma: float = 0.05
     samples_per_class: int = 100
 
     def __post_init__(self):
-        if self.image_size < 16 or self.samples_per_class < 1 or self.noise_sigma < 0:
+        if not (self.image_size >= 16 and self.samples_per_class >= 1
+                and 0 <= self.noise_sigma < np.inf):
             raise ValueError("need image_size >= 16, samples_per_class >= 1 and "
-                             f"noise_sigma >= 0, got {self}")
+                             f"finite noise_sigma >= 0, got {self}")
 
 
 @dataclass
@@ -79,11 +82,8 @@ def _make_sample(spec: SyntheticSpec, label: int, index: int) -> LabeledImage:
 
 def generate(spec: SyntheticSpec) -> list[LabeledImage]:
     """Deterministic dataset: samples_per_class images for each class."""
-    out = []
-    for label in range(spec.class_count):
-        for index in range(spec.samples_per_class):
-            out.append(_make_sample(spec, label, index))
-    return out
+    return [_make_sample(spec, label, index)
+            for label in range(SYNTHETIC_CLASSES) for index in range(spec.samples_per_class)]
 
 
 def check_dataset(dataset: list[LabeledImage], shape, class_count: int) -> None:
@@ -189,11 +189,10 @@ def export_dataset(dataset: list[LabeledImage], out_dir) -> None:
             writer.writerow([name, sample.label])
 
 
-def load_dataset(dir_path, manifest: str = "manifest.csv",
-                 class_count: int | None = None) -> list[LabeledImage]:
-    """Load a manifest-described PGM dataset; all images must share a shape."""
+def load_dataset(dir_path, class_count: int | None = None) -> list[LabeledImage]:
+    """Load dir_path/manifest.csv and the PGM images it lists, all of one shape."""
     root = Path(dir_path)
-    manifest_path = root / manifest
+    manifest_path = root / "manifest.csv"
     if not manifest_path.exists():
         raise DatasetError(f"manifest not found: {manifest_path}")
     samples: list[LabeledImage] = []

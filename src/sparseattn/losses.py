@@ -51,13 +51,11 @@ class LossConfig:
     emphasis: float = 2.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.lambda_contrast < 0 or self.lambda_distill < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.alpha_per_class is not None and any(a <= 0 for a in self.alpha_per_class):
+        # written so that NaN fails each check
+        non_negative = (self.gamma, self.emphasis, self.lambda_contrast, self.lambda_distill)
+        if not (0 < self.tau < np.inf and all(0 <= x < np.inf for x in non_negative)):
+            raise ValueError(f"need finite settings, tau > 0 and the rest >= 0, got {self}")
+        if self.alpha_per_class is not None and not all(a > 0 for a in self.alpha_per_class):
             raise ValueError("class weights must be > 0")
 
     def alpha_for(self, label: int) -> float:

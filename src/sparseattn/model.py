@@ -9,7 +9,7 @@ flattens once and restores once: one image is the B=1 case of the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
     k_max = n if k_max is None else min(int(k_max), n)
     k_min = min(int(k_min), k_max)
-    ctrl = KController(k_init=k_init, k_min=k_min, k_max=k_max, beta=ema_beta,
+    ctrl = KController(k=k_init, k_min=k_min, k_max=k_max, beta=ema_beta,
                        alpha=k_alpha, step_up=k_step_up, step_down=k_step_down)
     return ModelState(
         coarse=CoarseNet(rng, channels=coarse_channels),
@@ -182,13 +182,13 @@ def predict(m: ModelState, image: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SATM"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 def checkpoint_bytes(m: ModelState) -> bytes:
     """Serialize the model to one self-describing byte string: the
-    tensor.pack container with the hyperparameters and controller state as
-    metadata and every parameter as a named record. Round-trips
+    tensor.pack container with the hyperparameters and the controller's
+    fields as metadata and every parameter as a named record. Round-trips
     bit-exactly."""
     meta = {
         "class_count": m.class_count,
@@ -197,7 +197,7 @@ def checkpoint_bytes(m: ModelState) -> bytes:
         "heads": m.fine.heads,
         "hidden": m.classifier.hidden,
         "coarse_channels": m.coarse.channels,
-        "controller": m.controller.state(),
+        "controller": asdict(m.controller),
     }
     return pack(_CKPT_MAGIC, _CKPT_VERSION, meta, m.params())
 
@@ -219,7 +219,9 @@ def model_from_bytes(data: bytes) -> ModelState:
                     dim=dim, heads=meta["heads"], hidden=hidden,
                     coarse_channels=channels)
     assign_params(m.params(), arrays)
-    m.controller = KController.from_state(meta["controller"])
+    m.controller = KController(**meta["controller"])
+    if m.controller.k_max > m.image_shape[0] * m.image_shape[1]:
+        raise ValueError(f"controller k_max {m.controller.k_max} exceeds a {m.image_shape} image")
     return m
 
 
@@ -237,4 +239,4 @@ def restore_model(m: ModelState, data: bytes) -> None:
     """In-place restore of parameters and controller state."""
     meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
     assign_params(m.params(), arrays)
-    m.controller = KController.from_state(meta["controller"])
+    m.controller = KController(**meta["controller"])

@@ -74,47 +74,37 @@ def select_top_k(score_map: Tensor, image: Tensor, k: int) -> Selection:
     return Selection(index=index, triplets=triplets, width=w)
 
 
+@dataclass
 class KController:
     """Integer pixel budget adapted from the training-loss trend.
 
     Keeps an exponential moving average of the loss; a non-decreasing
     trend raises k by step_up, a decreasing trend lowers it by step_down,
-    and momentum smooths the move. The first observation only initializes
-    the average, so the first actual adjustment reflects the trend of
-    epoch two versus epoch one. k stays integral inside [k_min, k_max].
+    and momentum alpha smooths the move. The first observation only
+    initializes the average, so the first actual adjustment reflects the
+    trend of epoch two versus epoch one. k stays integral inside [k_min,
+    k_max]. The fields are the checkpointed state: asdict() round-trips.
     """
 
-    def __init__(self, k_init: int = 8000, k_min: int = 1500, k_max: int = 65536,
-                 beta: float = 0.2, alpha: float = 0.2,
-                 step_up: int = 80, step_down: int = 50):
-        if not 1 <= k_min <= k_max:
-            raise ValueError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
-        self.k_min = int(k_min)
-        self.k_max = int(k_max)
-        self.k = min(max(int(k_init), self.k_min), self.k_max)
-        self.beta = float(beta)
-        self.alpha = float(alpha)
-        self.step_up = int(step_up)
-        self.step_down = int(step_down)
-        self.ema: float | None = None
-        self.ema_prev: float | None = None
+    k: int = 8000
+    k_min: int = 1500
+    k_max: int = 65536
+    beta: float = 0.2
+    alpha: float = 0.2
+    step_up: int = 80
+    step_down: int = 50
+    ema: float | None = None
 
-    def state(self) -> dict:
-        return {
-            "k": self.k, "k_min": self.k_min, "k_max": self.k_max,
-            "beta": self.beta, "alpha": self.alpha,
-            "step_up": self.step_up, "step_down": self.step_down,
-            "ema": self.ema, "ema_prev": self.ema_prev,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KController":
-        ctrl = cls(k_init=state["k"], k_min=state["k_min"], k_max=state["k_max"],
-                   beta=state["beta"], alpha=state["alpha"],
-                   step_up=state["step_up"], step_down=state["step_down"])
-        ctrl.ema = state["ema"]
-        ctrl.ema_prev = state["ema_prev"]
-        return ctrl
+    def __post_init__(self):
+        if not 1 <= self.k_min <= self.k_max:
+            raise ValueError(f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        # NaN fails these too; steps >= 0 keep every update inside the bounds
+        if not (0 <= self.beta <= 1 and 0 <= self.alpha <= 1
+                and self.step_up >= 0 and self.step_down >= 0):
+            raise ValueError("need beta and alpha in [0, 1] and steps >= 0, got "
+                             f"{self.beta}, {self.alpha}, {self.step_up}, {self.step_down}")
+        self.k_min, self.k_max = int(self.k_min), int(self.k_max)
+        self.k = min(max(int(self.k), self.k_min), self.k_max)
 
 
 def update_k(ctrl: KController, current_loss: float) -> int:
@@ -124,17 +114,15 @@ def update_k(ctrl: KController, current_loss: float) -> int:
         raise NumericError(f"controller fed a non-finite loss {loss}")
     if ctrl.ema is None:
         ctrl.ema = loss
-        ctrl.ema_prev = loss
         return ctrl.k
-    ctrl.ema_prev = ctrl.ema
-    ctrl.ema = ctrl.beta * ctrl.ema_prev + (1.0 - ctrl.beta) * loss
-    delta = ctrl.ema - ctrl.ema_prev
-    if delta >= 0:
+    prev = ctrl.ema
+    ctrl.ema = ctrl.beta * prev + (1.0 - ctrl.beta) * loss
+    if ctrl.ema >= prev:
         raw = min(ctrl.k + ctrl.step_up, ctrl.k_max)
     else:
         raw = max(ctrl.k - ctrl.step_down, ctrl.k_min)
-    smoothed = round(ctrl.alpha * ctrl.k + (1.0 - ctrl.alpha) * raw)
-    ctrl.k = min(max(int(smoothed), ctrl.k_min), ctrl.k_max)
+    # a convex mix of two budgets in [k_min, k_max] rounds back into it
+    ctrl.k = round(ctrl.alpha * ctrl.k + (1.0 - ctrl.alpha) * raw)
     return ctrl.k
 
 

@@ -35,6 +35,12 @@ class TrainConfig:
     val_fraction: float = 0.2
     loss: LossConfig = field(default_factory=LossConfig)   # alpha None: inverse class frequency
 
+    def __post_init__(self):
+        if not (0 <= self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf
+                and self.batch_size >= 1 and self.epochs >= 0):
+            raise ValueError("need finite learning_rate and weight_decay >= 0, batch_size >= 1 "
+                             f"and epochs >= 0, got {self}")
+
 
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
@@ -225,7 +231,7 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
     logs: list[dict] = []
     schedule = PlateauSchedule(config.learning_rate)
     best_snapshot = last_good = snapshot()
-    bs = max(1, config.batch_size)
+    bs = config.batch_size
     n_fit = len(fit_data)
 
     for epoch in range(config.epochs):

@@ -11,7 +11,7 @@ import pytest
 
 from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
 import sparseattn.model as model_module
-from sparseattn.cli import _OPTIONS, checkpoint_from_bytes, main
+from sparseattn.cli import _FEEDS, _OPTIONS, _build, checkpoint_from_bytes, main
 from sparseattn.data import DatasetError, SyntheticSpec, read_pgm, write_pgm
 from sparseattn.losses import LossConfig
 from sparseattn.model import build_model, checkpoint_bytes
@@ -103,7 +103,9 @@ class TestConfigFile:
 
 class TestRejectedSettings:
     """A setting the library rejects is a config error (exit 2), not a
-    traceback; one case per option family."""
+    traceback; one case per option family, and the NaN and out-of-range
+    settings that once trained on (exit 0), raised (exit 1) or failed at
+    the first backward (exit 4)."""
 
     @pytest.mark.parametrize("flags", [
         ["--heads", "3"], ["--dim", "0"], ["--hidden", "0"],
@@ -111,8 +113,12 @@ class TestRejectedSettings:
         ["--tau", "0"], ["--gamma", "-1"],
         ["--samples-per-class", "0"], ["--image-size", "8"], ["--noise-sigma", "-1"],
         ["--model", "baseline", "--image-size", "18"],
+        ["--ema-beta", "nan"], ["--k-alpha", "nan"], ["--lr", "nan"], ["--wd", "nan"],
+        ["--lambda-distill", "nan"], ["--batch", "0"], ["--epochs", "-1"],
     ], ids=["model-heads", "model-dim", "model-hidden", "budget-k-min", "loss-tau",
-            "loss-gamma", "data-samples", "data-image-size", "data-noise", "baseline-shape"])
+            "loss-gamma", "data-samples", "data-image-size", "data-noise", "baseline-shape",
+            "budget-ema-beta-nan", "budget-k-alpha-nan", "train-lr-nan", "train-wd-nan",
+            "loss-lambda-distill-nan", "train-batch-0", "train-epochs-negative"])
     def test_train_exits_2(self, tmp_path, capsys, flags):
         code = main(["train", "--synthetic", "--out", str(tmp_path), "--epochs", "1",
                      "--samples-per-class", "2", "--image-size", "16", *flags])
@@ -271,12 +277,12 @@ class TestTruncatedCheckpoints:
     def damaged_files():
         """(label, bytes) of one SATM and one SATB with each container fault:
         an unknown, a missing or a wrong-shaped tensor, trailing bytes and
-        another version (2 for SATM, 2 for SATB)."""
+        another version (3, the format before this one, for SATM; 2 for SATB)."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
         cases = []
         for data, magic, version, other, reshaped in (
-                (checkpoint_bytes(model), b"SATM", 3, 2, "classifier.w_out"),
+                (checkpoint_bytes(model), b"SATM", 4, 3, "classifier.w_out"),
                 (baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)), b"SATB", 1, 2,
                  "head_w")):
             meta, arrays = unpack(data, magic, version)
@@ -324,10 +330,10 @@ class TestTruncatedCheckpoints:
         allocate four 2000×2000 matrices before the records are checked."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
-        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 3)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 4)
         meta["hidden"] = 2000
         arrays["classifier.w_in"] = np.zeros((3, 2000))
-        data = pack(b"SATM", 3, meta, [(n, Tensor(a)) for n, a in arrays.items()])
+        data = pack(b"SATM", 4, meta, [(n, Tensor(a)) for n, a in arrays.items()])
 
         def build_model_called(*args, **kwargs):
             raise AssertionError("build_model ran on unchecked sizes")
@@ -336,20 +342,42 @@ class TestTruncatedCheckpoints:
         with pytest.raises(DatasetError):
             checkpoint_from_bytes(data)
 
+    @pytest.mark.parametrize("fault", [
+        {"k": 5000, "k_max": 9000}, {"k": float("inf")}, {"beta": float("nan")},
+        {"ema_prev": 0.5},
+    ], ids=["budget-beyond-the-image", "infinite-k", "nan-beta", "version-3-key"])
+    def test_controller_faults_are_data_errors(self, tmp_path, capsys, fault):
+        """Controller metadata out of range, or of the version-3 format, is a
+        data error in eval, viz and cost: a 16×16 model whose k = 5000 and
+        k_max = 9000 never runs a k its image cannot hold."""
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 4)
+        meta["controller"].update(fault)
+        path = tmp_path / "controller.satm"
+        path.write_bytes(pack(b"SATM", 4, meta, [(n, Tensor(a)) for n, a in arrays.items()]))
+        image = tmp_path / "img.pgm"
+        write_pgm(image, np.zeros((16, 16)))
+        assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3
+        assert main(["viz", "--checkpoint", str(path), "--image", str(image),
+                     "--out", str(tmp_path / "viz")]) == 3
+        assert main(["cost", "--checkpoint", str(path)]) == 3
+        assert capsys.readouterr().err.count("corrupt or truncated checkpoint") == 3
+
     # hidden, dim, coarse_channels and the first SATB image_shape lie far
     # beyond any host's memory: each must fail against the shapes of the
     # tensor records before anything is allocated
     @pytest.mark.parametrize("magic, version, key, value", [
-        (b"SATM", 3, "heads", "2"),
-        (b"SATM", 3, "heads", 0),
-        (b"SATM", 3, "image_shape", None),
-        (b"SATM", 3, "controller", [1]),
+        (b"SATM", 4, "heads", "2"),
+        (b"SATM", 4, "heads", 0),
+        (b"SATM", 4, "image_shape", None),
+        (b"SATM", 4, "controller", [1]),
         (b"SATB", 1, "classes", "3"),
-        (b"SATM", 3, "hidden", 10**12),
-        (b"SATM", 3, "dim", 10**12),
-        (b"SATM", 3, "coarse_channels", 10**12),
+        (b"SATM", 4, "hidden", 10**12),
+        (b"SATM", 4, "dim", 10**12),
+        (b"SATM", 4, "coarse_channels", 10**12),
         (b"SATB", 1, "image_shape", [4 * 10**6, 4 * 10**6]),
-        (b"SATM", 3, "image_shape", [-4, -4]),
+        (b"SATM", 4, "image_shape", [-4, -4]),
     ])
     def test_metadata_of_the_wrong_type_is_a_data_error(self, tmp_path, magic, version,
                                                         key, value):
@@ -438,28 +466,23 @@ class TestVizCommand:
 
 
 def test_cli_defaults_are_the_library_defaults():
-    """Each option's default is the default of the library setting it feeds,
-    so the two copies cannot drift apart."""
-    train, loss, spec = TrainConfig(), LossConfig(), SyntheticSpec()
-    build = {name: p.default for name, p in inspect.signature(build_model).parameters.items()}
-    feeds = {
-        "epochs": train.epochs, "batch": train.batch_size, "lr": train.learning_rate,
-        "wd": train.weight_decay, "gamma": loss.gamma,
-        "lambda-contrast": loss.lambda_contrast, "lambda-distill": loss.lambda_distill,
-        "tau": loss.tau, "emphasis": loss.emphasis,
-        "k-init": build["k_init"], "k-min": build["k_min"],
-        "k-step-up": build["k_step_up"], "k-step-down": build["k_step_down"],
-        "ema-beta": build["ema_beta"], "k-alpha": build["k_alpha"],
-        "dim": build["dim"], "heads": build["heads"], "hidden": build["hidden"],
-        "samples-per-class": spec.samples_per_class, "image-size": spec.image_size,
-        "noise-sigma": spec.noise_sigma,
-    }
+    """Each fed option names a real parameter of its home and takes that
+    parameter's default and type, so the defaults live in one place."""
+    for key, (home, param, _) in _FEEDS.items():
+        parameters = inspect.signature(home).parameters
+        assert param in parameters, key
+        default = parameters[param].default
+        assert default is not inspect.Parameter.empty, key
+        assert _OPTIONS[key][:2] == (type(default), default), key
+    # untouched settings build the library's default objects
+    settings = {key: spec[1] for key, spec in _OPTIONS.items()}
+    assert _build(TrainConfig, settings, loss=_build(LossConfig, settings)) == TrainConfig()
+    assert _build(SyntheticSpec, settings) == SyntheticSpec()
     # no library default: the CLI's own choices, and two sentinels (seed None
     # falls back to SPARSEATTN_SEED and then 0, k-max 0 is build_model's None)
     own = {"synthetic", "dataset", "model", "seed", "k-max", "k", "json", "baseline"}
-    assert not set(feeds) & own
-    assert set(feeds) | own == set(_OPTIONS)
-    for key, default in feeds.items():
-        assert _OPTIONS[key][1] == default and type(_OPTIONS[key][1]) is type(default), key
-    assert _OPTIONS["k-max"][1] == 0 and build["k_max"] is None
-    assert _OPTIONS["seed"][1] is None and train.seed == spec.seed == 0
+    assert not set(_FEEDS) & own
+    assert set(_FEEDS) | own == set(_OPTIONS)
+    build = inspect.signature(build_model).parameters
+    assert _OPTIONS["k-max"][1] == 0 and build["k_max"].default is None
+    assert _OPTIONS["seed"][1] is None and TrainConfig().seed == SyntheticSpec().seed == 0

@@ -1,5 +1,7 @@
 """Top-k selection against a brute-force oracle, and controller behavior."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -100,19 +102,19 @@ class TestSelectTopK:
 
 class TestKController:
     def test_first_call_initializes_only(self):
-        ctrl = KController(k_init=100, k_min=10, k_max=200)
+        ctrl = KController(k=100, k_min=10, k_max=200)
         assert update_k(ctrl, 1.0) == 100
-        assert ctrl.ema == 1.0 and ctrl.ema_prev == 1.0
+        assert ctrl.ema == 1.0
 
     def test_ema_hand_value(self):
-        ctrl = KController(k_init=100, k_min=10, k_max=200, beta=0.2)
+        ctrl = KController(k=100, k_min=10, k_max=200, beta=0.2)
         update_k(ctrl, 1.0)
         update_k(ctrl, 0.5)
         # beta*prev + (1-beta)*loss = 0.2*1.0 + 0.8*0.5
         assert ctrl.ema == pytest.approx(0.6)
 
     def test_decrease_with_momentum_hand_value(self):
-        ctrl = KController(k_init=8000, k_min=1500, k_max=20000,
+        ctrl = KController(k=8000, k_min=1500, k_max=20000,
                            beta=0.2, alpha=0.2, step_down=50)
         update_k(ctrl, 1.0)
         new_k = update_k(ctrl, 0.5)
@@ -120,13 +122,13 @@ class TestKController:
         assert new_k == 7960
 
     def test_clamps_at_k_min(self):
-        ctrl = KController(k_init=1500, k_min=1500, k_max=20000)
+        ctrl = KController(k=1500, k_min=1500, k_max=20000)
         update_k(ctrl, 1.0)
         for loss in (0.9, 0.8, 0.7):
             assert update_k(ctrl, loss) == 1500
 
     def test_monotone_down_on_strictly_decreasing_losses(self):
-        ctrl = KController(k_init=2000, k_min=1500, k_max=20000)
+        ctrl = KController(k=2000, k_min=1500, k_max=20000)
         update_k(ctrl, 5.0)
         ks = [update_k(ctrl, 5.0 - 0.1 * i) for i in range(1, 30)]
         assert all(a >= b for a, b in zip(ks, ks[1:]))
@@ -134,37 +136,55 @@ class TestKController:
         assert all(isinstance(k, int) and 1500 <= k <= 20000 for k in ks)
 
     def test_monotone_up_on_increasing_losses(self):
-        ctrl = KController(k_init=2000, k_min=1500, k_max=2400)
+        ctrl = KController(k=2000, k_min=1500, k_max=2400)
         update_k(ctrl, 1.0)
         ks = [update_k(ctrl, 1.0 + 0.1 * i) for i in range(1, 30)]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
         assert ks[-1] == 2400
 
     def test_raw_step_sign_matches_trend(self):
-        ctrl = KController(k_init=2000, k_min=100, k_max=4000,
+        ctrl = KController(k=2000, k_min=100, k_max=4000,
                            alpha=0.0)   # no momentum: k == raw
         update_k(ctrl, 1.0)
         assert update_k(ctrl, 2.0) == 2080    # up by step_up
         assert update_k(ctrl, 0.1) == 2030    # down by step_down
 
     def test_nonfinite_loss_leaves_state_unchanged(self):
-        ctrl = KController(k_init=300, k_min=10, k_max=400)
+        ctrl = KController(k=300, k_min=10, k_max=400)
         update_k(ctrl, 1.0)
-        before = ctrl.state()
+        before = replace(ctrl)
         with pytest.raises(NumericError):
             update_k(ctrl, float("nan"))
-        assert ctrl.state() == before
+        assert ctrl == before
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
-            KController(k_init=10, k_min=200, k_max=100)
+            KController(k=10, k_min=200, k_max=100)
+
+    @pytest.mark.parametrize("setting", [
+        {"beta": float("nan")}, {"beta": 1.5}, {"alpha": float("nan")}, {"alpha": -0.1},
+        {"step_up": -1}, {"step_down": -1},
+    ], ids=["beta-nan", "beta-above-1", "alpha-nan", "alpha-below-0", "step-up", "step-down"])
+    def test_coefficient_and_step_validation(self, setting):
+        with pytest.raises(ValueError):
+            KController(k=100, k_min=10, k_max=200, **setting)
+
+    def test_updates_stay_in_bounds_without_a_final_clamp(self):
+        """Every alpha in [0, 1] and every trend keep k inside [k_min, k_max]."""
+        for alpha in (0.0, 0.3, 0.5, 0.999, 1.0):
+            ctrl = KController(k=150, k_min=100, k_max=200, alpha=alpha,
+                               step_up=1000, step_down=1000)
+            update_k(ctrl, 1.0)
+            for loss in (2.0, 3.0, 0.1, 0.05, 5.0, 0.01, 9.0):
+                assert 100 <= update_k(ctrl, loss) <= 200
+                assert isinstance(ctrl.k, int)
 
     def test_state_round_trip(self):
-        ctrl = KController(k_init=321, k_min=10, k_max=400, beta=0.3, alpha=0.4)
+        ctrl = KController(k=321, k_min=10, k_max=400, beta=0.3, alpha=0.4)
         update_k(ctrl, 2.0)
         update_k(ctrl, 1.0)
-        back = KController.from_state(ctrl.state())
-        assert back.state() == ctrl.state()
+        back = KController(**asdict(ctrl))
+        assert back == ctrl
 
 
 def test_topk_csv_layout(tmp_path):
