@@ -86,16 +86,22 @@ def generate(spec: SyntheticSpec) -> list[LabeledImage]:
             for label in range(SYNTHETIC_CLASSES) for index in range(spec.samples_per_class)]
 
 
+def check_image(pixels: np.ndarray, shape) -> None:
+    """DatasetError unless `pixels` is one H×W image as a model's `shape`
+    says and every pixel is finite."""
+    if pixels.shape != tuple(shape):
+        raise DatasetError(
+            f"image of shape {pixels.shape} does not match the model's {tuple(shape)}"
+        )
+    if not np.isfinite(pixels).all():
+        raise DatasetError("image has a non-finite pixel")
+
+
 def check_dataset(dataset: list[LabeledImage], shape, class_count: int) -> None:
-    """DatasetError unless every image is H×W as a model's `shape` says and
-    every label is one of its `class_count` classes."""
-    shape = tuple(shape)
+    """check_image on every image, and DatasetError unless every label is
+    one of the model's `class_count` classes."""
     for sample in dataset:
-        if sample.pixels.data.shape != shape:
-            raise DatasetError(
-                f"image of shape {sample.pixels.data.shape} does not match "
-                f"the model's {shape}"
-            )
+        check_image(sample.pixels.data, shape)
         if not 0 <= sample.label < class_count:
             raise DatasetError(
                 f"label {sample.label} is not one of the model's {class_count} classes"

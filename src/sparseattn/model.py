@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
-from .data import DatasetError
+from .data import DatasetError, check_image
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
@@ -172,7 +172,9 @@ def model_forward(m: ModelState, images: Tensor, k: int):
 
 
 def predict(m: ModelState, image: Tensor) -> int:
-    """Class index with the highest logit; ties go to the lowest index."""
+    """Class index with the highest logit; ties go to the lowest index.
+    DatasetError unless image passes check_image."""
+    check_image(image.data, m.image_shape)
     logits, _ = model_forward(m, image, m.controller.k)
     return int(np.argmax(logits.data))
 

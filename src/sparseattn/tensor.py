@@ -313,7 +313,10 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0), a.tape)
     if a.tape is not None:
-        mask = a.data > 0
+        # a C-order mask whatever a's layout: the gradient arrives C-ordered,
+        # and a bool mask in another layout sends g * mask through numpy's
+        # slow buffered path (the coarse conv1 output is channel-minor)
+        mask = np.greater(a.data, 0, order="C")
         _record(a.tape, out, ((a, lambda g: g * mask),))
     return out
 
@@ -596,6 +599,8 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     if bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} must be ({c_out},)")
     p = int(padding)
+    if p < 0:
+        raise DimensionError(f"conv2d: padding must be >= 0, got {p}")
     ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
     if ho < 1 or wo < 1:
         raise DimensionError(f"conv2d: window {k} too large for padded input {h}×{w}")
@@ -629,11 +634,20 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
             def spread(g):
                 return _tap_spread(g, k, p, h, w).reshape(b, c_out * k * k, h * w)
 
+            # the tape calls back_x, then back_w, with the same g: when it
+            # calls both, back_x hands its spread on rather than both building one
+            handed = []
+            kernel_taped = kernel.tape is tape
+
             def back_x(g):
-                return (wmat.T @ spread(g)).reshape(b, c_in, h, w)
+                s = spread(g)
+                if kernel_taped:
+                    handed.append(s)
+                return (wmat.T @ s).reshape(b, c_in, h, w)
 
             def back_w(g):
-                dw = (spread(g) @ flat_x.swapaxes(1, 2)).sum(axis=0)
+                s = handed.pop() if handed else spread(g)
+                dw = (s @ flat_x.swapaxes(1, 2)).sum(axis=0)
                 return dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
 
         _record(tape, out, (
@@ -664,26 +678,46 @@ def _col2im(dcols: np.ndarray, c: int, k: int, p: int, h: int, w: int,
     return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
 
+def _tap_overlap(offset: int, n_in: int, n_out: int) -> tuple[slice, slice]:
+    """The output and input slices along one axis where output index y
+    meets input index y + offset inside both extents."""
+    lo = max(0, -offset)
+    hi = max(lo, min(n_out, n_in - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
+
+
 def _tap_sum(taps: np.ndarray, p: int, ho: int, wo: int) -> np.ndarray:
     """B×C×K×K×H×W per-tap products -> B×C×Ho×Wo: tap (i, j) of output
-    pixel (y, x) sits at input pixel (y + i - p, x + j - p)."""
-    b, c, k = taps.shape[:3]
-    tp = np.pad(taps, ((0, 0),) * 4 + ((p, p), (p, p))) if p else taps
+    pixel (y, x) sits at input pixel (y + i - p, x + j - p).
+
+    Each tap adds only its slice inside the input, in the same (i, j)
+    order as a sum over the zero-padded taps. The skipped terms would add
+    +0.0 to an accumulator that starts at +0.0 and never becomes -0.0, so
+    the result is the padded sum bit for bit.
+    """
+    b, c, k, _, h, w = taps.shape
     out = np.zeros((b, c, ho, wo))
     for i in range(k):
+        oy, iy = _tap_overlap(i - p, h, ho)
         for j in range(k):
-            out += tp[:, :, i, j, i:i + ho, j:j + wo]
+            ox, ix = _tap_overlap(j - p, w, wo)
+            out[:, :, oy, ox] += taps[:, :, i, j, iy, ix]
     return out
 
 
 def _tap_spread(g: np.ndarray, k: int, p: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _tap_sum: B×C×Ho×Wo -> B×C×K×K×H×W."""
+    """Adjoint of _tap_sum: B×C×Ho×Wo -> B×C×K×K×H×W, C-contiguous, so
+    merging its axes for a matrix product copies nothing. Entry (i, j, y,
+    x) is g at the output pixel whose tap (i, j) sits at input pixel
+    (y, x), or zero where no output pixel has such a tap."""
     b, c, ho, wo = g.shape
-    dtp = np.zeros((b, c, k, k, h + 2 * p, w + 2 * p))
+    out = np.zeros((b, c, k, k, h, w))
     for i in range(k):
+        oy, iy = _tap_overlap(i - p, h, ho)
         for j in range(k):
-            dtp[:, :, i, j, i:i + ho, j:j + wo] = g
-    return dtp[..., p:p + h, p:p + w] if p else dtp
+            ox, ix = _tap_overlap(j - p, w, wo)
+            out[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ round trip, and byte-determinism of emitted files.
 import inspect
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,50 @@ class TestTruncatedCheckpoints:
             for n in range(len(data)):
                 with pytest.raises(DatasetError):
                     checkpoint_from_bytes(data[:n])
+
+    @staticmethod
+    def header_offsets(data: bytes) -> list[int]:
+        """Offset of every byte of a pack() string outside its float64
+        payloads: magic, version, metadata length and JSON, record count,
+        and each record's name and SATN header."""
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        pos = 12 + meta_len + 4
+        (count,) = struct.unpack_from("<I", data, pos - 4)
+        offsets = list(range(pos))
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, pos)
+            satn = pos + 2 + name_len
+            (rank,) = struct.unpack_from("<I", data, satn + 4)
+            shape = struct.unpack_from(f"<{rank}I", data, satn + 8)
+            offsets += range(pos, satn + 8 + 4 * rank)
+            pos = satn + 8 + 4 * rank + 8 * int(np.prod(shape))
+        assert pos == len(data)
+        return offsets
+
+    def test_header_substitutions_evaluate_or_are_data_errors(self, tmp_path):
+        """Every single-byte substitution outside the float64 payloads of a
+        4×4 SATM and SATB: the loader raises DatasetError (exit 3) or the
+        file loads, and then `eval` on a 4×4 dataset exits 0 or 3."""
+        (tmp_path / "manifest.csv").write_bytes(TestDamagedDatasets.MANIFEST)
+        (tmp_path / "sample_00.pgm").write_bytes(TestDamagedDatasets.PGM)
+        path = tmp_path / "sub.ckpt"
+        swept = loaded = 0
+        for data in self.small_files():
+            for i in self.header_offsets(data):
+                for byte in TestDamagedDatasets.SUBSTITUTES:
+                    if byte == data[i]:
+                        continue
+                    variant = data[:i] + bytes([byte]) + data[i + 1:]
+                    swept += 1
+                    try:
+                        checkpoint_from_bytes(variant)
+                    except DatasetError:
+                        continue
+                    loaded += 1
+                    path.write_bytes(variant)
+                    code = main(["eval", "--checkpoint", str(path), "--dataset", str(tmp_path)])
+                    assert code in (0, 3), (i, byte)
+        assert swept == 13682 and 0 < loaded < swept
 
     def test_cli_exits_3_on_a_truncated_file(self, tmp_path):
         path = tmp_path / "cut.ckpt"

@@ -100,6 +100,54 @@ class TestSelectTopK:
         assert floor >= max(rest)
 
 
+def stable_argsort_selection(scores: np.ndarray, images: np.ndarray, k: int):
+    """(index, triplets) by a full stable argsort of the negated scores: the
+    order select_top_k promises, NaN scores last."""
+    h, w = scores.shape[-2:]
+    flat_shape = scores.shape[:-2] + (h * w,)
+    index = np.argsort(-scores.reshape(flat_shape), axis=-1, kind="stable")[..., :k]
+    rows, cols = np.divmod(index, w)
+    values = np.take_along_axis(images.reshape(flat_shape), index, axis=-1)
+    return index, np.stack([cols * (1.0 / (w - 1)), rows * (1.0 / (h - 1)), values], axis=-1)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(29)
+    maps = {}
+    straddle = rng.uniform(0, 0.4, (3, 6, 6))
+    straddle[:, :2, :] = 0.7                          # 12 ties at the 10th score
+    straddle[:, 2, :4] = 0.9
+    maps["ties-straddling-k"] = (straddle, [4, 5, 10, 16])
+    maps["all-equal"] = (np.full((2, 5, 5), 0.25), [1, 7, 25])
+    saturated = rng.uniform(0, 1, (3, 6, 6))
+    saturated[0] = 1.0
+    saturated[1, rng.random((6, 6)) < 0.5] = 1.0
+    maps["saturated"] = (saturated, [1, 9, 18, 36])
+    nan = rng.uniform(0, 1, (4, 5, 5))
+    nan[0] = np.nan                                   # no number at all
+    nan[1, rng.random((5, 5)) < 0.7] = np.nan         # fewer numbers than most k
+    nan[2, 0, :3] = np.nan                            # NaN, but k numbers remain
+    maps["nan-rows"] = (nan, [1, 5, 22, 25])
+    signed = rng.choice([0.0, -0.0, 1.0, -np.inf, np.inf], (2, 4, 4))
+    maps["signed-zero-and-inf"] = (signed, [1, 3, 8, 16])
+    maps["one-image"] = (np.round(rng.uniform(0, 1, (1, 32, 32)), 2), [1, 160, 512, 1024])
+    maps["unbatched"] = (np.round(rng.uniform(0, 1, (7, 9)), 1), [1, 20, 63])
+    maps["rounded-batch"] = (np.round(rng.uniform(0, 1, (32, 8, 8)), 2), [1, 10, 32, 64])
+    return [(name, scores, k) for name, (scores, ks) in maps.items() for k in ks]
+
+
+class TestAgainstStableArgsort:
+    @pytest.mark.parametrize("name, scores, k", oracle_cases(),
+                             ids=[f"{name}-k{k}" for name, _, k in oracle_cases()])
+    def test_selection_equals_the_oracle(self, name, scores, k):
+        images = np.random.default_rng(k).uniform(0, 1, scores.shape)
+        picked = select_top_k(Tensor(scores), Tensor(images), k)
+        index, triplets = stable_argsort_selection(scores, images, k)
+        assert picked.index.dtype == index.dtype
+        np.testing.assert_array_equal(picked.index, index)
+        np.testing.assert_array_equal(picked.triplets, triplets)
+
+
 class TestKController:
     def test_first_call_initializes_only(self):
         ctrl = KController(k=100, k_min=10, k_max=200)

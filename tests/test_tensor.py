@@ -66,6 +66,22 @@ class TestElementwise:
         assert T.relu(Tensor(-2.5)).item() == 0.0
         assert T.relu(Tensor(3.0)).item() == 3.0
 
+    def test_relu_gradient_of_a_channel_minor_input_is_exact(self):
+        """The coarse conv1 output is a channel-minor view; relu's backward on
+        it equals g * (x > 0) bit for bit, zeros and negative zeros included."""
+        rng = np.random.default_rng(97)
+        data = rng.normal(0, 1, (2, 5, 4, 8))
+        data[0, 0, 0, :3] = [0.0, -0.0, 1e-300]
+        x = Tensor(data.transpose(0, 3, 1, 2))
+        assert not x.data.flags["C_CONTIGUOUS"]
+        g = rng.normal(0, 1, x.data.shape)
+        tape = GradientTape()
+        tape.watch(x)
+        out = T.relu(x)
+        np.testing.assert_array_equal(out.data, np.maximum(x.data, 0.0))
+        tape.backward(T.reduce_sum(T.mul(out, g)))
+        np.testing.assert_array_equal(x.grad, g * (x.data > 0))
+
     def test_sigmoid_backward_at_zero(self):
         tape = GradientTape()
         x = Tensor(0.0)
@@ -146,6 +162,12 @@ class TestConv2d:
         with pytest.raises(DimensionError, match="B×C×H×W"):
             T.conv2d(Tensor(np.zeros((1, 4, 4))),
                      Tensor(np.zeros((1, 1, 3, 3))), Tensor([0.0]), padding=1)
+
+    def test_negative_padding_rejected(self):
+        for c_out in (1, 4):   # both window strategies
+            with pytest.raises(DimensionError):
+                T.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((c_out, 2, 3, 3))),
+                         Tensor(np.zeros(c_out)), padding=-1)
 
 
 class TestGradCheck:
@@ -487,6 +509,18 @@ class TestBatchedOps:
         assert grad_check(self.weighted(lambda t: T.conv2d(x, t, b, 1), shape), w) <= 1e-6
         assert grad_check(self.weighted(lambda t: T.conv2d(x, w, t, 1), shape), b) <= 1e-6
 
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv2d_tap_path_backward_at_each_padding(self, padding):
+        """The output-side path (C_in > C_out) against finite differences."""
+        rng = np.random.default_rng(90 + padding)
+        x = Tensor(rng.normal(0, 1, (2, 3, 5, 4)))
+        w = Tensor(rng.normal(0, 0.5, (1, 3, 3, 3)))
+        b = Tensor(rng.normal(0, 0.5, 1))
+        shape = T.conv2d(x, w, b, padding).data.shape
+        assert grad_check(self.weighted(lambda t: T.conv2d(t, w, b, padding), shape), x) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.conv2d(x, t, b, padding), shape), w) <= 1e-6
+        assert grad_check(self.weighted(lambda t: T.conv2d(x, w, t, padding), shape), b) <= 1e-6
+
     @pytest.mark.parametrize("c_in,c_out,padding", [(1, 2, 0), (3, 1, 0), (3, 1, 2)])
     def test_conv2d_against_direct_sum(self, c_in, c_out, padding):
         """Every output pixel as the literal sum over channels and window."""
@@ -502,3 +536,56 @@ class TestBatchedOps:
                     for z in range(out.shape[3]):
                         want = b[o] + (w[o] * xp[n, :, y:y + 3, z:z + 3]).sum()
                         assert out[n, o, y, z] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def padded_tap_sum(taps, p, ho, wo):
+    """The tap sum over explicitly zero-padded products, tap by tap in
+    (i, j) order: the reference that _tap_sum must equal bit for bit."""
+    k = taps.shape[2]
+    tp = np.pad(taps, ((0, 0),) * 4 + ((p, p), (p, p)))
+    out = np.zeros(taps.shape[:2] + (ho, wo))
+    for i in range(k):
+        for j in range(k):
+            out += tp[:, :, i, j, i:i + ho, j:j + wo]
+    return out
+
+
+class TestTapPath:
+    """conv2d's output-side window path (C_in > C_out), which the coarse
+    conv2 (8 -> 1 channels) runs."""
+
+    @pytest.mark.parametrize("k,p,h,w", [(1, 0, 6, 5), (1, 1, 6, 5), (3, 0, 6, 5), (3, 1, 6, 5),
+                                         (3, 2, 6, 5), (5, 0, 6, 5), (5, 2, 6, 5), (5, 3, 6, 5),
+                                         (5, 2, 1, 2)])
+    def test_sum_matches_the_padded_sum_and_spread_is_its_adjoint(self, k, p, h, w):
+        """<sum(T), G> = <T, spread(G)>, and the sum equals the zero-padded
+        loop exactly; on a 1-pixel-high input some taps meet no pixel."""
+        rng = np.random.default_rng(80 + 10 * k + p + h)
+        ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
+        taps = rng.normal(0, 1, (2, 3, k, k, h, w))
+        g = rng.normal(0, 1, (2, 3, ho, wo))
+        summed = T._tap_sum(taps, p, ho, wo)
+        np.testing.assert_array_equal(summed, padded_tap_sum(taps, p, ho, wo))
+        spread = T._tap_spread(g, k, p, h, w)
+        assert spread.shape == taps.shape and spread.flags["C_CONTIGUOUS"]
+        assert np.vdot(summed, g) == pytest.approx(np.vdot(taps, spread), rel=1e-12)
+
+    def test_shared_spread_gives_the_separate_gradients(self):
+        """With input and kernel both on the tape, backward builds one spread
+        for both; each gradient equals the one taken with only its own
+        argument watched, bit for bit."""
+        rng = np.random.default_rng(95)
+        x0, w0 = rng.normal(0, 1, (2, 4, 6, 5)), rng.normal(0, 1, (2, 4, 3, 3))
+        b0 = rng.normal(0, 1, 2)
+        weights = rng.normal(0, 1, (2, 2, 6, 5))
+
+        def grads(watch_x, watch_w):
+            tape = GradientTape()
+            x, w = Tensor(x0), Tensor(w0)
+            tape.watch(*[t for t, on in ((x, watch_x), (w, watch_w)) if on])
+            tape.backward(T.reduce_sum(T.mul(T.conv2d(x, w, Tensor(b0), 1), weights)))
+            return x.grad, w.grad
+
+        both_x, both_w = grads(True, True)
+        np.testing.assert_array_equal(both_x, grads(True, False)[0])
+        np.testing.assert_array_equal(both_w, grads(False, True)[1])

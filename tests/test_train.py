@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sparseattn as sa
+from sparseattn.data import DatasetError, LabeledImage
 from sparseattn.model import checkpoint_bytes
 from sparseattn.tensor import NumericError, Tensor
 from sparseattn.train import (
@@ -205,3 +206,38 @@ class TestEvaluate:
         data = tiny_dataset(per_class=5)
         rep = evaluate(tiny_model(seed=2), data)
         assert [sum(row) for row in rep.confusion] == [5, 5, 5]
+
+
+class TestNonFinitePixels:
+    """An image with a NaN or infinite pixel is a data error at every entry
+    point, never a prediction of class 0 or a NaN validation loss."""
+
+    @staticmethod
+    def damaged(value):
+        data = tiny_dataset()
+        pixels = data[5].pixels.data.copy()
+        pixels[3, 7] = value
+        data[5] = LabeledImage(Tensor(pixels), data[5].label, data[5].foreground_mask)
+        return data
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_evaluate(self, value):
+        with pytest.raises(DatasetError, match="non-finite"):
+            evaluate(tiny_model(), self.damaged(value))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_predict(self, value):
+        image = self.damaged(value)[5].pixels
+        with pytest.raises(DatasetError, match="non-finite"):
+            sa.predict(tiny_model(), image)
+
+    def test_train(self):
+        with pytest.raises(DatasetError, match="non-finite"):
+            train(tiny_model(), self.damaged(np.nan), TrainConfig(epochs=1, batch_size=4))
+
+    def test_baseline_train_and_evaluate(self):
+        net = sa.build_baseline(0, (16, 16), 3)
+        with pytest.raises(DatasetError, match="non-finite"):
+            sa.evaluate_baseline(net, self.damaged(np.nan))
+        with pytest.raises(DatasetError, match="non-finite"):
+            sa.train_baseline(net, self.damaged(np.inf), TrainConfig(epochs=1, batch_size=4))
