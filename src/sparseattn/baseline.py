@@ -16,12 +16,12 @@ from .tensor import (
     Tensor,
     add,
     assign_params,
+    avg_pool2,
     check_sizes,
     concat,
     conv2d,
     matmul,
     pack,
-    reduce_mean,
     relu,
     reshape,
     unpack,
@@ -83,18 +83,12 @@ def build_baseline(seed: int, image_shape: tuple[int, int],
     return BaselineNet(rng, image_shape, class_count)
 
 
-def _avg_pool2(x: Tensor) -> Tensor:
-    b, c, h, w = x.data.shape
-    y = reshape(x, (b, c, h // 2, 2, w // 2, 2))
-    return reduce_mean(reduce_mean(y, axis=5), axis=3)
-
-
 def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
     """(C,) logits of one H×W image, or B×C logits of a B×H×W batch."""
     shape = images.data.shape
     x = reshape(images, (-1, 1) + shape[-2:])
-    h = _avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, PAD)))
-    h = _avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, PAD)))
+    h = avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, PAD)))
+    h = avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, PAD)))
     flat = reshape(h, (x.data.shape[0], -1))
     logits = add(matmul(flat, net.head_w), net.head_b)
     return reshape(logits, shape[:-2] + (net.class_count,))

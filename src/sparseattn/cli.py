@@ -313,7 +313,9 @@ def cmd_cost(args) -> int:
         shape = (settings["image-size"],) * 2
         model = _build(build_model, settings, seed=settings["seed"], image_shape=shape,
                        class_count=SYNTHETIC_CLASSES, k_max=settings["k-max"] or None)
-    k = max(1, min(settings["k"], shape[0] * shape[1])) if settings["k"] else model.controller.k
+    if not 0 <= settings["k"] <= shape[0] * shape[1]:
+        raise ConfigError(f"k {settings['k']} outside 0..{shape[0] * shape[1]} (0: model's k)")
+    k = settings["k"] or model.controller.k
     report = count_cost(model, shape, k)
     payload = {"sparse": report.to_dict()}
     if settings["baseline"]:

@@ -7,17 +7,17 @@ inference. add, sub, mul, div and affine broadcast their operands the way
 numpy does (a bias row, a per-channel scale, a per-row normalizer), and
 one rule, _unbroadcast, sums each gradient back to its operand's shape.
 The structural ops that a batched model needs (matmul, transpose, take)
-also accept a leading batch axis, and conv2d takes batches only.
+also accept a leading batch axis; conv2d and avg_pool2 take batches only.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -577,7 +577,8 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     narrower side of the kernel, so no transient holds more than
     K*K*min(C_in, C_out) values per pixel: on the input (im2col, then one
     product) when C_in <= C_out, otherwise on the output (one product per
-    pixel that yields every tap, then K*K shifted sums).
+    pixel that yields every tap, then K*K shifted sums). Either way each
+    tap moves only its slice inside the input (_taps): no padded copy.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -658,50 +659,56 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(k: int, p: int, h: int, w: int, ho: int, wo: int) -> tuple:
+    """(i, j, output slices, input slices) of each K×K tap in (i, j) order:
+    tap (i, j) of output pixel (y, x) is input pixel (y + i - p, x + j - p),
+    and the slices cover where both lie inside their extents. Cached, as a
+    model uses few shapes and the slices cost more than a small image's copy."""
+    def overlap(offset: int, n_in: int, n_out: int) -> tuple[slice, slice]:
+        lo = max(0, -offset)
+        hi = max(lo, min(n_out, n_in - offset))
+        return slice(lo, hi), slice(lo + offset, hi + offset)
+    rows = [overlap(i - p, h, ho) for i in range(k)]
+    cols = [overlap(j - p, w, wo) for j in range(k)]
+    return tuple((i, j, (oy, ox), (iy, ix))
+                 for i, (oy, iy) in enumerate(rows) for j, (ox, ix) in enumerate(cols))
+
+
 def _im2col(xd: np.ndarray, k: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """B×C×H×W -> B×(Ho*Wo)×(C*K*K): every K×K window of the padded input."""
-    b, c = xd.shape[:2]
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))        # B,C,Ho,Wo,K,K
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+    """B×C×H×W -> B×(Ho*Wo)×(C*K*K), C-contiguous: every K×K window of the
+    zero-padded input in (c, i, j) column order, built by copying each
+    tap's in-range slice into a zeroed buffer, with no padded input."""
+    b, c, h, w = xd.shape
+    cols = np.zeros((b, ho, wo, c, k, k))
+    xt = xd.transpose(0, 2, 3, 1)                                 # B,H,W,C view
+    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
+        cols[:, oy, ox, :, i, j] = xt[:, iy, ix]
+    return cols.reshape(b, ho * wo, c * k * k)
 
 
 def _col2im(dcols: np.ndarray, c: int, k: int, p: int, h: int, w: int,
             ho: int, wo: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add window columns back onto B×C×H×W."""
+    """Adjoint of _im2col: each tap adds its in-range slice straight into
+    the B×C×H×W result in (i, j) order, so every pixel gets the adds of a
+    padded buffer, in the same order, with no buffer to pad or crop."""
     b = dcols.shape[0]
     dc = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-    for i in range(k):
-        for j in range(k):
-            dxp[:, :, i:i + ho, j:j + wo] += dc[..., i, j]
-    return dxp[:, :, p:p + h, p:p + w] if p else dxp
-
-
-def _tap_overlap(offset: int, n_in: int, n_out: int) -> tuple[slice, slice]:
-    """The output and input slices along one axis where output index y
-    meets input index y + offset inside both extents."""
-    lo = max(0, -offset)
-    hi = max(lo, min(n_out, n_in - offset))
-    return slice(lo, hi), slice(lo + offset, hi + offset)
+    dx = np.zeros((b, c, h, w))
+    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
+        dx[:, :, iy, ix] += dc[:, :, oy, ox, i, j]
+    return dx
 
 
 def _tap_sum(taps: np.ndarray, p: int, ho: int, wo: int) -> np.ndarray:
-    """B×C×K×K×H×W per-tap products -> B×C×Ho×Wo: tap (i, j) of output
-    pixel (y, x) sits at input pixel (y + i - p, x + j - p).
-
-    Each tap adds only its slice inside the input, in the same (i, j)
-    order as a sum over the zero-padded taps. The skipped terms would add
-    +0.0 to an accumulator that starts at +0.0 and never becomes -0.0, so
-    the result is the padded sum bit for bit.
-    """
+    """B×C×K×K×H×W per-tap products -> B×C×Ho×Wo. Each tap adds only its
+    slice inside the input, in the (i, j) order of a sum over zero-padded
+    taps: a skipped term would add +0.0 to an accumulator that starts at
+    +0.0 and never becomes -0.0, so the result is that sum bit for bit."""
     b, c, k, _, h, w = taps.shape
     out = np.zeros((b, c, ho, wo))
-    for i in range(k):
-        oy, iy = _tap_overlap(i - p, h, ho)
-        for j in range(k):
-            ox, ix = _tap_overlap(j - p, w, wo)
-            out[:, :, oy, ox] += taps[:, :, i, j, iy, ix]
+    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
+        out[:, :, oy, ox] += taps[:, :, i, j, iy, ix]
     return out
 
 
@@ -712,11 +719,28 @@ def _tap_spread(g: np.ndarray, k: int, p: int, h: int, w: int) -> np.ndarray:
     (y, x), or zero where no output pixel has such a tap."""
     b, c, ho, wo = g.shape
     out = np.zeros((b, c, k, k, h, w))
-    for i in range(k):
-        oy, iy = _tap_overlap(i - p, h, ho)
-        for j in range(k):
-            ox, ix = _tap_overlap(j - p, w, wo)
-            out[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
+        out[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+    return out
+
+
+def avg_pool2(x) -> Tensor:
+    """Mean of each 2×2 block of a B×C×H×W tensor with even H and W, as
+    ((x00 + x01)/2 + (x10 + x11)/2)/2: the bits of a mean over the column
+    pair, then over the row pair. Backward writes (g/2)/2 to all four."""
+    x = _as_tensor(x)
+    xd = x.data
+    if xd.ndim != 4 or xd.shape[2] % 2 or xd.shape[3] % 2:
+        raise DimensionError(f"avg_pool2 needs B×C×H×W with even H and W, got {xd.shape}")
+    out = Tensor(((xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2]) / 2
+                  + (xd[:, :, 1::2, 0::2] + xd[:, :, 1::2, 1::2]) / 2) / 2, x.tape)
+    if x.tape is not None:
+        def back(g, shape=xd.shape):
+            dx = np.empty(shape)
+            dx[:, :, 0::2, 0::2] = dx[:, :, 0::2, 1::2] = dx[:, :, 1::2, 0::2] \
+                = dx[:, :, 1::2, 1::2] = g / 2 / 2
+            return dx
+        _record(x.tape, out, ((x, back),))
     return out
 
 

@@ -130,7 +130,9 @@ class TestRejectedSettings:
         assert main(["gen", "--out", str(tmp_path), "--image-size", "8"]) == 2
         assert main(["cost", "--heads", "3"]) == 2
         assert main(["cost", "--image-size", "30", "--baseline"]) == 2
-        assert capsys.readouterr().err.count("config error") == 3
+        assert main(["cost", "--image-size", "16", "--k", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("config error") == 4 and captured.out == ""
 
 
 class TestGenAndDatasetFlow:
@@ -459,6 +461,19 @@ class TestCostCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sparse"]["parameters"] > 0
+
+    def test_k_beyond_the_checkpoint_image_is_a_config_error(self, tmp_path, capsys):
+        """A budget above H·W is refused, not clamped; H·W itself and 0
+        (the checkpoint's own k) still report."""
+        run_train(tmp_path)
+        path = str(tmp_path / "checkpoint.satm")
+        capsys.readouterr()   # drain training output
+        assert main(["cost", "--checkpoint", path, "--k", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+        assert main(["cost", "--checkpoint", path, "--k", "256", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sparse"]["pixel_percent"] == 100.0
+        assert main(["cost", "--checkpoint", path, "--k", "0"]) == 0
 
 
 class TestVizCommand:

@@ -589,3 +589,96 @@ class TestTapPath:
         both_x, both_w = grads(True, True)
         np.testing.assert_array_equal(both_x, grads(True, False)[0])
         np.testing.assert_array_equal(both_w, grads(False, True)[1])
+
+
+def padded_im2col(xd, k, p, ho, wo):
+    """Every K×K window of the explicitly zero-padded input, through a
+    sliding-window view: the reference that _im2col must equal bit for bit."""
+    b, c = xd.shape[:2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+
+
+def padded_col2im(dcols, c, k, p, h, w, ho, wo):
+    """Window columns added tap by tap in (i, j) order into a zero-padded
+    buffer, then cropped: the reference that _col2im must equal bit for bit."""
+    b = dcols.shape[0]
+    dc = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + ho, j:j + wo] += dc[..., i, j]
+    return dxp[:, :, p:p + h, p:p + w]
+
+
+class TestWindowPath:
+    """conv2d's input-side window path (C_in <= C_out), which the coarse
+    conv1 and both baseline convolutions run, and the baseline's pool."""
+
+    @pytest.mark.parametrize("k,p,h,w", [(1, 0, 6, 5), (1, 1, 6, 5), (3, 0, 6, 5), (3, 1, 6, 5),
+                                         (3, 2, 6, 5), (3, 3, 6, 5), (5, 0, 6, 5), (5, 2, 6, 5),
+                                         (5, 3, 6, 5), (5, 2, 1, 2)])
+    def test_columns_match_the_padded_windows_and_col2im_is_their_adjoint(self, k, p, h, w):
+        """im2col equals the sliding windows of the padded input exactly, in
+        C order; col2im equals the padded scatter-add exactly, and
+        <im2col(x), G> = <x, col2im(G)>. On a 1-pixel-high input some taps
+        meet no pixel."""
+        rng = np.random.default_rng(120 + 10 * k + p + h)
+        ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
+        x = rng.normal(0, 1, (2, 3, h, w))
+        g = rng.normal(0, 1, (2, ho * wo, 3 * k * k))
+        cols = T._im2col(x, k, p, ho, wo)
+        assert cols.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(cols, padded_im2col(x, k, p, ho, wo))
+        back = T._col2im(g, 3, k, p, h, w, ho, wo)
+        np.testing.assert_array_equal(back, padded_col2im(g, 3, k, p, h, w, ho, wo))
+        assert np.vdot(cols, g) == pytest.approx(np.vdot(x, back), rel=1e-12)
+
+    def test_columns_of_a_channel_minor_input(self):
+        """The conv output that the second conv reads is a channel-minor view;
+        its windows are the same as those of a C-order copy."""
+        rng = np.random.default_rng(131)
+        x = rng.normal(0, 1, (2, 6, 5, 4)).transpose(0, 3, 1, 2)
+        np.testing.assert_array_equal(T._im2col(x, 3, 1, 6, 5), padded_im2col(x, 3, 1, 6, 5))
+
+    @staticmethod
+    def pooled_by_means(x0, g0):
+        """Output and input gradient of the reshape and two size-2 means
+        that avg_pool2 replaces."""
+        b, c, h, w = x0.shape
+        tape = GradientTape()
+        x = Tensor(x0)
+        tape.watch(x)
+        y = T.reshape(x, (b, c, h // 2, 2, w // 2, 2))
+        out = T.reduce_mean(T.reduce_mean(y, axis=5), axis=3)
+        tape.backward(T.reduce_sum(T.mul(out, g0)))
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("layout", ["C", "channel-minor"])
+    def test_pool_matches_two_means_bit_for_bit(self, layout):
+        rng = np.random.default_rng(140)
+        x0 = rng.normal(0, 1, (3, 4, 6, 8))
+        if layout != "C":
+            x0 = np.ascontiguousarray(x0.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        g0 = rng.normal(0, 1, (3, 4, 3, 4))
+        tape = GradientTape()
+        x = Tensor(x0)
+        tape.watch(x)
+        out = T.avg_pool2(x)
+        tape.backward(T.reduce_sum(T.mul(out, g0)))
+        want_out, want_grad = self.pooled_by_means(x0, g0)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x.grad, want_grad)
+        assert len(tape._ops) == 3   # pool, mul, sum
+
+    def test_pool_grad_check(self):
+        rng = np.random.default_rng(141)
+        weights = rng.normal(0, 1, (2, 3, 2, 3))
+        f = lambda t: T.reduce_sum(T.mul(T.avg_pool2(t), weights))
+        assert grad_check(f, Tensor(rng.normal(0, 1, (2, 3, 4, 6)))) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 4), (1, 1, 4, 5), (4, 4), (1, 4, 4)])
+    def test_pool_needs_even_extents_of_a_batch(self, shape):
+        with pytest.raises(DimensionError):
+            T.avg_pool2(Tensor(np.zeros(shape)))

@@ -1,0 +1,74 @@
+"""Bit-exactness fingerprint of the seed-42 acceptance fixture and of the
+dense baseline trained on the same split.
+
+Prints, as JSON, the SHA-256 of repr(logs), of every parameter's name and
+bytes and of the SATM checkpoint of the fixture's train() run, with its
+final k and evaluate() report; then the SHA-256 of the logs and parameters
+of train_baseline() for 3 epochs, with its evaluate_baseline() report.
+Two trees whose arithmetic is the same print the same output, so a change
+meant to be bit-exact is checked by running this in both and comparing:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py
+
+Both runs take about 16 s on a 2-CPU Xeon host.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import sparseattn as sa  # noqa: E402
+from sparseattn.model import checkpoint_bytes  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _params_sha(named) -> str:
+    h = hashlib.sha256()
+    for name, t in named:
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def fingerprint(seed: int = 42, image_size: int = 32, samples_per_class: int = 300,
+                epochs: int = 28, baseline_epochs: int = 3, k_init: int = 512,
+                k_min: int = 160) -> dict:
+    """Hashes and reports of one sparse and one dense training run; the
+    defaults are the acceptance fixture's settings."""
+    spec = sa.SyntheticSpec(image_size=image_size, seed=seed, noise_sigma=0.05,
+                            samples_per_class=samples_per_class)
+    train_set, test_set = sa.split(sa.generate(spec), 0.8, seed=seed)
+    shape = (image_size, image_size)
+    model = sa.build_model(seed=seed, image_shape=shape, class_count=3, hidden=32,
+                           dim=4, heads=2, k_init=k_init, k_min=k_min)
+    config = sa.TrainConfig(epochs=epochs, batch_size=32, seed=seed, learning_rate=3e-3)
+    model, logs = sa.train(model, train_set, config)
+    net, dense_logs = sa.train_baseline(sa.build_baseline(seed, shape, 3), train_set,
+                                        dataclasses.replace(config, epochs=baseline_epochs))
+    return {
+        "sparse": {
+            "logs_sha": _sha(repr(logs).encode()),
+            "params_sha": _params_sha(model.params()),
+            "ckpt_sha": _sha(checkpoint_bytes(model)),
+            "k": model.controller.k,
+            "eval": repr(sa.evaluate(model, test_set)),
+        },
+        "baseline": {
+            "logs_sha": _sha(repr(dense_logs).encode()),
+            "params_sha": _params_sha(net.params()),
+            "eval": repr(sa.evaluate_baseline(net, test_set)),
+        },
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(fingerprint(), indent=1))
