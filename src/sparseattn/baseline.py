@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import CostReport, conv_flops
-from .data import LabeledImage, check_dataset
+from .data import SYNTHETIC_CLASSES, LabeledImage, check_dataset
 from .losses import BatchLossReport, LossConfig, focal_loss
 from .tensor import (
     GradientTape,  # noqa: F401  (bench/tracer.py wraps the name here to time steps)
@@ -78,7 +78,7 @@ class BaselineNet:
 
 
 def build_baseline(seed: int, image_shape: tuple[int, int],
-                   class_count: int = 3) -> BaselineNet:
+                   class_count: int = SYNTHETIC_CLASSES) -> BaselineNet:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 53]))
     return BaselineNet(rng, image_shape, class_count)
 

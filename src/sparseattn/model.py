@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
-from .data import DatasetError, check_image
+from .data import SYNTHETIC_CLASSES, DatasetError, check_image
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
@@ -119,12 +119,15 @@ class ModelState:
         return sum(t.data.size for _, t in self.params())
 
 
-def build_model(seed: int, image_shape: tuple[int, int], class_count: int = 3,
+def build_model(seed: int, image_shape: tuple[int, int],
+                class_count: int = SYNTHETIC_CLASSES,
                 dim: int = 4, heads: int = 2, hidden: int = 64,
                 coarse_channels: int = 8,
-                k_init: int = 8000, k_min: int = 1500, k_max: int | None = None,
-                ema_beta: float = 0.2, k_alpha: float = 0.2,
-                k_step_up: int = 80, k_step_down: int = 50) -> ModelState:
+                k_init: int = KController.k, k_min: int = KController.k_min,
+                k_max: int | None = None,
+                ema_beta: float = KController.beta, k_alpha: float = KController.alpha,
+                k_step_up: int = KController.step_up,
+                k_step_down: int = KController.step_down) -> ModelState:
     """Initialize all modules from one seed; controller bounds are clamped
     to the pixel count so paper-scale defaults stay valid on small images."""
     h, w = image_shape

@@ -49,8 +49,13 @@ def select_top_k(score_map: Tensor, image: Tensor, k: int) -> Selection:
     """Pick the k highest-scoring pixels of an H×W map, or of each map of a
     B×H×W batch; ties go to the lower flat index.
 
-    Output is sorted by descending score, then ascending flat index, so
-    identical inputs always give the identical ordered result.
+    Output is sorted by descending score, then ascending flat index, NaN
+    scores last (the order of a stable argsort of the negated scores), so
+    identical inputs always give the identical ordered result. numpy's
+    default argsort is vectorised but unstable; where some row's ranks 0…k
+    hold two equal scores (or two NaNs), one sort of the int64 key
+    run * n + flat index, run numbering the runs of equal scores in sorted
+    order, restores the stable order.
     """
     scores = score_map.data
     img = image.data
@@ -63,15 +68,28 @@ def select_top_k(score_map: Tensor, image: Tensor, k: int) -> Selection:
     n = h * w
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    flat_shape = scores.shape[:-2] + (n,)
-    # a stable sort of the negated scores keeps tied pixels in index order
-    index = np.argsort(-scores.reshape(flat_shape), axis=-1, kind="stable")[..., :k]
+    neg = -scores.reshape(-1, n)
+    offsets = np.arange(0, neg.size, n)[:, None]     # start of each row in neg.ravel()
+    order = np.argsort(neg, axis=-1)
+    ranked = neg.ravel()[order[:, :k + 1] + offsets]
+    # ranks 0…k strictly increasing: the k best scores are distinct numbers,
+    # each above every other score, so they are already in the stable order
+    if not np.all(ranked[:, :-1] < ranked[:, 1:]):
+        ranked = neg.ravel()[order + offsets]
+        a, b = ranked[:, :-1], ranked[:, 1:]
+        run = np.zeros(ranked.shape, np.int64)        # the NaNs form one run
+        np.cumsum((a != b) & (a == a), axis=-1, out=run[:, 1:])
+        run *= n
+        order = np.sort(run + order, axis=-1)[:, :k] - run[:, :k]
+    index = order[:, :k]
     rows, cols = np.divmod(index, w)
-    xd = 1.0 / (w - 1) if w > 1 else 0.0
-    yd = 1.0 / (h - 1) if h > 1 else 0.0
-    values = np.take_along_axis(img.reshape(flat_shape), index, axis=-1)
-    triplets = np.stack([cols * xd, rows * yd, values], axis=-1)
-    return Selection(index=index, triplets=triplets, width=w)
+    triplets = np.empty(index.shape + (3,))
+    np.multiply(cols, 1.0 / (w - 1) if w > 1 else 0.0, out=triplets[..., 0])
+    np.multiply(rows, 1.0 / (h - 1) if h > 1 else 0.0, out=triplets[..., 1])
+    triplets[..., 2] = img.reshape(-1)[index + offsets]
+    lead = scores.shape[:-2]
+    return Selection(index=index.reshape(lead + (k,)),
+                     triplets=triplets.reshape(lead + (k, 3)), width=w)
 
 
 @dataclass

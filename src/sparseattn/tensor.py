@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -499,15 +500,16 @@ def take(a, indices) -> Tensor:
         )
     if picks.size and (picks.min() < 0 or picks.max() >= n):
         raise DimensionError(f"take index out of range for last extent {n}")
-    data = np.take_along_axis(a.data, picks, axis=-1)
+    # a flat gather from the raveled array: each pick plus its row's start
+    flat = picks + np.arange(math.prod(lead)).reshape(lead + (1,)) * n
+    data = a.data.ravel()[flat]
     out = Tensor(data[..., 0] if one else data, a.tape)
     if a.tape is not None:
         shape, size = a.data.shape, a.data.size
-        rows = size // n if n else 0
-        flat = (np.arange(rows)[:, None] * n + picks.reshape(rows, -1)).ravel()
 
         def back(g):
-            return np.bincount(flat, weights=np.ravel(g), minlength=size).reshape(shape)
+            return np.bincount(flat.ravel(), weights=np.ravel(g),
+                               minlength=size).reshape(shape)
         _record(a.tape, out, ((a, back),))
     return out
 

@@ -51,8 +51,8 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, learning_rate: float = 1e-3,
-                 weight_decay: float = 1e-4):
+    def __init__(self, named_params, learning_rate: float = TrainConfig.learning_rate,
+                 weight_decay: float = TrainConfig.weight_decay):
         self.named_params = list(named_params)
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay

@@ -1,14 +1,14 @@
 """tools/fingerprint.py, the bit-exactness check of the training fixture,
-on a tiny configuration."""
+and tools/select_timing.py, which builds on it, on small configurations."""
 
 import importlib.util
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("fingerprint", _PATH)
+def load_tool(name="fingerprint"):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -23,3 +23,15 @@ def test_two_runs_print_the_same_fingerprint():
     for run in first.values():
         assert all(len(run[key]) == 64 for key in run if key.endswith("_sha"))
     assert 16 <= first["sparse"]["k"] <= 64
+
+
+def test_select_timing_agrees_and_reports_every_setting(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))      # select_timing imports fingerprint
+    report = load_tool("select_timing").select_timing(passes=1, samples_per_class=60,
+                                                      epochs=1)
+    assert report["images"] == 36
+    settings = {(t["maps"], t["batch"], t["k"]) for t in report["timings"]}
+    assert settings == {(m, b, k) for m in ("untrained", "trained")
+                        for b in (1, 8, 32) for k in (160, 512)}
+    assert all(0 <= t["tie_share"] <= 1 and t["stable_us"] > 0 and t["select_top_k_us"] > 0
+               for t in report["timings"])

@@ -133,7 +133,36 @@ def oracle_cases():
     maps["one-image"] = (np.round(rng.uniform(0, 1, (1, 32, 32)), 2), [1, 160, 512, 1024])
     maps["unbatched"] = (np.round(rng.uniform(0, 1, (7, 9)), 1), [1, 20, 63])
     maps["rounded-batch"] = (np.round(rng.uniform(0, 1, (32, 8, 8)), 2), [1, 10, 32, 64])
-    return [(name, scores, k) for name, (scores, ks) in maps.items() for k in ks]
+    # a trained map: distinct scores on the foreground, one clipped score on
+    # the background, whose run straddles k=512 and runs to the end of the row
+    trained = rng.uniform(0.5, 1, (4, 32, 32))
+    trained[rng.random((4, 32, 32)) < 0.55] = 0.4198
+    maps["clipped-run-to-row-end"] = (trained, [160, 512, 1024])
+    tail_ties = rng.uniform(0.5, 1, (3, 8, 8))
+    tail_ties[:, 4:, :] = 0.25                       # ranks 32…63 tie, ranks 0…31 do not
+    maps["ties-only-beyond-k"] = (tail_ties, [1, 16, 31])
+    mixed = rng.uniform(0, 1, (6, 8, 8))
+    mixed[::2, :3, :] = 2.0                          # rows 0, 2, 4 tie at ranks 0…23
+    maps["tied-and-untied-rows"] = (mixed, [8, 24, 40])
+    nan_run = rng.uniform(0, 1, (3, 6, 6))
+    nan_run[:, 3:, :] = np.nan                       # 18 numbers, then 18 NaNs
+    nan_run[1, 0, 0] = np.nan
+    maps["nan-run-straddling-k"] = (nan_run, [17, 18, 20, 36])
+    cases = [(name, scores, k) for name, (scores, ks) in maps.items() for k in ks]
+    pool = np.array([0.0, -0.0, 0.3, 0.7, 1.0, np.inf, -np.inf, np.nan])
+    for i in range(40):
+        h, w = rng.integers(2, 7, 2)
+        values = rng.choice(pool, int(rng.integers(2, 6)), replace=False)
+        shape = (h, w) if i % 4 == 0 else (int(rng.integers(1, 5)), h, w)
+        cases.append((f"sweep{i}", rng.choice(values, shape), int(rng.integers(1, h * w + 1))))
+    return cases
+
+
+def tie_among_first_ranks(scores, k):
+    """Whether some row holds equal scores (or two NaNs) among ranks 0…k."""
+    ranked = np.sort(-scores.reshape(-1, scores.shape[-2] * scores.shape[-1]))[:, :k + 1]
+    a, b = ranked[:, :-1], ranked[:, 1:]
+    return bool(np.any((a == b) | np.isnan(a) & np.isnan(b)))
 
 
 class TestAgainstStableArgsort:
@@ -146,6 +175,10 @@ class TestAgainstStableArgsort:
         assert picked.index.dtype == index.dtype
         np.testing.assert_array_equal(picked.index, index)
         np.testing.assert_array_equal(picked.triplets, triplets)
+
+    def test_cases_take_the_tie_free_and_the_re_sort_path(self):
+        tied = [tie_among_first_ranks(scores, k) for _, scores, k in oracle_cases()]
+        assert 0 < sum(tied) < len(tied)
 
 
 class TestKController:

@@ -473,6 +473,19 @@ class TestBatchedOps:
         assert out.data[1, 0] == a.data[1, 0, 2]
         assert grad_check(self.weighted(lambda t: T.take(t, idx), (2, 3)), a) <= 1e-6
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+    def test_take_equals_take_along_axis_bit_for_bit(self, shape):
+        rng = np.random.default_rng(60)
+        data = rng.normal(0, 1, shape)
+        several = rng.integers(0, shape[-1], shape[:-1] + (2 * shape[-1],))   # with repeats
+        one = rng.integers(0, shape[-1], shape[:-1])
+        last_axis_major = np.moveaxis(np.moveaxis(data, -1, 0).copy(), 0, -1)
+        for a in (data, last_axis_major):
+            np.testing.assert_array_equal(T.take(Tensor(a), several).data,
+                                          np.take_along_axis(a, several, axis=-1))
+            np.testing.assert_array_equal(T.take(Tensor(a), one).data,
+                                          np.take_along_axis(a, one[..., None], axis=-1)[..., 0])
+
     def test_take_rejects_bad_indices(self):
         a = Tensor(np.zeros((2, 3)))
         with pytest.raises(DimensionError):

@@ -39,19 +39,28 @@ def _params_sha(named) -> str:
     return h.hexdigest()
 
 
+def fixture(seed: int = 42, image_size: int = 32, samples_per_class: int = 300,
+            epochs: int = 28, k_init: int = 512, k_min: int = 160):
+    """The acceptance fixture's split, untrained model and config; the
+    defaults are its settings. Returns (train_set, test_set, model, config)."""
+    spec = sa.SyntheticSpec(image_size=image_size, seed=seed, noise_sigma=0.05,
+                            samples_per_class=samples_per_class)
+    train_set, test_set = sa.split(sa.generate(spec), 0.8, seed=seed)
+    model = sa.build_model(seed=seed, image_shape=(image_size, image_size), class_count=3,
+                           hidden=32, dim=4, heads=2, k_init=k_init, k_min=k_min)
+    config = sa.TrainConfig(epochs=epochs, batch_size=32, seed=seed, learning_rate=3e-3)
+    return train_set, test_set, model, config
+
+
 def fingerprint(seed: int = 42, image_size: int = 32, samples_per_class: int = 300,
                 epochs: int = 28, baseline_epochs: int = 3, k_init: int = 512,
                 k_min: int = 160) -> dict:
     """Hashes and reports of one sparse and one dense training run; the
     defaults are the acceptance fixture's settings."""
-    spec = sa.SyntheticSpec(image_size=image_size, seed=seed, noise_sigma=0.05,
-                            samples_per_class=samples_per_class)
-    train_set, test_set = sa.split(sa.generate(spec), 0.8, seed=seed)
-    shape = (image_size, image_size)
-    model = sa.build_model(seed=seed, image_shape=shape, class_count=3, hidden=32,
-                           dim=4, heads=2, k_init=k_init, k_min=k_min)
-    config = sa.TrainConfig(epochs=epochs, batch_size=32, seed=seed, learning_rate=3e-3)
+    train_set, test_set, model, config = fixture(seed, image_size, samples_per_class,
+                                                 epochs, k_init, k_min)
     model, logs = sa.train(model, train_set, config)
+    shape = (image_size, image_size)
     net, dense_logs = sa.train_baseline(sa.build_baseline(seed, shape, 3), train_set,
                                         dataclasses.replace(config, epochs=baseline_epochs))
     return {
