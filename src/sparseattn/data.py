@@ -113,6 +113,8 @@ def split(dataset: list[LabeledImage], train_fraction: float = 0.8,
     """Stratified, seeded, disjoint, exhaustive train/test split."""
     if not dataset:
         raise ValueError("cannot split an empty dataset")
+    if not 0 <= train_fraction <= 1:   # NaN fails it too
+        raise ValueError(f"train_fraction {train_fraction} outside [0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
     by_class: dict[int, list[int]] = {}
     for i, sample in enumerate(dataset):

@@ -17,14 +17,15 @@ from .tensor import Tensor, add, broadcast_to, concat, matmul, relu, reshape
 class Embedder:
     """3 -> hidden -> dim MLP with ReLU, shared across pixels; CLS token row."""
 
-    def __init__(self, rng: np.random.Generator, dim: int = 4, hidden: int = 16):
+    hidden = 16
+
+    def __init__(self, rng: np.random.Generator, dim: int = 4):
         self.dim = dim
-        self.hidden = hidden
         lim1 = (1.0 / 3) ** 0.5
-        lim2 = (1.0 / hidden) ** 0.5
-        self.w1 = Tensor(rng.uniform(-lim1, lim1, (3, hidden)))
-        self.b1 = Tensor(np.zeros(hidden))
-        self.w2 = Tensor(rng.uniform(-lim2, lim2, (hidden, dim)))
+        lim2 = (1.0 / self.hidden) ** 0.5
+        self.w1 = Tensor(rng.uniform(-lim1, lim1, (3, self.hidden)))
+        self.b1 = Tensor(np.zeros(self.hidden))
+        self.w2 = Tensor(rng.uniform(-lim2, lim2, (self.hidden, dim)))
         self.b2 = Tensor(np.zeros(dim))
         # a zero CLS token would zero the CLS query row and with it every
         # fine-path gradient at init, so it starts at weight scale instead

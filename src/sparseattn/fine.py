@@ -44,16 +44,14 @@ class FineAttention:
     """Shared value projection; query and key projections of D×(H*d_h),
     head h owning columns h*d_h to (h+1)*d_h, with d_h = D/H."""
 
-    def __init__(self, rng: np.random.Generator, dim: int = 4, heads: int = 2,
-                 epsilon: float = 1e-6):
+    epsilon = 1e-6   # added to the relu'd keys, so no key column sums to 0
+
+    def __init__(self, rng: np.random.Generator, dim: int = 4, heads: int = 2):
         if dim < 1 or heads < 1 or dim % heads != 0:
             raise ValueError(f"heads ({heads}) must be a positive divisor of dim ({dim})")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.epsilon = epsilon
         lim = (1.0 / dim) ** 0.5
         self.w_v = Tensor(rng.uniform(-lim, lim, (dim, dim)))
         # every query head is drawn before every key head; side by side

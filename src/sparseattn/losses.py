@@ -58,11 +58,6 @@ class LossConfig:
         if self.alpha_per_class is not None and not all(a > 0 for a in self.alpha_per_class):
             raise ValueError("class weights must be > 0")
 
-    def alpha_for(self, label: int) -> float:
-        if self.alpha_per_class is None:
-            return 1.0
-        return float(self.alpha_per_class[label])
-
 
 @dataclass
 class BatchLossReport:
@@ -91,8 +86,8 @@ def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
         raise ValueError(f"{y.size} labels for {b} rows of logits")
     p_y = clamp_min(take(softmax(logits), y), PROB_FLOOR)
     modulator = power(sub(1.0, p_y), cfg.gamma)
-    alpha = Tensor([cfg.alpha_for(label) for label in y.tolist()])
-    return reduce_mean(mul(alpha, mul(modulator, neg(log(p_y)))))
+    alpha = np.ones(b) if cfg.alpha_per_class is None else np.asarray(cfg.alpha_per_class)[y]
+    return reduce_mean(mul(Tensor(alpha), mul(modulator, neg(log(p_y)))))
 
 
 def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
@@ -100,12 +95,11 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
 
     Each anchor's positive is the highest-index same-class sample other
     than itself; the denominator runs over all other samples. Anchors
-    without a positive are skipped; no valid anchor gives exactly 0.
+    without a positive are skipped; no valid anchor (a batch of one, say)
+    gives exactly 0 and records nothing.
     """
-    if embeddings.data.ndim != 2 or embeddings.data.shape[0] < 2:
-        raise ValueError(
-            f"embeddings must be B×D with B >= 2, got shape {embeddings.data.shape}"
-        )
+    if embeddings.data.ndim != 2:
+        raise ValueError(f"embeddings must be B×D, got shape {embeddings.data.shape}")
     b = embeddings.data.shape[0]
     y = np.asarray([int(l) for l in labels])
     same = y[:, None] == y[None, :]
@@ -167,22 +161,17 @@ def distill_loss(coarse_map: Tensor, pixel_importance: Tensor,
     return reduce_mean(kl)
 
 
-def total_loss(logits: Tensor, labels, embeddings: Tensor | None,
+def total_loss(logits: Tensor, labels, embeddings: Tensor,
                distill_inputs, cfg: LossConfig) -> BatchLossReport:
     """Weighted sum of the three components over one batch.
 
-    distill_inputs is the (coarse_map, pixel_importance, selected) triple
-    of the batch, each with a leading batch axis (or of one image), or
-    None for no distillation term.
+    embeddings is B×D; distill_inputs is the (coarse_map,
+    pixel_importance, selected) triple of the batch, each with a leading
+    batch axis (or of one image).
     """
     focal = focal_loss(logits, labels, cfg)
-
-    if embeddings is not None and embeddings.data.shape[0] >= 2:
-        contr = contrastive_loss(embeddings, labels, cfg)
-    else:
-        contr = Tensor(0.0)
-
-    dist = distill_loss(*distill_inputs, cfg) if distill_inputs is not None else Tensor(0.0)
+    contr = contrastive_loss(embeddings, labels, cfg)
+    dist = distill_loss(*distill_inputs, cfg)
 
     # left-associated so the float identity total == focal + lc*c + ld*d holds bitwise
     total = add(add(focal, mul(contr, cfg.lambda_contrast)),

@@ -42,8 +42,9 @@ class Classifier:
     a batch, so a sample's logits never depend on the rest of its batch.
     """
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
-                 classes: int, blocks: int = 2):
+    block_count = 2
+
+    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, classes: int):
         self.in_dim = in_dim
         self.hidden = hidden
         self.classes = classes
@@ -51,16 +52,14 @@ class Classifier:
         lim_h = (1.0 / hidden) ** 0.5
         self.w_in = Tensor(rng.uniform(-lim_in, lim_in, (in_dim, hidden)))
         self.b_in = Tensor(np.zeros(hidden))
-        self.blocks = []
-        for _ in range(blocks):
-            self.blocks.append({
-                "w1": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
-                "b1": Tensor(np.zeros(hidden)),
-                "gamma": Tensor(np.ones(hidden)),
-                "beta": Tensor(np.zeros(hidden)),
-                "w2": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
-                "b2": Tensor(np.zeros(hidden)),
-            })
+        self.blocks = [{
+            "w1": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
+            "b1": Tensor(np.zeros(hidden)),
+            "gamma": Tensor(np.ones(hidden)),
+            "beta": Tensor(np.zeros(hidden)),
+            "w2": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
+            "b2": Tensor(np.zeros(hidden)),
+        } for _ in range(self.block_count)]
         self.w_out = Tensor(rng.uniform(-lim_h, lim_h, (hidden, classes)))
         self.b_out = Tensor(np.zeros(classes))
 
@@ -167,7 +166,7 @@ def model_forward(m: ModelState, images: Tensor, k: int):
             f"images of shape {shape} do not match the model's H×W {tuple(m.image_shape)}"
         )
     co = coarse_forward(m.coarse, images)
-    pixels = select_top_k(co.attention_map.detach(), images.detach(), k)
+    pixels = select_top_k(co.attention_map, images, k)
     tokens = embed_pixels(m.embedder, pixels.triplets)
     fo = fine_forward(m.fine, tokens)
     logits = classifier_forward(m.classifier, concat([fo.z_fine, co.z_coarse], axis=-1))

@@ -53,58 +53,14 @@ class Tensor:
         self.tape = tape
         self.tape_id = tape._register() if tape is not None else None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor: same data, no tape."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.tape = None
-        out.tape_id = None
-        return out
-
     def __repr__(self):
         taped = "" if self.tape is None else ", taped"
         return f"Tensor(shape={self.data.shape}{taped})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class GradientTape:

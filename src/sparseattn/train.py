@@ -36,10 +36,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)   # alpha None: inverse class frequency
 
     def __post_init__(self):
+        # written so that NaN fails each check
         if not (0 <= self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf
-                and self.batch_size >= 1 and self.epochs >= 0):
-            raise ValueError("need finite learning_rate and weight_decay >= 0, batch_size >= 1 "
-                             f"and epochs >= 0, got {self}")
+                and self.batch_size >= 1 and self.epochs >= 0 and 0 <= self.val_fraction < 1):
+            raise ValueError("need finite learning_rate and weight_decay >= 0, batch_size >= 1, "
+                             f"epochs >= 0 and val_fraction in [0, 1), got {self}")
 
 
 class AdamW:
@@ -144,14 +145,18 @@ def stack_images(samples: list[LabeledImage]) -> Tensor:
     return Tensor(np.stack([s.pixels.data for s in samples]))
 
 
-def chunked_confusion(forward, dataset: list[LabeledImage],
-                      class_count: int) -> np.ndarray:
+def chunked_confusion(forward, dataset: list[LabeledImage], model) -> np.ndarray:
     """Rows-are-truth confusion matrix of the logits' argmax over chunks of
     EVAL_CHUNK images; forward(B×H×W tensor) -> (B×C logits, diagnostics).
-    A chunk's diagnostics live until the next forward returns: freed
-    first, their pages went back to the OS and were faulted in again for
-    every chunk (3.5× the page faults, evaluate about 10% slower)."""
-    conf = np.zeros((class_count, class_count), dtype=np.int64)
+    The dataset must be non-empty and pass check_dataset for `model` (its
+    image_shape and class_count). A chunk's diagnostics live until the
+    next forward returns: freed first, their pages went back to the OS
+    and were faulted in again for every chunk (3.5× the page faults,
+    evaluate about 10% slower)."""
+    if not dataset:
+        raise ValueError("evaluation needs a non-empty dataset")
+    check_dataset(dataset, model.image_shape, model.class_count)
+    conf = np.zeros((model.class_count, model.class_count), dtype=np.int64)
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = dataset[start:start + EVAL_CHUNK]
         logits, _ = forward(stack_images(chunk))
@@ -161,12 +166,8 @@ def chunked_confusion(forward, dataset: list[LabeledImage],
 
 def evaluate(model: ModelState, dataset: list[LabeledImage]) -> MetricsReport:
     """Confusion-matrix metrics over a dataset with the current budget k."""
-    if not dataset:
-        raise ValueError("evaluate needs a non-empty dataset")
     k = model.controller.k
-    check_dataset(dataset, model.image_shape, model.class_count)
-    conf = chunked_confusion(lambda images: model_forward(model, images, k),
-                             dataset, model.class_count)
+    conf = chunked_confusion(lambda images: model_forward(model, images, k), dataset, model)
     h, w = model.image_shape
     return metrics_from_confusion(conf, float(k), 100.0 * k / (h * w))
 
@@ -196,8 +197,7 @@ def _batch_report(model: ModelState, batch, k: int,
     """One forward pass and loss over a batch of images sharing one k;
     returns the loss report and the argmax prediction per sample."""
     logits, diag = model_forward(model, stack_images(batch), k)
-    embeddings = diag.fine.z_fine if len(batch) >= 2 else None
-    report = total_loss(logits, [s.label for s in batch], embeddings,
+    report = total_loss(logits, [s.label for s in batch], diag.fine.z_fine,
                         (diag.coarse.attention_map, diag.fine.pixel_importance,
                          diag.pixels), cfg)
     return report, np.argmax(logits.data, axis=1)
@@ -217,6 +217,8 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
     check_dataset(dataset, model.image_shape, model.class_count)
     fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
                                                config.seed)
+    if not fit_data:
+        raise ValueError(f"val_fraction {config.val_fraction} leaves no image to fit")
     val_data = val_data or fit_data
     cfg = config.loss
     if cfg.alpha_per_class is None:

@@ -48,6 +48,13 @@ def test_single_sample_overfit():
     assert correct == 3
 
 
+def test_split_that_leaves_nothing_to_fit_is_rejected():
+    data = sa.generate(sa.SyntheticSpec(image_size=16, seed=5, samples_per_class=4))
+    with pytest.raises(ValueError, match="no image to fit"):
+        train_baseline(build_baseline(5, (16, 16), 3), data,
+                       TrainConfig(epochs=1, batch_size=4, val_fraction=0.9))
+
+
 def test_metrics_report_same_contract_as_sparse():
     data = sa.generate(sa.SyntheticSpec(image_size=16, seed=5, samples_per_class=4))
     net = build_baseline(5, (16, 16), 3)

@@ -7,6 +7,7 @@ composition of the loss, all to 1e-12 relative error. The dense baseline's
 batched forward and chunked evaluation are held to the same oracle.
 """
 
+import functools
 import gc
 import importlib
 
@@ -60,7 +61,7 @@ def focal_ref(logits, labels, cfg):
     for row, y in zip(logits, labels):
         e = np.exp(row - row.max())
         p = max(e[y] / e.sum(), 1e-12)
-        terms.append(cfg.alpha_for(y) * (1 - p) ** cfg.gamma * -np.log(p))
+        terms.append(cfg.alpha_per_class[y] * (1 - p) ** cfg.gamma * -np.log(p))
     return float(np.mean(terms))
 
 
@@ -114,9 +115,9 @@ class TestBatchedMatchesPerImage:
                                          diag.fine.pixel_importance, diag.pixels, CFG))
             outputs.append(diag)
         n = len(imgs)
-        focal = mul(sum(focal_terms[1:], focal_terms[0]), 1.0 / n)
+        focal = mul(functools.reduce(add, focal_terms), 1.0 / n)
         contr = sa.contrastive_loss(concat(z_rows, axis=0), LABELS, CFG)
-        dist = mul(sum(kl_terms[1:], kl_terms[0]), 1.0 / n)
+        dist = mul(functools.reduce(add, kl_terms), 1.0 / n)
         total = add(add(focal, mul(contr, CFG.lambda_contrast)),
                     mul(dist, CFG.lambda_distill))
         tape.backward(total)

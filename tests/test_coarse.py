@@ -92,7 +92,7 @@ class TestGradientPaths:
         tape = GradientTape()
         tape.watch(*[t for _, t in model.params()])
         logits, diag = sa.model_forward(model, img, k=10)
-        report = total_loss(reshape(logits, (1, 3)), [1], None,
+        report = total_loss(reshape(logits, (1, 3)), [1], reshape(diag.fine.z_fine, (1, -1)),
                             (diag.coarse.attention_map,
                              diag.fine.pixel_importance, diag.pixels), cfg)
         tape.backward(report.total_tensor)
@@ -105,7 +105,7 @@ class TestGradientPaths:
         tape = GradientTape()
         tape.watch(*[t for _, t in model.params()])
         logits, diag = sa.model_forward(model, img, k=10)
-        report = total_loss(reshape(logits, (1, 3)), [1], None,
+        report = total_loss(reshape(logits, (1, 3)), [1], reshape(diag.fine.z_fine, (1, -1)),
                             (diag.coarse.attention_map,
                              diag.fine.pixel_importance, diag.pixels),
                             LossConfig(lambda_distill=0.0))

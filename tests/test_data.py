@@ -124,6 +124,16 @@ class TestSplit:
         with pytest.raises(ValueError):
             split([], 0.8, seed=0)
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="train_fraction"):
+            split(self._dataset(4), fraction, seed=0)
+
+    def test_fraction_bounds_put_everything_on_one_side(self):
+        data = self._dataset(4)
+        assert [len(part) for part in split(data, 0.0, seed=0)] == [0, 12]
+        assert [len(part) for part in split(data, 1.0, seed=0)] == [12, 0]
+
 
 class TestPgm:
     def test_full_white_reads_as_ones(self, tmp_path):

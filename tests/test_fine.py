@@ -10,8 +10,9 @@ from sparseattn.tensor import DimensionError, Tensor, mul, reduce_sum
 
 
 def make_attention(seed=0, dim=4, heads=2, epsilon=1e-6):
-    return FineAttention(np.random.default_rng(seed), dim=dim, heads=heads,
-                         epsilon=epsilon)
+    fa = FineAttention(np.random.default_rng(seed), dim=dim, heads=heads)
+    fa.epsilon = epsilon
+    return fa
 
 
 def loop_oracle(fa: FineAttention, tokens: np.ndarray):

@@ -128,9 +128,17 @@ class TestContrastiveLoss:
         value = contrastive_loss(z, [0, 0, 1], cfg).item()
         assert np.isfinite(value)
 
-    def test_needs_two_samples(self):
+    def test_one_sample_gives_zero(self):
+        tape = GradientTape()
+        z = Tensor([[1.0, 0.0]])
+        tape.watch(z)
+        out = contrastive_loss(z, [0], LossConfig())
+        assert out.item() == 0.0
+        assert out.tape is None and not tape._ops
+
+    def test_embeddings_must_be_b_by_d(self):
         with pytest.raises(ValueError):
-            contrastive_loss(Tensor([[1.0, 0.0]]), [0], LossConfig())
+            contrastive_loss(Tensor([1.0, 0.0]), [0], LossConfig())
 
     def test_grad_check(self):
         rng = np.random.default_rng(0)
@@ -234,6 +242,17 @@ class TestTotalLoss:
         report = total_loss(logits, labels, z, d, cfg)
         assert report.total == report.focal + 0.1 * report.contrastive \
             + 0.02 * report.distill
+
+    def test_one_image_batch(self):
+        """A single row: no contrastive anchor, so the total is the focal and
+        distillation terms, summed in total_loss's own order, bit for bit."""
+        logits, labels, z, d = self._batch(2)
+        cfg = LossConfig(lambda_contrast=0.1, lambda_distill=0.02)
+        report = total_loss(Tensor(logits.data[:1]), labels[:1], Tensor(z.data[:1]), d, cfg)
+        assert report.contrastive == 0.0
+        assert report.total == (report.focal + 0.0 * cfg.lambda_contrast) \
+            + cfg.lambda_distill * report.distill
+        assert report.focal > 0 and report.distill > 0
 
     def test_arithmetic_on_stated_weights(self):
         # focal 1, contrastive 2, distill 3 with weights (0.1, 0.02) -> 1.26

@@ -105,14 +105,6 @@ class TestElementwise:
         out = T.power(Tensor([0.3, 0.0, 2.0]), 0.0)
         np.testing.assert_array_equal(out.data, [1.0, 1.0, 1.0])
 
-    def test_operator_sugar(self):
-        x = Tensor([2.0, 4.0])
-        np.testing.assert_array_equal((x + 1.0).data, [3.0, 5.0])
-        np.testing.assert_array_equal((1.0 - x).data, [-1.0, -3.0])
-        np.testing.assert_array_equal((x * x).data, [4.0, 16.0])
-        np.testing.assert_array_equal((x / 2.0).data, [1.0, 2.0])
-        np.testing.assert_array_equal((-x).data, [-2.0, -4.0])
-
 
 class TestReduce:
     def test_sum(self):

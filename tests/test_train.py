@@ -190,6 +190,22 @@ class TestTrain:
             assert key in logs[0], key
 
 
+class TestValFraction:
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, float("nan")])
+    def test_config_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="val_fraction"):
+            TrainConfig(val_fraction=fraction)
+
+    def test_split_that_leaves_nothing_to_fit_is_rejected(self):
+        # 4 images per class at 0.9: round(3.6) = 4 validate, none fit
+        model = tiny_model()
+        before = checkpoint_bytes(model)
+        with pytest.raises(ValueError, match="no image to fit"):
+            train(model, tiny_dataset(), TrainConfig(epochs=1, batch_size=4,
+                                                     val_fraction=0.9))
+        assert checkpoint_bytes(model) == before
+
+
 class TestEvaluate:
     def test_reports_controller_k_and_percentage(self):
         data = tiny_dataset()
