@@ -37,6 +37,7 @@ from .data import (
     export_dataset,
     generate,
     load_dataset,
+    read_file,
     read_pgm,
     split,
     write_pgm,
@@ -113,10 +114,9 @@ _OPTIONS = {**_OWN_OPTIONS, **{key: _fed_option(*feed) for key, feed in _FEEDS.i
 
 
 def _read_config_file(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    lines = read_file(path, "config file", ConfigError, "UTF-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -149,13 +149,23 @@ def _resolve(args: argparse.Namespace) -> dict:
             settings["seed"] = int(env) if env else 0
         except ValueError as err:
             raise ConfigError(f"SPARSEATTN_SEED is not an integer: {env!r}") from err
+    if settings["seed"] < 0:
+        raise ConfigError(f"seed {settings['seed']} is negative")
     if settings["model"] not in ("sparse", "baseline"):
         raise ConfigError(f"unknown model {settings['model']!r}")
     return settings
 
 
+def _out_dir(raw: str) -> Path:
+    """--out as a directory, made if missing; ConfigError if it cannot be."""
+    try:
+        Path(raw).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make the --out directory {raw}: {err.strerror}") from err
+    return Path(raw)
+
+
 def _write_resolved(settings: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     for key in sorted(_OPTIONS):
         value = settings[key]
@@ -190,8 +200,8 @@ def _load_data(settings: dict):
 
 def cmd_gen(args) -> int:
     settings = _resolve(args)
-    out_dir = Path(args.out)
     data = generate(_build(SyntheticSpec, settings, seed=settings["seed"]))
+    out_dir = _out_dir(args.out)
     export_dataset(data, out_dir)
     _write_resolved(settings, out_dir)
     print(f"wrote {len(data)} images to {out_dir}")
@@ -200,12 +210,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _resolve(args)
-    out_dir = Path(args.out)
     data, classes = _load_data(settings)
     train_set, test_set = split(data, 0.8, settings["seed"])
     shape = train_set[0].pixels.data.shape
     config = _build(TrainConfig, settings, seed=settings["seed"],
                     loss=_build(LossConfig, settings))
+    out_dir = _out_dir(args.out)
     _write_resolved(settings, out_dir)
 
     if settings["model"] == "baseline":
@@ -262,15 +272,9 @@ def checkpoint_from_bytes(data: bytes, source="checkpoint"):
         raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
 
 
-def _load_any_checkpoint(path: Path):
-    if not path.is_file():
-        raise DatasetError(f"checkpoint not found: {path}")
-    return checkpoint_from_bytes(path.read_bytes(), path)
-
-
 def cmd_eval(args) -> int:
     settings = _resolve(args)
-    kind, model = _load_any_checkpoint(Path(args.checkpoint))
+    kind, model = checkpoint_from_bytes(read_file(args.checkpoint, "checkpoint"), args.checkpoint)
     data, _ = _load_data(settings)
     metrics = evaluate(model, data) if kind == "sparse" else evaluate_baseline(model, data)
     if settings["json"]:
@@ -299,7 +303,8 @@ def _print_cost(title: str, report) -> None:
 def cmd_cost(args) -> int:
     settings = _resolve(args)
     if args.checkpoint:
-        kind, model = _load_any_checkpoint(Path(args.checkpoint))
+        kind, model = checkpoint_from_bytes(read_file(args.checkpoint, "checkpoint"),
+                                            args.checkpoint)
         if kind == "baseline":
             report = baseline_cost(model)
             payload = {"baseline": report.to_dict()}
@@ -334,15 +339,14 @@ def cmd_cost(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    kind, model = _load_any_checkpoint(Path(args.checkpoint))
+    kind, model = checkpoint_from_bytes(read_file(args.checkpoint, "checkpoint"), args.checkpoint)
     if kind != "sparse":
         raise DatasetError("viz needs a sparse-model checkpoint")
     image_path = Path(args.image)
     pixels = read_pgm(image_path)
     k = model.controller.k
     logits, diag = model_forward(model, Tensor(pixels), k)   # DatasetError on a shape mismatch
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     stem = image_path.stem
 
     coarse_map = diag.coarse.attention_map.data

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledImage, check_dataset
+from .data import LabeledImage, check_dataset, stratified_parts
 from .losses import BatchLossReport, LossConfig, class_weights, total_loss
 from .model import ModelState, checkpoint_bytes, model_forward, restore_model
 from .selector import update_k
@@ -172,26 +172,6 @@ def evaluate(model: ModelState, dataset: list[LabeledImage]) -> MetricsReport:
     return metrics_from_confusion(conf, float(k), 100.0 * k / (h * w))
 
 
-def _stratified_val_split(dataset, fraction, seed):
-    if fraction <= 0:
-        return list(dataset), []
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset):
-        by_class.setdefault(s.label, []).append(i)
-    fit_idx, val_idx = [], []
-    for label in sorted(by_class):
-        idx = np.array(by_class[label])
-        if len(idx) < 2:
-            fit_idx.extend(idx.tolist())
-            continue
-        perm = rng.permutation(len(idx))
-        cut = max(1, int(round(fraction * len(idx))))
-        val_idx.extend(idx[perm[:cut]].tolist())
-        fit_idx.extend(idx[perm[cut:]].tolist())
-    return [dataset[i] for i in fit_idx], [dataset[i] for i in val_idx]
-
-
 def _batch_report(model: ModelState, batch, k: int,
                   cfg: LossConfig) -> tuple[BatchLossReport, np.ndarray]:
     """One forward pass and loss over a batch of images sharing one k;
@@ -215,8 +195,11 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
     check_dataset(dataset, model.image_shape, model.class_count)
-    fit_data, val_data = _stratified_val_split(dataset, config.val_fraction,
-                                               config.seed)
+    val_data, fit_data = [], dataset
+    if config.val_fraction:   # each class of n >= 2 validates at least one image
+        val_data, fit_data = stratified_parts(
+            dataset, config.seed, 31,
+            lambda label, n: max(1, int(round(config.val_fraction * n))) if n > 1 else 0)
     if not fit_data:
         raise ValueError(f"val_fraction {config.val_fraction} leaves no image to fit")
     val_data = val_data or fit_data

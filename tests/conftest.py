@@ -1,6 +1,23 @@
 """Shared test helpers."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from sparseattn.tensor import GradientTape, central_difference_error
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """The module tools/<name>.py. The tools import each other by name, so
+    tools/ joins sys.path."""
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def param_grad_errors(named_params, loss_fn, eps: float = 1e-5) -> dict[str, float]:

@@ -52,3 +52,10 @@ def test_required_spans_fire_on_a_tiny_run():
     # result the tracer scores against the foreground mask
     hits = [s["hit"] for s in tracer.spans if "hit" in s]
     assert hits and all(0.0 <= h <= 1.0 for h in hits)
+
+
+def test_fit_images_counts_the_images_fit_trains_on():
+    from test_data import fit_parts, interleaved_dataset
+    data = interleaved_dataset()
+    fit_set, _ = fit_parts(data, workloads.VAL_FRACTION, seed=0)
+    assert workloads.fit_images(data) == len(fit_set)

@@ -135,6 +135,94 @@ class TestRejectedSettings:
         assert captured.err.count("config error") == 4 and captured.out == ""
 
 
+class TestUnusablePaths:
+    """An input path that names a directory, a config file that is not UTF-8
+    text and an --out path that cannot be a directory print one line, with
+    no traceback, and exit 3 (a dataset, image or checkpoint) or 2 (a config
+    file or --out)."""
+
+    @staticmethod
+    def assert_one_line(capsys, start):
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err
+
+    def test_manifest_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        (tmp_path / "data" / "manifest.csv").mkdir(parents=True)
+        code = main(["train", "--dataset", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        self.assert_one_line(capsys, "data error: manifest unreadable (Is a directory)")
+
+    def test_manifest_row_that_names_a_directory_exits_3(self, tmp_path, capsys):
+        (tmp_path / "sub.pgm").mkdir()
+        (tmp_path / "manifest.csv").write_text("filename,label\nsub.pgm,0\n")
+        code = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        self.assert_one_line(capsys, "data error: image file unreadable (Is a directory)")
+
+    def test_viz_image_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.satm"
+        ckpt.write_bytes(checkpoint_bytes(build_model(seed=0, image_shape=(16, 16), hidden=8,
+                                                      k_init=40, k_min=16)))
+        code = main(["viz", "--checkpoint", str(ckpt), "--image", str(tmp_path),
+                     "--out", str(tmp_path / "viz")])
+        assert code == 3
+        self.assert_one_line(capsys, "data error: image file unreadable (Is a directory)")
+
+    def test_checkpoint_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path), "--synthetic"]) == 3
+        self.assert_one_line(capsys, "data error: checkpoint unreadable (Is a directory)")
+
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path / "none.satm"),
+                     "--config", str(tmp_path)])
+        assert code == 2
+        self.assert_one_line(capsys, "config error: config file unreadable (Is a directory)")
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed=1\n# \xff\n")
+        code = main(["eval", "--checkpoint", str(tmp_path / "none.satm"),
+                     "--config", str(config)])
+        assert code == 2
+        self.assert_one_line(capsys, f"config error: config file {config}: not UTF-8 text")
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["gen", "--out", str(tmp_path / "file"), "--samples-per-class", "1",
+                     "--image-size", "16"])
+        assert code == 2
+        self.assert_one_line(capsys, "config error: cannot make the --out directory")
+
+    def test_out_inside_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run_train(tmp_path / "file" / "sub") == 2
+        self.assert_one_line(capsys, "config error: cannot make the --out directory")
+
+
+class TestNegativeSeed:
+    """A negative seed, from a flag, a config file or SPARSEATTN_SEED, is a
+    config error (exit 2) before any command does work."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "cost"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, command, source):
+        out = tmp_path / "out"
+        argv = {"gen": ["gen", "--out", str(out)],
+                "train": ["train", "--synthetic", "--out", str(out)],
+                "cost": ["cost"]}[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            (tmp_path / "run.cfg").write_text("seed=-1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            monkeypatch.setenv("SPARSEATTN_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: seed -1 is negative\n"
+        assert not out.exists()
+
+
 class TestGenAndDatasetFlow:
     def test_gen_then_train_from_directory(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -16,7 +16,9 @@ from sparseattn.data import (
     split,
     write_pgm,
 )
-from sparseattn.tensor import Tensor
+from sparseattn.losses import BatchLossReport
+from sparseattn.tensor import Tensor, reduce_sum
+from sparseattn.train import TrainConfig, fit
 
 
 class TestGenerate:
@@ -133,6 +135,98 @@ class TestSplit:
         data = self._dataset(4)
         assert [len(part) for part in split(data, 0.0, seed=0)] == [0, 12]
         assert [len(part) for part in split(data, 1.0, seed=0)] == [12, 0]
+
+
+def interleaved_dataset() -> list[LabeledImage]:
+    """23 2×2 images in classes of 1, 2, 3, 7 and 10 samples (labels 3, 0, 4,
+    1, 2), dealt round-robin so no class is contiguous or first in order."""
+    sizes = {3: 1, 0: 2, 4: 3, 1: 7, 2: 10}
+    labels = [label for r in range(10) for label, size in sizes.items() if r < size]
+    return [LabeledImage(Tensor(np.full((2, 2), i / 23)), label)
+            for i, label in enumerate(labels)]
+
+
+class _Recorder:
+    """The model `fit` needs, with one parameter, and the batches it sees."""
+
+    image_shape, class_count = (2, 2), 5
+
+    def __init__(self):
+        self.w = Tensor(np.zeros(1))
+        self.batches = []
+
+    def params(self):
+        return [("w", self.w)]
+
+    def batch_report(self, batch, cfg):
+        self.batches.append(batch)
+        report = BatchLossReport(0.0, 0.0, 0.0, 0.0, reduce_sum(self.w))
+        return report, np.array([s.label for s in batch])
+
+
+def fit_parts(dataset, val_fraction: float, seed: int):
+    """(fit, validation) lists as `fit` draws them, from one epoch in one
+    batch: the training batch is the fit list in the order of the epoch's
+    shuffle (seed salt 37), and the validation batch comes in list order."""
+    model = _Recorder()
+    config = TrainConfig(epochs=1, batch_size=len(dataset), seed=seed,
+                         val_fraction=val_fraction)
+    fit(model, dataset, config, model.batch_report, lambda: b"", lambda data: None,
+        lambda loss: {})
+    trained, validated = model.batches
+    order = np.random.default_rng(np.random.SeedSequence([seed, 37])).permutation(len(trained))
+    return [trained[j] for j in np.argsort(order)], (validated if val_fraction else [])
+
+
+class TestMembership:
+    """The exact members, in order, of the test split and the validation
+    split of interleaved_dataset(); the lists were recorded from the two
+    splitters that preceded data.stratified_parts."""
+
+    SPLIT = {
+        (0, 0.0): ([0], [5, 1, 12, 7, 10, 3, 18, 14, 16, 20, 4, 15, 22, 21, 8, 17, 19, 13,
+                         11, 2, 6, 9]),
+        (0, 0.8): ([5, 1, 12, 7, 10, 3, 18, 14, 20, 4, 15, 22, 21, 8, 17, 19, 0, 2, 6],
+                   [16, 13, 11, 9]),
+        (0, 1.0): ([5, 1, 12, 7, 10, 3, 18, 14, 16, 20, 4, 15, 22, 21, 8, 17, 19, 13, 11, 0,
+                    2, 6, 9], []),
+        (5, 0.0): ([0], [5, 1, 7, 14, 18, 16, 3, 12, 10, 21, 17, 22, 11, 15, 4, 20, 13, 19,
+                         8, 2, 6, 9]),
+        (5, 0.8): ([5, 1, 7, 14, 18, 16, 3, 12, 21, 17, 22, 11, 15, 4, 20, 13, 0, 2, 6],
+                   [10, 19, 8, 9]),
+        (5, 1.0): ([5, 1, 7, 14, 18, 16, 3, 12, 10, 21, 17, 22, 11, 15, 4, 20, 13, 19, 8, 0,
+                    2, 6, 9], []),
+    }
+    VALIDATION = {
+        (0, 0.0): (list(range(23)), []),
+        (0, 0.2): ([1, 10, 7, 3, 14, 12, 16, 21, 19, 13, 15, 11, 8, 17, 22, 0, 9, 2],
+                   [5, 18, 20, 4, 6]),
+        (0, 0.5): ([1, 14, 12, 16, 15, 11, 8, 17, 22, 0, 2],
+                   [5, 18, 10, 7, 3, 20, 4, 21, 19, 13, 6, 9]),
+        (5, 0.0): (list(range(23)), []),
+        (5, 0.2): ([1, 12, 14, 18, 10, 16, 7, 11, 17, 20, 4, 21, 22, 13, 19, 0, 9, 2],
+                   [5, 3, 15, 8, 6]),
+        (5, 0.5): ([1, 10, 16, 7, 4, 21, 22, 13, 19, 0, 2],
+                   [5, 3, 12, 14, 18, 15, 8, 11, 17, 20, 6, 9]),
+    }
+
+    @staticmethod
+    def positions(dataset, parts):
+        where = {id(s): i for i, s in enumerate(dataset)}
+        return tuple([where[id(s)] for s in part] for part in parts)
+
+    @pytest.mark.parametrize("seed, fraction", sorted(SPLIT))
+    def test_split(self, seed, fraction):
+        data = interleaved_dataset()
+        with pytest.warns(UserWarning, match="class 3 has fewer than 2"):
+            parts = split(data, fraction, seed=seed)
+        assert self.positions(data, parts) == self.SPLIT[seed, fraction]
+
+    @pytest.mark.parametrize("seed, fraction", sorted(VALIDATION))
+    def test_validation_split(self, seed, fraction):
+        data = interleaved_dataset()
+        parts = fit_parts(data, fraction, seed)
+        assert self.positions(data, parts) == self.VALIDATION[seed, fraction]
 
 
 class TestPgm:

@@ -1,21 +1,11 @@
 """tools/fingerprint.py, the bit-exactness check of the training fixture,
 and tools/select_timing.py, which builds on it, on small configurations."""
 
-import importlib.util
-from pathlib import Path
-
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-
-def load_tool(name="fingerprint"):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tool
 
 
 def test_two_runs_print_the_same_fingerprint():
-    tool = load_tool()
+    tool = load_tool("fingerprint")
     settings = dict(image_size=16, samples_per_class=10, epochs=1, baseline_epochs=1,
                     k_init=64, k_min=16)
     first = tool.fingerprint(**settings)
@@ -25,8 +15,7 @@ def test_two_runs_print_the_same_fingerprint():
     assert 16 <= first["sparse"]["k"] <= 64
 
 
-def test_select_timing_agrees_and_reports_every_setting(monkeypatch):
-    monkeypatch.syspath_prepend(str(_TOOLS))      # select_timing imports fingerprint
+def test_select_timing_agrees_and_reports_every_setting():
     report = load_tool("select_timing").select_timing(passes=1, samples_per_class=60,
                                                       epochs=1)
     assert report["images"] == 36

@@ -1,11 +1,15 @@
-"""Import hygiene: every name a package module imports is used in it.
+"""Import hygiene: every name a package module imports is used in it, and
+every private module-level name is referenced somewhere in the package.
 
 No linter runs on this repository, and a deleted function easily leaves
-its import behind. Each module of src/sparseattn except __init__.py (whose
-imports are the public API) is parsed with ast; an imported name counts as
-used when it appears as a name anywhere in the module. An import whose own
-line carries `# noqa` is exempt: such a name is kept for code outside the
-module that looks it up there.
+its import behind, as a merged one leaves its helper. Each module of
+src/sparseattn except __init__.py (whose imports are the public API) is
+parsed with ast; an imported name counts as used when it appears as a name
+anywhere in the module. A private name (one leading underscore) that a
+module defines at its top level counts as referenced when some module of
+the package, __init__.py included, reads it as a name, an attribute or an
+import. An import or definition whose own line carries `# noqa` is exempt:
+such a name is kept for code elsewhere that looks it up there.
 """
 
 import ast
@@ -33,6 +37,35 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and "# noqa" not in lines[line - 1])
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each private top-level name of `sources` (module
+    name -> source) that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and "# noqa" not in lines[node.lineno - 1]):
+                    defined.append((name, f"{module}.{name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(where for name, where in defined if name not in read)
+
+
 def test_modules_found():
     assert {"tensor.py", "train.py", "baseline.py"} <= {p.name for p in MODULES}
 
@@ -50,3 +83,26 @@ def test_checker_flags_an_unused_name_and_honours_noqa():
               ")\n"
               "print(sep)\n")
     assert unused_imports(source) == ["exit", "path"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_checker_flags_a_dead_name_and_honours_noqa():
+    sources = {
+        "a": ("_LIMIT = 3\n"
+              "_dead, _KEPT = 1, 2  # noqa\n"
+              "__version__ = '1'\n"
+              "def _helper():\n"
+              "    return _LIMIT\n"
+              "def _orphan():\n"
+              "    _orphan_local = 1\n"
+              "class _Shape:\n"
+              "    pass\n"),
+        "b": ("from a import _helper\n"
+              "import a\n"
+              "_unused: int = a._Shape and 0\n"),
+    }
+    assert unreferenced_private_names(sources) == ["a._orphan", "b._unused"]

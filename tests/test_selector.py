@@ -14,6 +14,10 @@ from sparseattn.selector import (
 )
 from sparseattn.tensor import NumericError, Tensor
 
+from conftest import load_tool
+
+select_timing = load_tool("select_timing")   # stable_selection, the oracle, and tie_share
+
 
 def brute_force_order(scores: np.ndarray) -> list[int]:
     """Full sort by (descending value, ascending flat index)."""
@@ -100,17 +104,6 @@ class TestSelectTopK:
         assert floor >= max(rest)
 
 
-def stable_argsort_selection(scores: np.ndarray, images: np.ndarray, k: int):
-    """(index, triplets) by a full stable argsort of the negated scores: the
-    order select_top_k promises, NaN scores last."""
-    h, w = scores.shape[-2:]
-    flat_shape = scores.shape[:-2] + (h * w,)
-    index = np.argsort(-scores.reshape(flat_shape), axis=-1, kind="stable")[..., :k]
-    rows, cols = np.divmod(index, w)
-    values = np.take_along_axis(images.reshape(flat_shape), index, axis=-1)
-    return index, np.stack([cols * (1.0 / (w - 1)), rows * (1.0 / (h - 1)), values], axis=-1)
-
-
 def oracle_cases():
     rng = np.random.default_rng(29)
     maps = {}
@@ -158,26 +151,20 @@ def oracle_cases():
     return cases
 
 
-def tie_among_first_ranks(scores, k):
-    """Whether some row holds equal scores (or two NaNs) among ranks 0…k."""
-    ranked = np.sort(-scores.reshape(-1, scores.shape[-2] * scores.shape[-1]))[:, :k + 1]
-    a, b = ranked[:, :-1], ranked[:, 1:]
-    return bool(np.any((a == b) | np.isnan(a) & np.isnan(b)))
-
-
 class TestAgainstStableArgsort:
     @pytest.mark.parametrize("name, scores, k", oracle_cases(),
                              ids=[f"{name}-k{k}" for name, _, k in oracle_cases()])
     def test_selection_equals_the_oracle(self, name, scores, k):
         images = np.random.default_rng(k).uniform(0, 1, scores.shape)
         picked = select_top_k(Tensor(scores), Tensor(images), k)
-        index, triplets = stable_argsort_selection(scores, images, k)
+        index, triplets = select_timing.stable_selection(scores, images, k)
         assert picked.index.dtype == index.dtype
         np.testing.assert_array_equal(picked.index, index)
         np.testing.assert_array_equal(picked.triplets, triplets)
 
     def test_cases_take_the_tie_free_and_the_re_sort_path(self):
-        tied = [tie_among_first_ranks(scores, k) for _, scores, k in oracle_cases()]
+        tied = [select_timing.tie_share(scores.reshape(-1, *scores.shape[-2:]), k) > 0
+                for _, scores, k in oracle_cases()]
         assert 0 < sum(tied) < len(tied)
 
 

@@ -39,8 +39,9 @@ from sparseattn.tensor import Tensor  # noqa: E402
 
 
 def stable_selection(scores: np.ndarray, images: np.ndarray, k: int):
-    """The replaced selector: (index, triplets) from a full stable argsort
-    of the negated scores."""
+    """The replaced selector, and the oracle of tests/test_selector.py:
+    (index, triplets) from a full stable argsort of the negated scores (the
+    order select_top_k promises, NaN scores last)."""
     h, w = scores.shape[-2:]
     flat_shape = scores.shape[:-2] + (h * w,)
     index = np.argsort(-scores.reshape(flat_shape), axis=-1, kind="stable")[..., :k]
