@@ -291,50 +291,45 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _print_cost(title: str, report) -> None:
-    print(title)
-    print(f"  parameters    {report.parameters}")
-    for stage, flops in report.stage_flops.items():
-        print(f"  {stage:<12}  {flops} MACs")
-    print(f"  total         {report.total_flops} MACs")
-    print(f"  % image       {report.pixel_percent:.2f}")
-
-
 def cmd_cost(args) -> int:
     settings = _resolve(args)
     if args.checkpoint:
         kind, model = checkpoint_from_bytes(read_file(args.checkpoint, "checkpoint"),
                                             args.checkpoint)
-        if kind == "baseline":
-            report = baseline_cost(model)
-            payload = {"baseline": report.to_dict()}
-            if settings["json"]:
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                _print_cost("dense baseline", report)
-            return 0
-        shape = model.image_shape
     else:
-        shape = (settings["image-size"],) * 2
-        model = _build(build_model, settings, seed=settings["seed"], image_shape=shape,
-                       class_count=SYNTHETIC_CLASSES, k_max=settings["k-max"] or None)
-    if not 0 <= settings["k"] <= shape[0] * shape[1]:
-        raise ConfigError(f"k {settings['k']} outside 0..{shape[0] * shape[1]} (0: model's k)")
-    k = settings["k"] or model.controller.k
-    report = count_cost(model, shape, k)
-    payload = {"sparse": report.to_dict()}
-    if settings["baseline"]:
-        base = baseline_cost(_build(build_baseline, settings, seed=settings["seed"],
-                                    image_shape=shape, class_count=model.class_count))
-        payload["baseline"] = base.to_dict()
-        payload["flops_ratio"] = report.total_flops / base.total_flops
+        kind, model = "sparse", _build(build_model, settings, seed=settings["seed"],
+                                       image_shape=(settings["image-size"],) * 2,
+                                       class_count=SYNTHETIC_CLASSES,
+                                       k_max=settings["k-max"] or None)
+    shape = model.image_shape
+    reports = {}   # payload key -> (table title, report)
+    if kind == "baseline":
+        reports["baseline"] = ("dense baseline", baseline_cost(model))
+    else:
+        if not 0 <= settings["k"] <= shape[0] * shape[1]:
+            raise ConfigError(f"k {settings['k']} outside 0..{shape[0] * shape[1]} (0: model's k)")
+        k = settings["k"] or model.controller.k
+        sparse = count_cost(model, shape, k)
+        reports["sparse"] = (f"sparse model (k={k})", sparse)
+        if settings["baseline"]:
+            base = baseline_cost(_build(build_baseline, settings, seed=settings["seed"],
+                                        image_shape=shape, class_count=model.class_count))
+            reports["baseline"] = ("dense baseline", base)
+    payload = {key: report.to_dict() for key, (_, report) in reports.items()}
+    if len(reports) == 2:
+        payload["flops_ratio"] = sparse.total_flops / base.total_flops
     if settings["json"]:
         print(json.dumps(payload, sort_keys=True))
-    else:
-        _print_cost(f"sparse model (k={k})", report)
-        if settings["baseline"]:
-            _print_cost("dense baseline", base)
-            print(f"  flops ratio   {payload['flops_ratio']:.3f}")
+        return 0
+    for title, report in reports.values():
+        print(title)
+        print(f"  parameters    {report.parameters}")
+        for stage, flops in report.stage_flops.items():
+            print(f"  {stage:<12}  {flops} MACs")
+        print(f"  total         {report.total_flops} MACs")
+        print(f"  % image       {report.pixel_percent:.2f}")
+    if "flops_ratio" in payload:
+        print(f"  flops ratio   {payload['flops_ratio']:.3f}")
     return 0
 
 
@@ -441,6 +436,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 4
+    except OSError as err:   # every read and --out map their own errors: this is a write
+        print(f"config error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .tensor import (
     log,
     matmul,
     mul,
-    neg,
     power,
     reduce_mean,
     reduce_sum,
@@ -77,7 +76,7 @@ def _labels(labels, classes: int) -> np.ndarray:
 
 
 def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
-    """Batch mean of alpha_y * (1 - p_y)^gamma * (-log p_y) over softmax p."""
+    """Batch mean of -alpha_y * (1 - p_y)^gamma * log p_y over softmax p."""
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be B×C, got shape {logits.data.shape}")
     b, c = logits.data.shape
@@ -87,7 +86,7 @@ def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
     p_y = clamp_min(take(softmax(logits), y), PROB_FLOOR)
     modulator = power(sub(1.0, p_y), cfg.gamma)
     alpha = np.ones(b) if cfg.alpha_per_class is None else np.asarray(cfg.alpha_per_class)[y]
-    return reduce_mean(mul(Tensor(alpha), mul(modulator, neg(log(p_y)))))
+    return reduce_mean(mul(Tensor(-alpha), mul(modulator, log(p_y))))
 
 
 def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
@@ -118,7 +117,7 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
 
     denom = sub(reduce_sum(scores, axis=1), take(scores, np.arange(b)))
     ratio = div(take(scores, positive), denom)
-    return reduce_mean(neg(log(take(ratio, anchors))))
+    return mul(reduce_mean(log(take(ratio, anchors))), -1.0)
 
 
 def distill_target(pixel_importance: Tensor, k: int, emphasis: float) -> np.ndarray:

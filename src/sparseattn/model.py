@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
-from .data import SYNTHETIC_CLASSES, DatasetError, check_image
+from .data import SYNTHETIC_CLASSES, DatasetError, check_image, read_file
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
@@ -235,8 +235,7 @@ def save_model(m: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    return model_from_bytes(read_file(path, "checkpoint"))
 
 
 def restore_model(m: ModelState, data: bytes) -> None:

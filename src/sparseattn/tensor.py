@@ -125,8 +125,6 @@ class GradientTape:
             g = grads.get(t.tape_id)
             if g is None:
                 g = np.zeros_like(t.data)
-            elif g.shape != t.data.shape:
-                g = np.asarray(g).reshape(t.data.shape)
             if not np.all(np.isfinite(g)):
                 raise NumericError("non-finite gradient reached a watched leaf")
             t.grad = g if t.grad is None else t.grad + g
@@ -255,14 +253,6 @@ def affine(x, scale, shift) -> Tensor:
             (scale, lambda g: _unbroadcast(g * xd, sd.shape)),
             (shift, lambda g: _unbroadcast(g, bsh)),
         ))
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data, a.tape)
-    if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: -g),))
     return out
 
 
@@ -748,43 +738,22 @@ def central_difference_error(analytic, values: np.ndarray, evaluate,
 # serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"SATN"
-
-
-def dump_tensor(t: Tensor, fh) -> None:
-    """Write one binary tensor record: magic, u32 rank, u32 extents, f64 data."""
-    fh.write(_MAGIC)
-    shape = t.data.shape
-    fh.write(struct.pack("<I", len(shape)))
-    for extent in shape:
-        fh.write(struct.pack("<I", extent))
-    fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-
-
-def read_tensor(fh) -> Tensor:
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}, expected {_MAGIC!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-    n = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-    return Tensor(data.reshape(shape))
+_RECORD_MAGIC = b"SATN"
 
 
 def pack(magic: bytes, version: int, meta: dict, named) -> bytes:
     """Checkpoint container: 4-byte magic, u32 version, u32 length plus
     sorted-key JSON metadata, u32 record count, then per record a u16
-    length plus UTF-8 name and one SATN tensor record."""
+    length plus UTF-8 name and one SATN tensor record: the magic SATN,
+    u32 rank, u32 extents and the little-endian f64 data."""
     blob = json.dumps(meta, sort_keys=True).encode()
-    buf = io.BytesIO()
-    buf.write(magic + struct.pack("<II", version, len(blob)) + blob
-              + struct.pack("<I", len(named)))
+    parts = [magic, struct.pack("<II", version, len(blob)), blob, struct.pack("<I", len(named))]
     for name, t in named:
-        raw = name.encode()
-        buf.write(struct.pack("<H", len(raw)) + raw)
-        dump_tensor(t, buf)
-    return buf.getvalue()
+        raw, shape = name.encode(), t.data.shape
+        parts += [struct.pack(f"<H{len(raw)}s4sI{len(shape)}I", len(raw), raw,
+                              _RECORD_MAGIC, len(shape), *shape),
+                  np.ascontiguousarray(t.data, dtype="<f8").tobytes()]
+    return b"".join(parts)
 
 
 def unpack(data: bytes, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
@@ -805,7 +774,13 @@ def unpack(data: bytes, magic: bytes, version: int) -> tuple[dict, dict[str, np.
         name = buf.read(name_len).decode()
         if name in arrays:
             raise ValueError(f"checkpoint repeats tensor {name}")
-        arrays[name] = read_tensor(buf).data
+        record = buf.read(4)
+        if record != _RECORD_MAGIC:
+            raise ValueError(f"bad tensor magic {record!r}, expected {_RECORD_MAGIC!r}")
+        (rank,) = struct.unpack("<I", buf.read(4))
+        shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(rank))
+        values = np.frombuffer(buf.read(8 * math.prod(shape)), dtype="<f8")
+        arrays[name] = values.astype(np.float64).reshape(shape)
     if buf.read(1):
         raise ValueError(f"{len(data) - buf.tell() + 1} trailing bytes after the last record")
     return meta, arrays

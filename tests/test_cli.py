@@ -200,6 +200,38 @@ class TestUnusablePaths:
         self.assert_one_line(capsys, "config error: cannot make the --out directory")
 
 
+class TestUnwritableOutputs:
+    """A file the command writes inside a usable --out directory, but that
+    names a directory, is a config error (exit 2) with one line and no
+    traceback."""
+
+    @staticmethod
+    def assert_cannot_write(capsys, path):
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {path}: Is a directory\n"
+
+    def test_train_checkpoint(self, tmp_path, capsys):
+        (tmp_path / "checkpoint.satm").mkdir()
+        assert run_train(tmp_path) == 2
+        self.assert_cannot_write(capsys, tmp_path / "checkpoint.satm")
+
+    def test_gen_manifest(self, tmp_path, capsys):
+        (tmp_path / "manifest.csv").mkdir()
+        assert main(["gen", "--out", str(tmp_path), "--samples-per-class", "1",
+                     "--image-size", "16"]) == 2
+        self.assert_cannot_write(capsys, tmp_path / "manifest.csv")
+
+    def test_viz_coarse_map(self, tmp_path, capsys):
+        ckpt, image = tmp_path / "model.satm", tmp_path / "img.pgm"
+        ckpt.write_bytes(checkpoint_bytes(build_model(seed=0, image_shape=(16, 16), hidden=8,
+                                                      k_init=40, k_min=16)))
+        write_pgm(image, np.full((16, 16), 0.5))
+        (tmp_path / "viz" / "img_coarse.pgm").mkdir(parents=True)
+        assert main(["viz", "--checkpoint", str(ckpt), "--image", str(image),
+                     "--out", str(tmp_path / "viz")]) == 2
+        self.assert_cannot_write(capsys, tmp_path / "viz" / "img_coarse.pgm")
+
+
 class TestNegativeSeed:
     """A negative seed, from a flag, a config file or SPARSEATTN_SEED, is a
     config error (exit 2) before any command does work."""
@@ -562,6 +594,52 @@ class TestCostCommand:
         assert main(["cost", "--checkpoint", path, "--k", "256", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["sparse"]["pixel_percent"] == 100.0
         assert main(["cost", "--checkpoint", path, "--k", "0"]) == 0
+
+
+class TestCostOutput:
+    """The exact stdout of `cost`, as a table and as JSON, on a SATB
+    checkpoint, on a SATM checkpoint with --baseline and with no checkpoint.
+    Cost depends on shapes alone, so untrained checkpoints pin it."""
+
+    BASELINE_TABLE = ("dense baseline\n  parameters    6339\n  conv1         36864 MACs\n"
+                      "  conv2         294912 MACs\n  head          1536 MACs\n"
+                      "  total         333312 MACs\n  % image       100.00\n")
+    BASELINE_JSON = ('{"parameters": 6339, "pixel_percent": 100.0, "stage_flops": '
+                     '{"conv1": 36864, "conv2": 294912, "head": 1536}, "total_flops": 333312}')
+    EXPECTED = {
+        ("satb", False): BASELINE_TABLE,
+        ("satb", True): '{"baseline": ' + BASELINE_JSON + '}\n',
+        ("satm", False): (
+            "sparse model (k=40)\n  parameters    804\n  coarse        36864 MACs\n"
+            "  embedding     4480 MACs\n  fine          3444 MACs\n"
+            "  classifier    392 MACs\n  total         45180 MACs\n  % image       15.62\n"
+            + BASELINE_TABLE + "  flops ratio   0.136\n"),
+        ("satm", True): (
+            '{"baseline": ' + BASELINE_JSON + ', "flops_ratio": 0.13554867511520738, '
+            '"sparse": {"parameters": 804, "pixel_percent": 15.625, "stage_flops": '
+            '{"classifier": 392, "coarse": 36864, "embedding": 4480, "fine": 3444}, '
+            '"total_flops": 45180}}\n'),
+        ("none", False): (
+            "sparse model (k=160)\n  parameters    5220\n  coarse        147456 MACs\n"
+            "  embedding     17920 MACs\n  fine          13524 MACs\n"
+            "  classifier    4640 MACs\n  total         183540 MACs\n  % image       15.62\n"),
+        ("none", True): (
+            '{"sparse": {"parameters": 5220, "pixel_percent": 15.625, "stage_flops": '
+            '{"classifier": 4640, "coarse": 147456, "embedding": 17920, "fine": 13524}, '
+            '"total_flops": 183540}}\n'),
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("case", ["satb", "satm", "none"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, case, as_json):
+        (tmp_path / "m.satb").write_bytes(baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)))
+        (tmp_path / "m.satm").write_bytes(checkpoint_bytes(
+            build_model(seed=0, image_shape=(16, 16), hidden=8, k_init=40, k_min=16)))
+        argv = {"satb": ["cost", "--checkpoint", str(tmp_path / "m.satb")],
+                "satm": ["cost", "--checkpoint", str(tmp_path / "m.satm"), "--baseline"],
+                "none": ["cost", "--image-size", "32", "--k", "160", "--hidden", "32"]}[case]
+        assert main(argv + ["--json"] * as_json) == 0
+        assert capsys.readouterr().out == self.EXPECTED[case, as_json]
 
 
 class TestVizCommand:

@@ -145,6 +145,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             model_from_bytes(b"JUNK" + b"\x00" * 32)
 
+    def test_load_and_save_round_trip(self, tmp_path):
+        m = small_model(13)
+        sa.save_model(m, tmp_path / "m.satm")
+        assert checkpoint_bytes(sa.load_model(tmp_path / "m.satm")) == checkpoint_bytes(m)
+
+    def test_load_missing_checkpoint_is_a_data_error(self, tmp_path):
+        with pytest.raises(sa.DatasetError, match="checkpoint not found"):
+            sa.load_model(tmp_path / "none.satm")
+
+    def test_load_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(sa.DatasetError, match=r"checkpoint unreadable \(Is a directory\)"):
+            sa.load_model(tmp_path)
+
 
 class TestEndToEndGradients:
     def test_full_model_grad_check_running_stats_mode(self):

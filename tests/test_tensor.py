@@ -2,8 +2,6 @@
 tape discipline, and the binary/CSV serialization round trip.
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -176,7 +174,6 @@ class TestGradCheck:
             "relu": scalar(T.relu),
             "sigmoid": scalar(T.sigmoid),
             "exp": scalar(T.exp),
-            "neg": scalar(T.neg),
             "power2.7": scalar(lambda x: T.power(x, 2.7)),
             "clamp": scalar(lambda x: T.clamp_min(x, 0.1)),
             "sum": lambda x: T.reduce_sum(x),
@@ -314,28 +311,36 @@ class TestTape:
 class TestSerialization:
     def test_binary_round_trip_bit_exact(self):
         rng = np.random.default_rng(3)
-        t = Tensor(rng.normal(0, 1, (3, 4, 2)))
-        buf = io.BytesIO()
-        T.dump_tensor(t, buf)
-        buf.seek(0)
-        back = T.read_tensor(buf)
-        assert back.data.shape == (3, 4, 2)
-        assert back.data.tobytes() == t.data.tobytes()
+        named = [("a", Tensor(rng.normal(0, 1, (3, 4, 2)))), ("scalar", Tensor(-2.5))]
+        meta, arrays = T.unpack(T.pack(b"TEST", 7, {"n": 1}, named), b"TEST", 7)
+        assert meta == {"n": 1} and list(arrays) == ["a", "scalar"]
+        for name, t in named:
+            assert arrays[name].shape == t.data.shape
+            assert arrays[name].tobytes() == t.data.tobytes()
 
-    def test_magic_and_layout(self, tmp_path):
-        t = Tensor([[1.0, 2.0]])
-        buf = io.BytesIO()
-        T.dump_tensor(t, buf)
-        raw = buf.getvalue()
-        assert raw[:4] == b"SATN"
-        assert int.from_bytes(raw[4:8], "little") == 2          # rank
-        assert int.from_bytes(raw[8:12], "little") == 1         # extents
-        assert int.from_bytes(raw[12:16], "little") == 2
-        assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.0, 2.0]
+    def test_magic_and_layout(self):
+        """Header, metadata and record count, then the name, then the first
+        record: SATN, u32 rank, u32 extents, little-endian f64 data."""
+        raw = T.pack(b"TEST", 7, {}, [("w", Tensor([[1.0, 2.0]]))])
+        record = 4 + 8 + len(b"{}") + 4 + 2 + len(b"w")
+        assert raw[record - 3:record] == b"\x01\x00w"
+        assert raw[record:record + 4] == b"SATN"
+        assert int.from_bytes(raw[record + 4:record + 8], "little") == 2    # rank
+        assert int.from_bytes(raw[record + 8:record + 12], "little") == 1   # extents
+        assert int.from_bytes(raw[record + 12:record + 16], "little") == 2
+        assert np.frombuffer(raw[record + 16:], dtype="<f8").tolist() == [1.0, 2.0]
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            T.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
+        raw = bytearray(T.pack(b"TEST", 7, {}, [("w", Tensor([1.0]))]))
+        record = raw.index(b"SATN")
+        raw[record:record + 4] = b"XXXX"
+        with pytest.raises(ValueError, match="bad tensor magic b'XXXX'"):
+            T.unpack(bytes(raw), b"TEST", 7)
+
+    def test_trailing_bytes_counted(self):
+        raw = T.pack(b"TEST", 7, {}, [("w", Tensor([1.0, 2.0]))])
+        with pytest.raises(ValueError, match="^3 trailing bytes after the last record$"):
+            T.unpack(raw + b"\x00" * 3, b"TEST", 7)
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "t.csv"
