@@ -113,7 +113,7 @@ def train_baseline(net: BaselineNet, dataset: list[LabeledImage],
     logs = fit(net, dataset, config,
                lambda batch, cfg: _batch_report(net, batch, cfg),
                lambda: baseline_checkpoint_bytes(net),
-               lambda data: assign_params(net.params(), unpack(data, _MAGIC, _VERSION)[1]),
+               lambda data: assign_params(net.params(), unpack(data, BASELINE_MAGIC, _VERSION)[1]),
                lambda train_loss: {})
     return net, logs
 
@@ -141,24 +141,19 @@ def baseline_cost(net: BaselineNet) -> CostReport:
 # checkpointing: the tensor.pack container, as for the sparse model
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"SATB"
+BASELINE_MAGIC = b"SATB"
 _VERSION = 1
 
 
 def baseline_checkpoint_bytes(net: BaselineNet) -> bytes:
     meta = {"image_shape": list(net.image_shape), "classes": net.class_count}
-    return pack(_MAGIC, _VERSION, meta, net.params())
+    return pack(BASELINE_MAGIC, _VERSION, meta, net.params())
 
 
 def baseline_from_bytes(data: bytes) -> BaselineNet:
-    meta, arrays = unpack(data, _MAGIC, _VERSION)
+    meta, arrays = unpack(data, BASELINE_MAGIC, _VERSION)
     h, w = meta["image_shape"]
     check_sizes(arrays, [("head_w", 0, _flat_size(h, w)), ("head_w", 1, meta["classes"])])
     net = build_baseline(0, (h, w), meta["classes"])
     assign_params(net.params(), arrays)
     return net
-
-
-def save_baseline(net: BaselineNet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(baseline_checkpoint_bytes(net))

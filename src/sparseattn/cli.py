@@ -15,18 +15,19 @@ import argparse
 import inspect
 import json
 import os
-import struct
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from .baseline import (
+    BASELINE_MAGIC,
+    baseline_checkpoint_bytes,
     baseline_cost,
     baseline_from_bytes,
     build_baseline,
     evaluate_baseline,
-    save_baseline,
     train_baseline,
 )
 from .cost import count_cost
@@ -37,13 +38,14 @@ from .data import (
     export_dataset,
     generate,
     load_dataset,
+    parse_checkpoint,
     read_file,
     read_pgm,
     split,
     write_pgm,
 )
 from .losses import LossConfig
-from .model import build_model, model_forward, model_from_bytes, save_model
+from .model import MODEL_MAGIC, build_model, checkpoint_bytes, model_forward, model_from_bytes
 from .selector import write_topk_csv
 from .tensor import NumericError, Tensor, tensor_to_csv
 from .train import TrainConfig, evaluate, train
@@ -68,7 +70,6 @@ _OWN_OPTIONS: dict[str, tuple] = {
     "dataset": (str, "", "dataset directory containing manifest.csv"),
     "model": (str, "sparse", "model family: sparse or baseline"),
     "seed": (int, None, "RNG seed (fallback: SPARSEATTN_SEED, then 0)"),
-    "k-max": (int, 0, "maximum pixel budget (0 = full image)"),
     "k": (int, 0, "pixel budget for cost accounting (0 = from checkpoint)"),
     "json": (bool, False, "emit JSON instead of a table"),
     "baseline": (bool, False, "also report the dense baseline cost"),
@@ -87,6 +88,7 @@ _FEEDS: dict[str, tuple] = {
     "emphasis": (LossConfig, "emphasis", "distillation target sharpening exponent"),
     "k-init": (build_model, "k_init", "initial pixel budget"),
     "k-min": (build_model, "k_min", "minimum pixel budget"),
+    "k-max": (build_model, "k_max", "maximum pixel budget (0 = full image)"),
     "k-step-up": (build_model, "k_step_up", "budget increase step"),
     "k-step-down": (build_model, "k_step_down", "budget decrease step"),
     "ema-beta": (build_model, "ema_beta", "loss EMA coefficient"),
@@ -111,6 +113,16 @@ def _fed_option(home, parameter: str, help_text: str) -> tuple:
 
 # key -> (type, default, help) of every option
 _OPTIONS = {**_OWN_OPTIONS, **{key: _fed_option(*feed) for key, feed in _FEEDS.items()}}
+
+
+# What the CLI calls to build, train, evaluate and checkpoint one model family
+_Family = namedtuple("_Family", "magic build train evaluate to_bytes from_bytes")
+_FAMILIES = {   # --model value -> family
+    "sparse": _Family(MODEL_MAGIC, build_model, train, evaluate, checkpoint_bytes,
+                      model_from_bytes),
+    "baseline": _Family(BASELINE_MAGIC, build_baseline, train_baseline, evaluate_baseline,
+                        baseline_checkpoint_bytes, baseline_from_bytes),
+}
 
 
 def _read_config_file(path: Path) -> dict:
@@ -151,7 +163,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"SPARSEATTN_SEED is not an integer: {env!r}") from err
     if settings["seed"] < 0:
         raise ConfigError(f"seed {settings['seed']} is negative")
-    if settings["model"] not in ("sparse", "baseline"):
+    if settings["model"] not in _FAMILIES:
         raise ConfigError(f"unknown model {settings['model']!r}")
     return settings
 
@@ -194,8 +206,7 @@ def _load_data(settings: dict):
     data = load_dataset(settings["dataset"])
     if not data:
         raise DatasetError(f"dataset at {settings['dataset']} is empty")
-    classes = max(s.label for s in data) + 1
-    return data, classes
+    return data, max(s.label for s in data) + 1
 
 
 def cmd_gen(args) -> int:
@@ -210,33 +221,25 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _resolve(args)
+    family = _FAMILIES[settings["model"]]
     data, classes = _load_data(settings)
     train_set, test_set = split(data, 0.8, settings["seed"])
-    shape = train_set[0].pixels.data.shape
     config = _build(TrainConfig, settings, seed=settings["seed"],
                     loss=_build(LossConfig, settings))
+    model = _build(family.build, settings, seed=settings["seed"],
+                   image_shape=train_set[0].pixels.data.shape, class_count=classes)
     out_dir = _out_dir(args.out)
     _write_resolved(settings, out_dir)
-
-    if settings["model"] == "baseline":
-        model = _build(build_baseline, settings, seed=settings["seed"], image_shape=shape,
-                       class_count=classes)
-        ckpt_path = out_dir / "checkpoint.satb"
-        train_fn, save_fn, eval_fn = train_baseline, save_baseline, evaluate_baseline
-    else:
-        model = _build(build_model, settings, seed=settings["seed"], image_shape=shape,
-                       class_count=classes, k_max=settings["k-max"] or None)
-        ckpt_path = out_dir / "checkpoint.satm"
-        train_fn, save_fn, eval_fn = train, save_model, evaluate
-    try:
-        model, logs = train_fn(model, train_set, config)
-    except NumericError as err:
-        save_fn(model, ckpt_path)
-        print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}",
-              file=sys.stderr)
-        return 4
-    save_fn(model, ckpt_path)
-    metrics = eval_fn(model, test_set) if test_set else None
+    ckpt_path = out_dir / f"checkpoint.{family.magic.decode().lower()}"
+    with open(ckpt_path, "wb") as ckpt:   # opened first: an unwritable path exits 2 untrained
+        try:
+            model, logs = family.train(model, train_set, config)
+        except NumericError as err:
+            ckpt.write(family.to_bytes(model))
+            print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}", file=sys.stderr)
+            return 4
+        ckpt.write(family.to_bytes(model))
+    metrics = family.evaluate(model, test_set) if test_set else None
 
     with open(out_dir / "metrics.jsonl", "w") as fh:
         for record in logs:
@@ -250,33 +253,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-_CHECKPOINT_KINDS = {
-    b"SATM": ("sparse", model_from_bytes),
-    b"SATB": ("baseline", baseline_from_bytes),
-}
-
-
 def checkpoint_from_bytes(data: bytes, source="checkpoint"):
-    """(kind, model) of a SATM or SATB byte string. Bad magic, another
-    version, truncation, trailing bytes, corrupt records, missing, unknown
-    or wrong-shaped tensors and metadata of the wrong type all raise
-    DatasetError, naming `source`."""
-    magic = data[:4]
-    if magic not in _CHECKPOINT_KINDS:
-        raise DatasetError(f"{source}: unrecognized checkpoint magic {magic!r}")
-    kind, parse = _CHECKPOINT_KINDS[magic]
-    try:
-        return kind, parse(data)
-    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as err:
-        # ValueError covers bad JSON and bad UTF-8 as well; OverflowError an infinite int
-        raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
+    """(family name, model) of a SATM or SATB byte string; a damaged one
+    raises DatasetError naming `source` (`data.parse_checkpoint`)."""
+    for kind, family in _FAMILIES.items():
+        if data[:4] == family.magic:
+            return kind, parse_checkpoint(family.from_bytes, data, source)
+    raise DatasetError(f"{source}: unrecognized checkpoint magic {data[:4]!r}")
 
 
 def cmd_eval(args) -> int:
     settings = _resolve(args)
     kind, model = checkpoint_from_bytes(read_file(args.checkpoint, "checkpoint"), args.checkpoint)
     data, _ = _load_data(settings)
-    metrics = evaluate(model, data) if kind == "sparse" else evaluate_baseline(model, data)
+    metrics = _FAMILIES[kind].evaluate(model, data)
     if settings["json"]:
         print(json.dumps(metrics.to_dict(), sort_keys=True))
     else:
@@ -299,8 +289,7 @@ def cmd_cost(args) -> int:
     else:
         kind, model = "sparse", _build(build_model, settings, seed=settings["seed"],
                                        image_shape=(settings["image-size"],) * 2,
-                                       class_count=SYNTHETIC_CLASSES,
-                                       k_max=settings["k-max"] or None)
+                                       class_count=SYNTHETIC_CLASSES)
     shape = model.image_shape
     reports = {}   # payload key -> (table title, report)
     if kind == "baseline":
@@ -364,21 +353,26 @@ def cmd_viz(args) -> int:
     return 0
 
 
-def _add_options(parser: argparse.ArgumentParser, keys) -> None:
-    for key in keys:
-        typ, _, help_text = _OPTIONS[key]
-        flag = f"--{key}"
-        if typ is bool:
-            parser.add_argument(flag, action="store_const", const=True,
-                                default=None, help=help_text)
-        else:
-            parser.add_argument(flag, type=typ, default=None, help=help_text)
-
-
+# A subcommand's own arguments: flag -> add_argument keywords
+_OUT = {"--out": {"required": True, "help": "output directory"}}
+_CONFIG = {"--config": {"default": "", "help": "key=value config file"}}
+_CHECKPOINT = {"--checkpoint": {"required": True}}
 _GEN_KEYS = ["seed", *_fed_by(SyntheticSpec)]
-_TRAIN_KEYS = [k for k in _OPTIONS if k not in ("k", "json", "baseline")]
-_DATA_KEYS = ["synthetic", "dataset", *_GEN_KEYS, "json"]
-_COST_KEYS = ["seed", "image-size", *_fed_by(build_model), "k-max", "k", "json", "baseline"]
+
+# subcommand -> (handler, help line, own arguments, settings keys)
+_COMMANDS = {
+    "gen": (cmd_gen, "write a synthetic PGM dataset", {**_OUT, **_CONFIG}, _GEN_KEYS),
+    "train": (cmd_train, "train a model and write checkpoint + logs", {**_OUT, **_CONFIG},
+              [key for key in _OPTIONS if key not in ("k", "json", "baseline")]),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset", {**_CHECKPOINT, **_CONFIG},
+             ["synthetic", "dataset", *_GEN_KEYS, "json"]),
+    "cost": (cmd_cost, "report parameters and per-stage FLOPs",
+             {"--checkpoint": {"default": ""}, **_CONFIG},
+             ["seed", "image-size", *_fed_by(build_model), "k", "json", "baseline"]),
+    "viz": (cmd_viz, "export attention maps for one image",
+            {**_CHECKPOINT, "--image": {"required": True, "help": "input PGM image"}, **_OUT},
+            []),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,37 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a synthetic PGM dataset")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default="", help="key=value config file")
-    _add_options(p, _GEN_KEYS)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="train a model and write checkpoint + logs")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default="", help="key=value config file")
-    _add_options(p, _TRAIN_KEYS)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default="", help="key=value config file")
-    _add_options(p, _DATA_KEYS)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cost", help="report parameters and per-stage FLOPs")
-    p.add_argument("--checkpoint", default="")
-    p.add_argument("--config", default="", help="key=value config file")
-    _add_options(p, _COST_KEYS)
-    p.set_defaults(func=cmd_cost)
-
-    p = sub.add_parser("viz", help="export attention maps for one image")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--image", required=True, help="input PGM image")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_viz)
-
+    for name, (func, help_line, arguments, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in arguments.items():
+            p.add_argument(flag, **keywords)
+        for key in keys:
+            typ, _, help_text = _OPTIONS[key]
+            kind = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+            p.add_argument(f"--{key}", default=None, help=help_text, **kind)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,17 @@ def read_file(path, what: str, error=DatasetError, encoding: str | None = None):
         raise error(f"{what} not found: {path}") from err
     except OSError as err:
         raise error(f"{what} unreadable ({err.strerror}): {path}") from err
+
+
+def parse_checkpoint(parse, data: bytes, source):
+    """parse(data), where bad magic, another version, truncation, trailing
+    bytes, corrupt records, missing, unknown or wrong-shaped tensors and
+    metadata of the wrong type all raise DatasetError, naming `source`."""
+    try:
+        return parse(data)
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error) as err:
+        # ValueError covers bad JSON and bad UTF-8 as well; OverflowError an infinite int
+        raise DatasetError(f"{source}: corrupt or truncated checkpoint: {err}") from err
 
 
 SYNTHETIC_CLASSES = 3   # label 0 disk, 1 annulus, 2 two-lobed blob

@@ -43,7 +43,8 @@ PROB_FLOOR = 1e-12
 @dataclass
 class LossConfig:
     gamma: float = 2.0
-    alpha_per_class: list[float] | None = None   # None -> uniform 1.0
+    # None: focal_loss weighs every class 1.0; train.fit fills in class_weights
+    alpha_per_class: list[float] | None = None
     lambda_contrast: float = 0.1
     lambda_distill: float = 0.02
     tau: float = 0.07

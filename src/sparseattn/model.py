@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
-from .data import SYNTHETIC_CLASSES, DatasetError, check_image, read_file
+from .data import SYNTHETIC_CLASSES, DatasetError, check_image, parse_checkpoint, read_file
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
@@ -123,12 +123,13 @@ def build_model(seed: int, image_shape: tuple[int, int],
                 dim: int = 4, heads: int = 2, hidden: int = 64,
                 coarse_channels: int = 8,
                 k_init: int = KController.k, k_min: int = KController.k_min,
-                k_max: int | None = None,
+                k_max: int = 0,
                 ema_beta: float = KController.beta, k_alpha: float = KController.alpha,
                 k_step_up: int = KController.step_up,
                 k_step_down: int = KController.step_down) -> ModelState:
     """Initialize all modules from one seed; controller bounds are clamped
-    to the pixel count so paper-scale defaults stay valid on small images."""
+    to the pixel count so paper-scale defaults stay valid on small images,
+    and k_max 0 is the whole image."""
     h, w = image_shape
     sizes = dict(height=h, width=w, class_count=class_count, dim=dim, heads=heads,
                  hidden=hidden, coarse_channels=coarse_channels)
@@ -136,7 +137,7 @@ def build_model(seed: int, image_shape: tuple[int, int],
         raise ValueError(f"every size must be at least 1, got {sizes}")
     n = h * w
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 17]))
-    k_max = n if k_max is None else min(int(k_max), n)
+    k_max = min(int(k_max), n) if k_max else n
     k_min = min(int(k_min), k_max)
     ctrl = KController(k=k_init, k_min=k_min, k_max=k_max, beta=ema_beta,
                        alpha=k_alpha, step_up=k_step_up, step_down=k_step_down)
@@ -185,7 +186,7 @@ def predict(m: ModelState, image: Tensor) -> int:
 # checkpointing
 # ---------------------------------------------------------------------------
 
-_CKPT_MAGIC = b"SATM"
+MODEL_MAGIC = b"SATM"
 _CKPT_VERSION = 4
 
 
@@ -203,11 +204,11 @@ def checkpoint_bytes(m: ModelState) -> bytes:
         "coarse_channels": m.coarse.channels,
         "controller": asdict(m.controller),
     }
-    return pack(_CKPT_MAGIC, _CKPT_VERSION, meta, m.params())
+    return pack(MODEL_MAGIC, _CKPT_VERSION, meta, m.params())
 
 
 def model_from_bytes(data: bytes) -> ModelState:
-    meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
+    meta, arrays = unpack(data, MODEL_MAGIC, _CKPT_VERSION)
     dim, hidden, channels = meta["dim"], meta["hidden"], meta["coarse_channels"]
     # each size is bounded by a record at least as large as anything built from it
     check_sizes(arrays, [("coarse.conv1_w", 0, channels),
@@ -235,11 +236,12 @@ def save_model(m: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    return model_from_bytes(read_file(path, "checkpoint"))
+    """The model in SATM file `path`; DatasetError if it is unreadable or damaged."""
+    return parse_checkpoint(model_from_bytes, read_file(path, "checkpoint"), path)
 
 
 def restore_model(m: ModelState, data: bytes) -> None:
     """In-place restore of parameters and controller state."""
-    meta, arrays = unpack(data, _CKPT_MAGIC, _CKPT_VERSION)
+    meta, arrays = unpack(data, MODEL_MAGIC, _CKPT_VERSION)
     assign_params(m.params(), arrays)
     m.controller = KController(**meta["controller"])

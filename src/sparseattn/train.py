@@ -33,7 +33,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     val_fraction: float = 0.2
-    loss: LossConfig = field(default_factory=LossConfig)   # alpha None: inverse class frequency
+    loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
         # written so that NaN fails each check

@@ -2,6 +2,7 @@
 round trip, and byte-determinism of emitted files.
 """
 
+import argparse
 import inspect
 import json
 import os
@@ -12,12 +13,12 @@ import pytest
 
 from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
 import sparseattn.model as model_module
-from sparseattn.cli import _FEEDS, _OPTIONS, _build, checkpoint_from_bytes, main
+from sparseattn.cli import _FEEDS, _OPTIONS, _build, build_parser, checkpoint_from_bytes, main
 from sparseattn.data import DatasetError, SyntheticSpec, read_pgm, write_pgm
 from sparseattn.losses import LossConfig
 from sparseattn.model import build_model, checkpoint_bytes
 from sparseattn.tensor import Tensor, pack, unpack
-from sparseattn.train import TrainConfig
+from sparseattn.train import AdamW, TrainConfig
 
 FAST_TRAIN = ["--epochs", "2", "--samples-per-class", "4", "--image-size", "16",
               "--hidden", "8", "--k-init", "40", "--k-min", "16", "--batch", "4"]
@@ -56,6 +57,19 @@ class TestTrainCommand:
         code = run_train(tmp_path, extra=["--lr", "1e25"])
         assert code == 4
         assert (tmp_path / "checkpoint.satm").exists()
+
+    def test_baseline_writes_a_checkpoint_that_eval_and_cost_read(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            assert run_train(tmp_path / name, extra=["--model", "baseline"]) == 0
+        ckpt = tmp_path / "a" / "checkpoint.satb"
+        assert sorted(os.listdir(tmp_path / "a")) == ["checkpoint.satb", "config.resolved",
+                                                      "metrics.jsonl"]
+        for f in os.listdir(tmp_path / "a"):
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+        assert main(["eval", "--checkpoint", str(ckpt), "--synthetic", "--image-size", "16",
+                     "--samples-per-class", "2"]) == 0
+        assert main(["cost", "--checkpoint", str(ckpt)]) == 0
+        assert "dense baseline" in capsys.readouterr().out
 
     def test_paper_scale_defaults_present_in_resolved(self, tmp_path):
         run_train(tmp_path, extra=["--k-init", "8000", "--k-min", "1500"])
@@ -210,7 +224,12 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert err == f"config error: cannot write {path}: Is a directory\n"
 
-    def test_train_checkpoint(self, tmp_path, capsys):
+    def test_train_checkpoint(self, tmp_path, capsys, monkeypatch):
+        """Found before training: no optimizer step runs."""
+        def step(self):
+            raise AssertionError("train stepped before it checked its checkpoint path")
+
+        monkeypatch.setattr(AdamW, "step", step)
         (tmp_path / "checkpoint.satm").mkdir()
         assert run_train(tmp_path) == 2
         self.assert_cannot_write(capsys, tmp_path / "checkpoint.satm")
@@ -704,11 +723,67 @@ def test_cli_defaults_are_the_library_defaults():
     settings = {key: spec[1] for key, spec in _OPTIONS.items()}
     assert _build(TrainConfig, settings, loss=_build(LossConfig, settings)) == TrainConfig()
     assert _build(SyntheticSpec, settings) == SyntheticSpec()
-    # no library default: the CLI's own choices, and two sentinels (seed None
-    # falls back to SPARSEATTN_SEED and then 0, k-max 0 is build_model's None)
-    own = {"synthetic", "dataset", "model", "seed", "k-max", "k", "json", "baseline"}
+    # no library default: the CLI's own choices, and one sentinel (seed None
+    # falls back to SPARSEATTN_SEED and then 0)
+    own = {"synthetic", "dataset", "model", "seed", "k", "json", "baseline"}
     assert not set(_FEEDS) & own
     assert set(_FEEDS) | own == set(_OPTIONS)
-    build = inspect.signature(build_model).parameters
-    assert _OPTIONS["k-max"][1] == 0 and build["k_max"].default is None
     assert _OPTIONS["seed"][1] is None and TrainConfig().seed == SyntheticSpec().seed == 0
+
+
+class TestParser:
+    """Each subcommand's help line and its option strings with their help
+    text, as the parser stood before its table was written; compared as
+    sets, so the order of options is free."""
+
+    HELP = {
+        "--help": "show this help message and exit", "--out": "output directory",
+        "--config": "key=value config file", "--checkpoint": None, "--image": "input PGM image",
+        "--synthetic": "use the in-memory synthetic dataset",
+        "--dataset": "dataset directory containing manifest.csv",
+        "--model": "model family: sparse or baseline",
+        "--seed": "RNG seed (fallback: SPARSEATTN_SEED, then 0)",
+        "--k": "pixel budget for cost accounting (0 = from checkpoint)",
+        "--json": "emit JSON instead of a table",
+        "--baseline": "also report the dense baseline cost",
+        "--epochs": "training epochs", "--batch": "batch size", "--lr": "learning rate",
+        "--wd": "decoupled weight decay", "--gamma": "focal focusing parameter",
+        "--lambda-contrast": "contrastive loss weight",
+        "--lambda-distill": "distillation loss weight", "--tau": "contrastive temperature",
+        "--emphasis": "distillation target sharpening exponent",
+        "--k-init": "initial pixel budget", "--k-min": "minimum pixel budget",
+        "--k-max": "maximum pixel budget (0 = full image)",
+        "--k-step-up": "budget increase step", "--k-step-down": "budget decrease step",
+        "--ema-beta": "loss EMA coefficient", "--k-alpha": "budget momentum coefficient",
+        "--dim": "token embedding dimension", "--heads": "fine attention heads",
+        "--hidden": "classifier hidden width",
+        "--samples-per-class": "synthetic samples per class",
+        "--image-size": "synthetic image edge length",
+        "--noise-sigma": "synthetic background noise sigma",
+    }
+    SYNTHETIC = "--seed --samples-per-class --image-size --noise-sigma"
+    BUDGET = ("--k-init --k-min --k-max --k-step-up --k-step-down --ema-beta --k-alpha "
+              "--dim --heads --hidden")
+    COMMANDS = {
+        "gen": ("write a synthetic PGM dataset", f"--out --config {SYNTHETIC}"),
+        "train": ("train a model and write checkpoint + logs",
+                  f"--out --config --synthetic --dataset --model {SYNTHETIC} {BUDGET} "
+                  "--epochs --batch --lr --wd --gamma --lambda-contrast --lambda-distill "
+                  "--tau --emphasis"),
+        "eval": ("evaluate a checkpoint on a dataset",
+                 f"--checkpoint --config --synthetic --dataset {SYNTHETIC} --json"),
+        "cost": ("report parameters and per-stage FLOPs",
+                 f"--checkpoint --config --seed --image-size {BUDGET} --k --json --baseline"),
+        "viz": ("export attention maps for one image", "--checkpoint --image --out"),
+    }
+
+    def test_subcommands_and_their_options(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {a.dest: a.help for a in sub._choices_actions} == \
+            {name: line for name, (line, _) in self.COMMANDS.items()}
+        for name, (_, flags) in self.COMMANDS.items():
+            got = {(s, a.help) for a in sub.choices[name]._actions for s in a.option_strings}
+            want = {("-h", self.HELP["--help"])} | \
+                {(flag, self.HELP[flag]) for flag in ["--help", *flags.split()]}
+            assert got == want, name

@@ -1,15 +1,17 @@
 """Import hygiene: every name a package module imports is used in it, and
-every private module-level name is referenced somewhere in the package.
+every module-level name is referenced somewhere in the package.
 
 No linter runs on this repository, and a deleted function easily leaves
 its import behind, as a merged one leaves its helper. Each module of
 src/sparseattn except __init__.py (whose imports are the public API) is
 parsed with ast; an imported name counts as used when it appears as a name
-anywhere in the module. A private name (one leading underscore) that a
-module defines at its top level counts as referenced when some module of
-the package, __init__.py included, reads it as a name, an attribute or an
-import. An import or definition whose own line carries `# noqa` is exempt:
-such a name is kept for code elsewhere that looks it up there.
+anywhere in the module. A function, class or constant that a module
+defines at its top level, private (one leading underscore) or public,
+counts as referenced when some module of the package, __init__.py
+included, reads it as a name, an attribute or an import; reads from tests
+do not count, so a public name that only tests call fails too. An import
+or definition whose own line carries `# noqa` is exempt: such a name is
+kept for code elsewhere that looks it up there.
 """
 
 import ast
@@ -37,9 +39,9 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and "# noqa" not in lines[line - 1])
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each private top-level name of `sources` (module
-    name -> source) that no source reads."""
+def unreferenced_names(sources: dict[str, str], public: bool) -> list[str]:
+    """"module.name" of each public (or private) top-level name of
+    `sources` (module name -> source) that no source reads."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -53,7 +55,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             for name in names:
-                if (name.startswith("_") and not name.startswith("__")
+                if (name.startswith("_") != public and not name.startswith("__")
                         and "# noqa" not in lines[node.lineno - 1]):
                     defined.append((name, f"{module}.{name}"))
         for node in ast.walk(tree):
@@ -87,7 +89,12 @@ def test_checker_flags_an_unused_name_and_honours_noqa():
 
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, public=False) == []
+
+
+def test_every_public_name_is_referenced():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_names(sources, public=True) == []
 
 
 def test_private_name_checker_flags_a_dead_name_and_honours_noqa():
@@ -105,4 +112,24 @@ def test_private_name_checker_flags_a_dead_name_and_honours_noqa():
               "import a\n"
               "_unused: int = a._Shape and 0\n"),
     }
-    assert unreferenced_private_names(sources) == ["a._orphan", "b._unused"]
+    assert unreferenced_names(sources, public=False) == ["a._orphan", "b._unused"]
+
+
+def test_public_name_checker_flags_a_dead_name_and_honours_noqa():
+    sources = {
+        "a": ("LIMIT = 3\n"
+              "DEAD, KEPT = 1, 2  # noqa\n"
+              "__version__ = '1'\n"
+              "def helper():\n"
+              "    return LIMIT\n"
+              "def orphan():\n"
+              "    local = 1\n"
+              "class Shape:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n"),
+        "b": ("from a import helper\n"
+              "import a\n"
+              "UNUSED: int = a.Shape and 0\n"),
+    }
+    assert unreferenced_names(sources, public=True) == ["a.orphan", "b.UNUSED"]

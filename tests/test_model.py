@@ -1,5 +1,7 @@
 """Model assembly: fusion, forward contracts, prediction, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,19 @@ class TestCheckpoint:
     def test_load_directory_is_a_data_error(self, tmp_path):
         with pytest.raises(sa.DatasetError, match=r"checkpoint unreadable \(Is a directory\)"):
             sa.load_model(tmp_path)
+
+    @pytest.mark.parametrize("damage", ["half", "prefix-10", "bad-magic"])
+    def test_load_damaged_checkpoint_is_a_data_error(self, tmp_path, damage):
+        """A SATM cut to half its length or to 10 bytes, or with another
+        magic, raises DatasetError naming the file, as `sparseattn eval`
+        reports it."""
+        data = checkpoint_bytes(small_model(14))
+        path = tmp_path / "m.satm"
+        path.write_bytes({"half": data[:len(data) // 2], "prefix-10": data[:10],
+                          "bad-magic": b"JUNK" + data[4:]}[damage])
+        with pytest.raises(sa.DatasetError,
+                           match=re.escape(f"{path}: corrupt or truncated checkpoint")):
+            sa.load_model(path)
 
 
 class TestEndToEndGradients:
