@@ -12,6 +12,7 @@ included), 3 data error, 4 numeric abort.
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
 import os
@@ -231,14 +232,27 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args.out)
     _write_resolved(settings, out_dir)
     ckpt_path = out_dir / f"checkpoint.{family.magic.decode().lower()}"
-    with open(ckpt_path, "wb") as ckpt:   # opened first: an unwritable path exits 2 untrained
-        try:
-            model, logs = family.train(model, train_set, config)
-        except NumericError as err:
+    if ckpt_path.is_dir():   # no file could replace it: say so before training
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(ckpt_path))
+    # the run writes beside the checkpoint and replaces it only when it ends
+    # with a model to keep, so an interrupted run leaves the old file whole
+    partial = out_dir / f"{ckpt_path.name}.partial"
+    ckpt = open(partial, "wb")   # opened first: an unwritable --out exits 2 untrained
+    try:
+        with ckpt:
+            abort = None
+            try:
+                model, logs = family.train(model, train_set, config)
+            except NumericError as err:
+                abort = err
             ckpt.write(family.to_bytes(model))
-            print(f"numeric abort: {err}; last-good checkpoint at {ckpt_path}", file=sys.stderr)
-            return 4
-        ckpt.write(family.to_bytes(model))
+        os.replace(partial, ckpt_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    if abort is not None:
+        print(f"numeric abort: {abort}; last-good checkpoint at {ckpt_path}", file=sys.stderr)
+        return 4
     metrics = family.evaluate(model, test_set) if test_set else None
 
     with open(out_dir / "metrics.jsonl", "w") as fh:

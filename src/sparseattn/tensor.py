@@ -271,8 +271,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    e = np.exp(-np.abs(x))             # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s, a.tape)
     if a.tape is not None:
         _record(a.tape, out, ((a, lambda g: g * s * (1.0 - s)),))
@@ -523,10 +523,11 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     Stride 1, symmetric zero padding. Output is B×C_out×H'×W' with
     H' = H + 2*padding - K + 1. The K*K window shifts are taken on the
     narrower side of the kernel, so no transient holds more than
-    K*K*min(C_in, C_out) values per pixel: on the input (im2col, then one
-    product) when C_in <= C_out, otherwise on the output (one product per
-    pixel that yields every tap, then K*K shifted sums). Either way each
-    tap moves only its slice inside the input (_taps): no padded copy.
+    K*K*min(C_in, C_out) values per pixel: on the input (im2col as one
+    contiguous plane per tap, then one product) when C_in <= C_out,
+    otherwise on the output (one product per pixel that yields every tap,
+    then K*K shifted sums). Either way each tap moves only its slice inside
+    the input (_taps): no padded copy.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -556,14 +557,14 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
 
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
-        cols = _im2col(x.data, k, p, ho, wo)                          # B, Ho*Wo, C_in*K*K
-        flat = (cols.reshape(-1, c_in * k * k) @ wmat.T).reshape(b, ho * wo, c_out)
-        flat = flat.swapaxes(1, 2)                                # channel-minor view
+        cols = _tap_gather(x.data, k, p, (ho, wo), True).reshape(b, c_in * k * k, ho * wo)
+        flat = (cols.swapaxes(1, 2) @ wmat.T).swapaxes(1, 2)      # channel-minor view
     else:
         wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
         flat_x = x.data.reshape(b, c_in, h * w)
         taps = wmat @ flat_x                                      # B, C_out*K*K, H*W
-        flat = _tap_sum(taps.reshape(b, c_out, k, k, h, w), p, ho, wo).reshape(b, c_out, ho * wo)
+        flat = _tap_sum(taps.reshape(b, c_out, k, k, h, w), p, (ho, wo), True)
+        flat = flat.reshape(b, c_out, ho * wo)
     flat += bias.data[:, None]                                   # a fresh array: add in place
     data = flat.reshape(b, c_out, ho, wo)
     tape = _common_tape(x, kernel, bias)
@@ -573,15 +574,19 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         # tie its tape into a reference cycle that outlives the step
         if c_in <= c_out:
             def back_x(g):
-                dcols = g.reshape(b, c_out, ho * wo).swapaxes(1, 2) @ wmat
-                return _col2im(dcols, c_in, k, p, h, w, ho, wo)
+                dcols = wmat.T @ g.reshape(b, c_out, ho * wo)     # B, C_in*K*K, Ho*Wo
+                return _tap_sum(dcols.reshape(b, c_in, k, k, ho, wo), p, (h, w), False)
 
             def back_w(g):
+                # pixel-major rows, copied only when the kernel is watched:
+                # with the planes' transposed view as its operand, BLAS adds
+                # this sum over every output pixel in another order
+                rows = np.ascontiguousarray(cols.swapaxes(1, 2))
                 g = g.reshape(b, c_out, ho * wo)
-                return (g @ cols).sum(axis=0).reshape(c_out, c_in, k, k)
+                return (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k)
         else:
             def spread(g):
-                return _tap_spread(g, k, p, h, w).reshape(b, c_out * k * k, h * w)
+                return _tap_gather(g, k, p, (h, w), False).reshape(b, c_out * k * k, h * w)
 
             # the tape calls back_x, then back_w, with the same g: when it
             # calls both, back_x hands its spread on rather than both building one
@@ -608,67 +613,47 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _taps(k: int, p: int, h: int, w: int, ho: int, wo: int) -> tuple:
-    """(i, j, output slices, input slices) of each K×K tap in (i, j) order:
-    tap (i, j) of output pixel (y, x) is input pixel (y + i - p, x + j - p),
-    and the slices cover where both lie inside their extents. Cached, as a
-    model uses few shapes and the slices cost more than a small image's copy."""
-    def overlap(offset: int, n_in: int, n_out: int) -> tuple[slice, slice]:
+def _taps(k: int, p: int, src: tuple, dst: tuple, onto_output: bool) -> tuple:
+    """(i, j, destination slices, source slices) of each K×K tap in (i, j)
+    order. Tap (i, j) of output pixel (y, x) is input pixel (y + i - p,
+    x + j - p); the destination is the output grid when onto_output, else
+    the input grid, and the slices cover where both pixels lie inside their
+    grids (src and dst are their H×W). Cached, as a model uses few shapes
+    and the slices cost more than a small image's copy."""
+    sign = 1 if onto_output else -1
+
+    def overlap(offset: int, n_src: int, n_dst: int) -> tuple[slice, slice]:
         lo = max(0, -offset)
-        hi = max(lo, min(n_out, n_in - offset))
+        hi = max(lo, min(n_dst, n_src - offset))
         return slice(lo, hi), slice(lo + offset, hi + offset)
-    rows = [overlap(i - p, h, ho) for i in range(k)]
-    cols = [overlap(j - p, w, wo) for j in range(k)]
-    return tuple((i, j, (oy, ox), (iy, ix))
-                 for i, (oy, iy) in enumerate(rows) for j, (ox, ix) in enumerate(cols))
+    rows = [overlap(sign * (i - p), src[0], dst[0]) for i in range(k)]
+    cols = [overlap(sign * (j - p), src[1], dst[1]) for j in range(k)]
+    return tuple((i, j, (dy, dx), (sy, sx))
+                 for i, (dy, sy) in enumerate(rows) for j, (dx, sx) in enumerate(cols))
 
 
-def _im2col(xd: np.ndarray, k: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """B×C×H×W -> B×(Ho*Wo)×(C*K*K), C-contiguous: every K×K window of the
-    zero-padded input in (c, i, j) column order, built by copying each
-    tap's in-range slice into a zeroed buffer, with no padded input."""
-    b, c, h, w = xd.shape
-    cols = np.zeros((b, ho, wo, c, k, k))
-    xt = xd.transpose(0, 2, 3, 1)                                 # B,H,W,C view
-    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
-        cols[:, oy, ox, :, i, j] = xt[:, iy, ix]
-    return cols.reshape(b, ho * wo, c * k * k)
+def _tap_gather(a: np.ndarray, k: int, p: int, size: tuple, onto_output: bool) -> np.ndarray:
+    """B×C×H×W -> B×C×K×K×size, C-contiguous, one contiguous plane per tap:
+    entry (i, j, y, x) is the pixel of `a` that tap (i, j) pairs with pixel
+    (y, x) of the destination grid, or zero where it lies outside `a`. Onto
+    the output, `a` is the input and the planes are its zero-padded windows
+    (im2col); onto the input, `a` is an output gradient, spread to the input
+    pixel each tap reads."""
+    planes = np.zeros(a.shape[:2] + (k, k) + size)
+    for i, j, (dy, dx), (sy, sx) in _taps(k, p, a.shape[2:], size, onto_output):
+        planes[:, :, i, j, dy, dx] = a[:, :, sy, sx]
+    return planes
 
 
-def _col2im(dcols: np.ndarray, c: int, k: int, p: int, h: int, w: int,
-            ho: int, wo: int) -> np.ndarray:
-    """Adjoint of _im2col: each tap adds its in-range slice straight into
-    the B×C×H×W result in (i, j) order, so every pixel gets the adds of a
-    padded buffer, in the same order, with no buffer to pad or crop."""
-    b = dcols.shape[0]
-    dc = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dx = np.zeros((b, c, h, w))
-    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
-        dx[:, :, iy, ix] += dc[:, :, oy, ox, i, j]
-    return dx
-
-
-def _tap_sum(taps: np.ndarray, p: int, ho: int, wo: int) -> np.ndarray:
-    """B×C×K×K×H×W per-tap products -> B×C×Ho×Wo. Each tap adds only its
-    slice inside the input, in the (i, j) order of a sum over zero-padded
-    taps: a skipped term would add +0.0 to an accumulator that starts at
+def _tap_sum(planes: np.ndarray, p: int, size: tuple, onto_output: bool) -> np.ndarray:
+    """Adjoint of _tap_gather: B×C×K×K×H×W -> B×C×size. Each tap adds only
+    its in-range slice, in the (i, j) order of a sum over zero-padded
+    planes: a skipped term would add +0.0 to an accumulator that starts at
     +0.0 and never becomes -0.0, so the result is that sum bit for bit."""
-    b, c, k, _, h, w = taps.shape
-    out = np.zeros((b, c, ho, wo))
-    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
-        out[:, :, oy, ox] += taps[:, :, i, j, iy, ix]
-    return out
-
-
-def _tap_spread(g: np.ndarray, k: int, p: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _tap_sum: B×C×Ho×Wo -> B×C×K×K×H×W, C-contiguous, so
-    merging its axes for a matrix product copies nothing. Entry (i, j, y,
-    x) is g at the output pixel whose tap (i, j) sits at input pixel
-    (y, x), or zero where no output pixel has such a tap."""
-    b, c, ho, wo = g.shape
-    out = np.zeros((b, c, k, k, h, w))
-    for i, j, (oy, ox), (iy, ix) in _taps(k, p, h, w, ho, wo):
-        out[:, :, i, j, iy, ix] = g[:, :, oy, ox]
+    b, c, k = planes.shape[:3]
+    out = np.zeros((b, c) + size)
+    for i, j, (dy, dx), (sy, sx) in _taps(k, p, planes.shape[4:], size, onto_output):
+        out[:, :, dy, dx] += planes[:, :, i, j, sy, sx]
     return out
 
 

@@ -58,6 +58,30 @@ class TestTrainCommand:
         assert code == 4
         assert (tmp_path / "checkpoint.satm").exists()
 
+    def test_numeric_abort_leaves_no_partial_file(self, tmp_path):
+        assert run_train(tmp_path, extra=["--lr", "1e25"]) == 4
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.satm", "config.resolved"]
+        checkpoint_from_bytes((tmp_path / "checkpoint.satm").read_bytes())
+
+    def test_interrupted_run_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        """A run stopped by anything but a numeric abort replaces nothing:
+        the checkpoint of the run before keeps its bytes, a fresh --out gets
+        no checkpoint, and no .partial file is left behind."""
+        assert run_train(tmp_path / "old") == 0
+        old = (tmp_path / "old" / "checkpoint.satm").read_bytes()
+
+        def step(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AdamW, "step", step)
+        for out in ("old", "fresh"):
+            with pytest.raises(KeyboardInterrupt):
+                run_train(tmp_path / out)
+        assert (tmp_path / "old" / "checkpoint.satm").read_bytes() == old
+        assert sorted(os.listdir(tmp_path / "old")) == ["checkpoint.satm", "config.resolved",
+                                                        "metrics.jsonl"]
+        assert os.listdir(tmp_path / "fresh") == ["config.resolved"]
+
     def test_baseline_writes_a_checkpoint_that_eval_and_cost_read(self, tmp_path, capsys):
         for name in ("a", "b"):
             assert run_train(tmp_path / name, extra=["--model", "baseline"]) == 0

@@ -11,6 +11,7 @@ def test_two_runs_print_the_same_fingerprint():
     first = tool.fingerprint(**settings)
     assert first == tool.fingerprint(**settings)
     for run in first.values():
+        assert {"chunk_logits_sha", "single_logits_sha"} <= set(run)
         assert all(len(run[key]) == 64 for key in run if key.endswith("_sha"))
     assert 16 <= first["sparse"]["k"] <= 64
 

@@ -60,6 +60,21 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(Tensor(0.0)).item() == 0.5
 
+    def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(self):
+        """One exp(-|x|) gives the bits of exp(-x) where x >= 0 and of exp(x)
+        elsewhere, at signed zeros, subnormal-scale, overflowing and infinite
+        inputs and NaN, with no warning (pytest turns warnings into errors)."""
+        rng = np.random.default_rng(98)
+        x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, np.inf, -np.inf,
+                             np.nan], rng.normal(0, 20, 200)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        got = T.sigmoid(Tensor(x)).data
+        np.testing.assert_array_equal(got, want)
+        finite = ~np.isnan(x)
+        np.testing.assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+        assert np.isnan(got[8])
+
     def test_relu_definition(self):
         assert T.relu(Tensor(-2.5)).item() == 0.0
         assert T.relu(Tensor(3.0)).item() == 3.0
@@ -562,7 +577,8 @@ def padded_tap_sum(taps, p, ho, wo):
 
 class TestTapPath:
     """conv2d's output-side window path (C_in > C_out), which the coarse
-    conv2 (8 -> 1 channels) runs."""
+    conv2 (8 -> 1 channels) runs: the tap-plane sum onto the output and,
+    in backward, the tap-plane gather onto the input."""
 
     @pytest.mark.parametrize("k,p,h,w", [(1, 0, 6, 5), (1, 1, 6, 5), (3, 0, 6, 5), (3, 1, 6, 5),
                                          (3, 2, 6, 5), (5, 0, 6, 5), (5, 2, 6, 5), (5, 3, 6, 5),
@@ -574,9 +590,9 @@ class TestTapPath:
         ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
         taps = rng.normal(0, 1, (2, 3, k, k, h, w))
         g = rng.normal(0, 1, (2, 3, ho, wo))
-        summed = T._tap_sum(taps, p, ho, wo)
+        summed = T._tap_sum(taps, p, (ho, wo), True)
         np.testing.assert_array_equal(summed, padded_tap_sum(taps, p, ho, wo))
-        spread = T._tap_spread(g, k, p, h, w)
+        spread = T._tap_gather(g, k, p, (h, w), False)
         assert spread.shape == taps.shape and spread.flags["C_CONTIGUOUS"]
         assert np.vdot(summed, g) == pytest.approx(np.vdot(taps, spread), rel=1e-12)
 
@@ -603,7 +619,8 @@ class TestTapPath:
 
 def padded_im2col(xd, k, p, ho, wo):
     """Every K×K window of the explicitly zero-padded input, through a
-    sliding-window view: the reference that _im2col must equal bit for bit."""
+    sliding-window view, as C-order rows: B×(Ho*Wo)×(C*K*K), one row per
+    output pixel, the pixel-major layout that conv2d's window columns had."""
     b, c = xd.shape[:2]
     xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
@@ -611,8 +628,8 @@ def padded_im2col(xd, k, p, ho, wo):
 
 
 def padded_col2im(dcols, c, k, p, h, w, ho, wo):
-    """Window columns added tap by tap in (i, j) order into a zero-padded
-    buffer, then cropped: the reference that _col2im must equal bit for bit."""
+    """Pixel-major window columns added tap by tap in (i, j) order into a
+    zero-padded buffer, then cropped."""
     b = dcols.shape[0]
     dc = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
     dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
@@ -622,35 +639,89 @@ def padded_col2im(dcols, c, k, p, h, w, ho, wo):
     return dxp[:, :, p:p + h, p:p + w]
 
 
+def tap_major(rows, c, k, ho, wo):
+    """B×(Ho*Wo)×(C*K*K) pixel-major rows as B×C×K×K×Ho×Wo tap planes."""
+    return rows.reshape(-1, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+
+
+def pixel_major_conv(x0, w0, b0, g0, p):
+    """conv2d's input-side path computed from the padded windows as C-order
+    rows: the output rows @ wmat.T read as a channel-minor view plus the
+    bias, the input gradient by the padded scatter-add of g @ wmat, the
+    kernel gradient from the rows and the bias gradient as a sum. Returns
+    (output, input, kernel and bias gradients) for upstream gradient g0."""
+    b, c_in, h, w = x0.shape
+    c_out, _, k, _ = w0.shape
+    ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
+    rows = padded_im2col(x0, k, p, ho, wo)
+    wmat = w0.reshape(c_out, c_in * k * k)
+    flat = (rows.reshape(-1, c_in * k * k) @ wmat.T).reshape(b, ho * wo, c_out).swapaxes(1, 2)
+    flat += b0[:, None]
+    g = g0.reshape(b, c_out, ho * wo)
+    dx = padded_col2im(g.swapaxes(1, 2) @ wmat, c_in, k, p, h, w, ho, wo)
+    dw = (g @ rows).sum(axis=0).reshape(w0.shape)
+    return flat.reshape(b, c_out, ho, wo), dx, dw, g.sum(axis=(0, 2))
+
+
 class TestWindowPath:
     """conv2d's input-side window path (C_in <= C_out), which the coarse
-    conv1 and both baseline convolutions run, and the baseline's pool."""
+    conv1 and both baseline convolutions run: the tap-plane gather onto the
+    output (im2col) and, in backward, the tap-plane sum onto the input; and
+    the baseline's pool."""
 
     @pytest.mark.parametrize("k,p,h,w", [(1, 0, 6, 5), (1, 1, 6, 5), (3, 0, 6, 5), (3, 1, 6, 5),
                                          (3, 2, 6, 5), (3, 3, 6, 5), (5, 0, 6, 5), (5, 2, 6, 5),
                                          (5, 3, 6, 5), (5, 2, 1, 2)])
     def test_columns_match_the_padded_windows_and_col2im_is_their_adjoint(self, k, p, h, w):
-        """im2col equals the sliding windows of the padded input exactly, in
-        C order; col2im equals the padded scatter-add exactly, and
+        """im2col, the gather onto the output, gives the sliding windows of
+        the padded input exactly, C-contiguous and tap-major; col2im, the sum
+        onto the input, equals the padded scatter-add exactly, and
         <im2col(x), G> = <x, col2im(G)>. On a 1-pixel-high input some taps
         meet no pixel."""
         rng = np.random.default_rng(120 + 10 * k + p + h)
         ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
         x = rng.normal(0, 1, (2, 3, h, w))
-        g = rng.normal(0, 1, (2, ho * wo, 3 * k * k))
-        cols = T._im2col(x, k, p, ho, wo)
-        assert cols.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(cols, padded_im2col(x, k, p, ho, wo))
-        back = T._col2im(g, 3, k, p, h, w, ho, wo)
-        np.testing.assert_array_equal(back, padded_col2im(g, 3, k, p, h, w, ho, wo))
-        assert np.vdot(cols, g) == pytest.approx(np.vdot(x, back), rel=1e-12)
+        g = rng.normal(0, 1, (2, 3, k, k, ho, wo))
+        planes = T._tap_gather(x, k, p, (ho, wo), True)
+        assert planes.shape == g.shape and planes.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(planes, tap_major(padded_im2col(x, k, p, ho, wo),
+                                                        3, k, ho, wo))
+        back = T._tap_sum(g, p, (h, w), False)
+        rows = g.transpose(0, 4, 5, 1, 2, 3).reshape(2, ho * wo, 3 * k * k)
+        np.testing.assert_array_equal(back, padded_col2im(rows, 3, k, p, h, w, ho, wo))
+        assert np.vdot(planes, g) == pytest.approx(np.vdot(x, back), rel=1e-12)
 
     def test_columns_of_a_channel_minor_input(self):
         """The conv output that the second conv reads is a channel-minor view;
         its windows are the same as those of a C-order copy."""
         rng = np.random.default_rng(131)
         x = rng.normal(0, 1, (2, 6, 5, 4)).transpose(0, 3, 1, 2)
-        np.testing.assert_array_equal(T._im2col(x, 3, 1, 6, 5), padded_im2col(x, 3, 1, 6, 5))
+        np.testing.assert_array_equal(T._tap_gather(x, 3, 1, (6, 5), True),
+                                      tap_major(padded_im2col(x, 3, 1, 6, 5), 4, 3, 6, 5))
+
+    @pytest.mark.parametrize("c_in,c_out,size,batch", [
+        (1, 8, 32, 1), (1, 8, 32, 8), (1, 8, 32, 32), (1, 16, 32, 1), (1, 16, 32, 8),
+        (16, 32, 16, 1), (16, 32, 16, 8)])
+    def test_conv2d_equals_the_pixel_major_rows_bit_for_bit(self, c_in, c_out, size, batch):
+        """At the models' channel counts and image sizes (padding 1), the
+        output, with its channel-minor strides, and all three gradients equal
+        the pixel-major computation bit for bit. The 16-channel input is
+        channel-minor, as the baseline's second conv reads it."""
+        rng = np.random.default_rng(150 + c_in + c_out + batch)
+        x0 = rng.normal(0, 1, (batch, c_in, size, size))
+        if c_in > 1:
+            x0 = np.ascontiguousarray(x0.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w0, b0 = rng.normal(0, 0.3, (c_out, c_in, 3, 3)), rng.normal(0, 1, c_out)
+        g0 = rng.normal(0, 1, (batch, c_out, size, size))
+        tape = GradientTape()
+        x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
+        tape.watch(x, w, b)
+        out = T.conv2d(x, w, b, 1)
+        tape.backward(T.reduce_sum(T.mul(out, g0)))
+        want = pixel_major_conv(x0, w0, b0, g0, 1)
+        assert out.data.strides == want[0].strides
+        for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+            np.testing.assert_array_equal(got, ref)
 
     @staticmethod
     def pooled_by_means(x0, g0):

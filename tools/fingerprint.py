@@ -5,12 +5,18 @@ Prints, as JSON, the SHA-256 of repr(logs), of every parameter's name and
 bytes and of the SATM checkpoint of the fixture's train() run, with its
 final k and evaluate() report; then the SHA-256 of the logs and parameters
 of train_baseline() for 3 epochs, with its evaluate_baseline() report.
+For each trained model it also hashes the raw logits of the tape-free
+forward: over the test set in chunks of train.EVAL_CHUNK images, as
+evaluate() runs it, and over the first 10 test images one at a time, as
+predict() does. The reports see those logits only through their argmax.
 Two trees whose arithmetic is the same print the same output, so a change
-meant to be bit-exact is checked by running this in both and comparing:
+meant to be bit-exact is checked by running this in both and comparing,
+at one and at two BLAS threads:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py
+    OPENBLAS_NUM_THREADS=2 python3 tools/fingerprint.py
 
-Both runs take about 16 s on a 2-CPU Xeon host.
+Each run takes about 16 s on a 2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import sparseattn as sa  # noqa: E402
-from sparseattn.model import checkpoint_bytes  # noqa: E402
+from sparseattn.baseline import baseline_forward  # noqa: E402
+from sparseattn.model import checkpoint_bytes, model_forward  # noqa: E402
+from sparseattn.train import EVAL_CHUNK, stack_images  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -37,6 +45,14 @@ def _params_sha(named) -> str:
         h.update(name.encode())
         h.update(t.data.tobytes())
     return h.hexdigest()
+
+
+def _logits_sha(forward, test_set) -> tuple[str, str]:
+    """SHA-256 of the logits forward(B×H×W tensor) gives over the test set
+    in chunks of EVAL_CHUNK images, and over its first 10 images at B=1."""
+    chunks = [test_set[i:i + EVAL_CHUNK] for i in range(0, len(test_set), EVAL_CHUNK)]
+    return tuple(_sha(b"".join(forward(stack_images(batch)).data.tobytes() for batch in batches))
+                 for batches in (chunks, [[s] for s in test_set[:10]]))
 
 
 def fixture(seed: int = 42, image_size: int = 32, samples_per_class: int = 300,
@@ -63,6 +79,9 @@ def fingerprint(seed: int = 42, image_size: int = 32, samples_per_class: int = 3
     shape = (image_size, image_size)
     net, dense_logs = sa.train_baseline(sa.build_baseline(seed, shape, 3), train_set,
                                         dataclasses.replace(config, epochs=baseline_epochs))
+    sparse_logits = _logits_sha(lambda x: model_forward(model, x, model.controller.k)[0],
+                                test_set)
+    dense_logits = _logits_sha(lambda x: baseline_forward(net, x), test_set)
     return {
         "sparse": {
             "logs_sha": _sha(repr(logs).encode()),
@@ -70,11 +89,15 @@ def fingerprint(seed: int = 42, image_size: int = 32, samples_per_class: int = 3
             "ckpt_sha": _sha(checkpoint_bytes(model)),
             "k": model.controller.k,
             "eval": repr(sa.evaluate(model, test_set)),
+            "chunk_logits_sha": sparse_logits[0],
+            "single_logits_sha": sparse_logits[1],
         },
         "baseline": {
             "logs_sha": _sha(repr(dense_logs).encode()),
             "params_sha": _params_sha(net.params()),
             "eval": repr(sa.evaluate_baseline(net, test_set)),
+            "chunk_logits_sha": dense_logits[0],
+            "single_logits_sha": dense_logits[1],
         },
     }
 
