@@ -12,6 +12,7 @@ included), 3 data error, 4 numeric abort.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import inspect
 import json
@@ -47,8 +48,7 @@ from .data import (
 )
 from .losses import LossConfig
 from .model import MODEL_MAGIC, build_model, checkpoint_bytes, model_forward, model_from_bytes
-from .selector import write_topk_csv
-from .tensor import NumericError, Tensor, tensor_to_csv
+from .tensor import NumericError, Tensor
 from .train import TrainConfig, evaluate, train
 
 
@@ -349,12 +349,18 @@ def cmd_viz(args) -> int:
 
     coarse_map = diag.coarse.attention_map.data
     write_pgm(out_dir / f"{stem}_coarse.pgm", coarse_map)
-    tensor_to_csv(diag.coarse.attention_map, out_dir / f"{stem}_coarse.csv")
+    with open(out_dir / f"{stem}_coarse.csv", "w") as fh:
+        fh.write("# shape: " + "x".join(str(e) for e in coarse_map.shape) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in coarse_map.tolist())
 
     importance = diag.fine.pixel_importance.data[:k]
     index = diag.pixels.index
     scores = coarse_map.ravel()[index]
-    write_topk_csv(out_dir / f"{stem}_topk.csv", diag.pixels, scores, importance)
+    with open(out_dir / f"{stem}_topk.csv", "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["row", "col", "x", "y", "v", "score", "fine_score"])
+        out.writerows(zip(diag.pixels.row.tolist(), diag.pixels.col.tolist(),
+                          *diag.pixels.triplets.T.tolist(), scores.tolist(), importance.tolist()))
 
     fine_map = np.zeros(pixels.shape)
     peak = importance.max()

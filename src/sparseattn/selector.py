@@ -8,7 +8,6 @@ training loss.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +141,3 @@ def update_k(ctrl: KController, current_loss: float) -> int:
     # a convex mix of two budgets in [k_min, k_max] rounds back into it
     ctrl.k = round(ctrl.alpha * ctrl.k + (1.0 - ctrl.alpha) * raw)
     return ctrl.k
-
-
-def write_topk_csv(path, selection: Selection, scores, fine_scores) -> None:
-    """Export one image's selected pixels as row,col,x,y,v,score,fine_score."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["row", "col", "x", "y", "v", "score", "fine_score"])
-        rows, cols = selection.row.tolist(), selection.col.tolist()
-        for i, (x, y, v) in enumerate(selection.triplets.tolist()):
-            out.writerow([rows[i], cols[i], repr(x), repr(y), repr(v),
-                          repr(float(scores[i])), repr(float(fine_scores[i]))])

@@ -224,12 +224,18 @@ def div(a, b) -> Tensor:
         out = Tensor(_binary(np.divide, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
-        # negate after the sum: -g would be a fresh array whose layout
-        # changes the order in which the sum adds up g * ad
-        _record(tape, out, (
-            (a, lambda g: _unbroadcast(g / bd, ad.shape)),
-            (b, lambda g: -_unbroadcast(g * ad, bd.shape) / (bd * bd)),
-        ))
+        def back_b(g):
+            # negate after the sum: -g would be a fresh array whose layout
+            # changes the order in which the sum adds up g * ad
+            num = -_unbroadcast(g * ad, bd.shape)
+            with np.errstate(over="ignore"):
+                sq = bd * bd
+            finite = np.isfinite(sq)
+            if finite.all():
+                return num / sq
+            # where b*b overflows, num / (b*b) reads 0 but num / b / b need not
+            return np.where(finite, num / sq, num / bd / bd)
+        _record(tape, out, ((a, lambda g: _unbroadcast(g / bd, ad.shape)), (b, back_b)))
     return out
 
 
@@ -798,12 +804,3 @@ def check_sizes(arrays: dict[str, np.ndarray], sizes) -> None:
         if extent != (size,):
             raise ValueError(f"checkpoint metadata gives size {size!r} where tensor "
                              f"{name} has shape {arrays[name].shape}")
-
-
-def tensor_to_csv(t: Tensor, path) -> None:
-    """Human-readable dump: a shape comment line, then one row per line."""
-    rows = t.data.reshape(-1, t.data.shape[-1]) if t.data.ndim >= 2 else t.data.reshape(1, -1)
-    with open(path, "w") as fh:
-        fh.write("# shape: " + "x".join(str(e) for e in t.data.shape) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -14,9 +14,9 @@ import pytest
 from sparseattn.baseline import baseline_checkpoint_bytes, build_baseline
 import sparseattn.model as model_module
 from sparseattn.cli import _FEEDS, _OPTIONS, _build, build_parser, checkpoint_from_bytes, main
-from sparseattn.data import DatasetError, SyntheticSpec, read_pgm, write_pgm
+from sparseattn.data import DatasetError, SyntheticSpec, generate, read_pgm, write_pgm
 from sparseattn.losses import LossConfig
-from sparseattn.model import build_model, checkpoint_bytes
+from sparseattn.model import build_model, checkpoint_bytes, model_forward
 from sparseattn.tensor import Tensor, pack, unpack
 from sparseattn.train import AdamW, TrainConfig
 
@@ -100,6 +100,12 @@ class TestTrainCommand:
         resolved = (tmp_path / "config.resolved").read_text()
         assert "k-init=8000" in resolved
         assert "k-min=1500" in resolved
+
+    def test_small_tau_trains_without_a_warning(self, tmp_path, capsys):
+        """At tau 0.002 the contrastive denominator's square overflows; the
+        divisor's gradient must not, so the run writes nothing to stderr."""
+        assert run_train(tmp_path, ["--tau", "0.002"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigFile:
@@ -356,7 +362,7 @@ class TestEvalCommand:
 
     def test_eval_on_a_label_beyond_the_classes_exits_3(self, tmp_path, capsys):
         write_pgm(tmp_path / "img.pgm", np.zeros((16, 16)))
-        (tmp_path / "manifest.csv").write_text("filename,label\nimg.pgm,9\n")
+        (tmp_path / "manifest.csv").write_text("filename,label\nimg.pgm,5\n")
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
         for name, data in (("model.satm", checkpoint_bytes(model)),
@@ -364,7 +370,8 @@ class TestEvalCommand:
             (tmp_path / name).write_bytes(data)
             assert main(["eval", "--checkpoint", str(tmp_path / name),
                          "--dataset", str(tmp_path)]) == 3, name
-            assert "label 9" in capsys.readouterr().err
+            assert capsys.readouterr().err == \
+                "data error: label 5 is not one of the model's 3 classes\n"
 
 
 class TestDamagedDatasets:
@@ -709,6 +716,33 @@ class TestVizCommand:
         for rec in lines[1:]:
             row, col = int(rec.split(",")[0]), int(rec.split(",")[1])
             assert 0 <= row < 16 and 0 <= col < 16
+
+    def test_csv_bytes(self, tmp_path):
+        """Both CSVs of a fixed checkpoint and image, byte for byte: the
+        coarse map as a shape line, then one row of repr floats per map row,
+        each ending in \\n; the selected pixels in rank order as csv.writer
+        rows, each ending in \\r\\n."""
+        model = build_model(seed=0, image_shape=(16, 16), hidden=8, k_init=40, k_min=16)
+        (tmp_path / "m.satm").write_bytes(checkpoint_bytes(model))
+        write_pgm(tmp_path / "img.pgm", generate(SyntheticSpec(
+            image_size=16, seed=7, samples_per_class=1))[1].pixels.data)
+        assert main(["viz", "--checkpoint", str(tmp_path / "m.satm"),
+                     "--image", str(tmp_path / "img.pgm"), "--out", str(tmp_path / "viz")]) == 0
+
+        _, diag = model_forward(model, Tensor(read_pgm(tmp_path / "img.pgm")), 40)
+        coarse = diag.coarse.attention_map.data
+        assert coarse.shape == (16, 16)
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in coarse)
+        assert (tmp_path / "viz" / "img_coarse.csv").read_bytes() == \
+            ("# shape: 16x16\n" + rows).encode()
+
+        pixels, fine = diag.pixels, diag.fine.pixel_importance.data[:40]
+        assert len(pixels) == len(fine) == 40
+        rows = "".join(
+            f"{i // 16},{i % 16},{x!r},{y!r},{v!r},{float(coarse.flat[i])!r},{float(f)!r}\r\n"
+            for i, (x, y, v), f in zip(pixels.index.tolist(), pixels.triplets.tolist(), fine))
+        assert (tmp_path / "viz" / "img_topk.csv").read_bytes() == \
+            ("row,col,x,y,v,score,fine_score\r\n" + rows).encode()
 
     def test_viz_is_byte_deterministic(self, tmp_path):
         run_train(tmp_path)

@@ -289,6 +289,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2"):
             load_dataset(tmp_path, class_count=3)
 
+    def test_negative_label_names_row(self, tmp_path):
+        write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
+        (tmp_path / "manifest.csv").write_text("filename,label\na.pgm,0\na.pgm,-1\n")
+        with pytest.raises(DatasetError, match=":3: label -1 "):
+            load_dataset(tmp_path)
+
     def test_empty_manifest_gives_empty_dataset(self, tmp_path):
         (tmp_path / "manifest.csv").write_text("filename,label\n")
         assert load_dataset(tmp_path) == []

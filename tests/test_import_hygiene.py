@@ -12,6 +12,9 @@ included, reads it as a name, an attribute or an import; reads from tests
 do not count, so a public name that only tests call fails too. An import
 or definition whose own line carries `# noqa` is exempt: such a name is
 kept for code elsewhere that looks it up there.
+
+File I/O stays in the modules that own a file format: no module but cli,
+data and model calls open(), as a function or as a method.
 """
 
 import ast
@@ -21,6 +24,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparseattn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FILE_FORMAT_OWNERS = {"cli", "data", "model"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -133,3 +137,25 @@ def test_public_name_checker_flags_a_dead_name_and_honours_noqa():
               "UNUSED: int = a.Shape and 0\n"),
     }
     assert unreferenced_names(sources, public=True) == ["a.orphan", "b.UNUSED"]
+
+
+def open_calls(source: str) -> list[int]:
+    """Lines of the calls to open() or to some object's .open()."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_only_file_format_owners_open_files():
+    calls = {p.stem: open_calls(p.read_text()) for p in PACKAGE.glob("*.py")
+             if p.stem not in FILE_FORMAT_OWNERS}
+    assert {module: lines for module, lines in calls.items() if lines} == {}
+    assert FILE_FORMAT_OWNERS <= {p.stem for p in MODULES}
+
+
+def test_open_checker_flags_both_spellings():
+    source = ("with open(p) as fh:\n"
+              "    pass\n"
+              "fh = path.open('w')\n"
+              "opened = reopen(p)\n")
+    assert open_calls(source) == [1, 3]

@@ -148,6 +148,17 @@ class TestContrastiveLoss:
             labels = rng.integers(0, 3, 5).tolist()
             assert grad_check(lambda t: contrastive_loss(t, labels, cfg), z) <= 1e-4
 
+    @pytest.mark.parametrize("tau", [0.0025, 0.002, 0.0016])
+    def test_grad_check_at_small_tau(self, tau):
+        """Near-parallel rows at a small tau put exp(1/tau), about 1e217 at
+        0.002, in the denominator: its square overflows, and the divisor's
+        gradient must still be right."""
+        rng = np.random.default_rng(0)
+        z = Tensor(rng.normal(0, 1, 4) + 0.01 * rng.normal(0, 1, (6, 4)))
+        cfg = LossConfig(tau=tau)
+        labels = [0, 0, 1, 1, 2, 2]
+        assert grad_check(lambda t: contrastive_loss(t, labels, cfg), z, eps=1e-7) <= 1e-4
+
 
 class TestDistillLoss:
     def test_identical_distributions_give_zero(self):

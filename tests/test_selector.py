@@ -7,10 +7,8 @@ import pytest
 
 from sparseattn.selector import (
     KController,
-    Selection,
     select_top_k,
     update_k,
-    write_topk_csv,
 )
 from sparseattn.tensor import NumericError, Tensor
 
@@ -253,14 +251,3 @@ class TestKController:
         update_k(ctrl, 1.0)
         back = KController(**asdict(ctrl))
         assert back == ctrl
-
-
-def test_topk_csv_layout(tmp_path):
-    pixels = Selection(index=np.array([0, 15]),
-                       triplets=np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 0.25]]), width=4)
-    path = tmp_path / "out_topk.csv"
-    write_topk_csv(path, pixels, scores=[0.9, 0.8], fine_scores=[0.6, 0.4])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,x,y,v,score,fine_score"
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[5]) == 0.9 and float(first[6]) == 0.6

@@ -1,6 +1,8 @@
 """Numeric core: op semantics, backward rules against finite differences,
-tape discipline, and the binary/CSV serialization round trip.
+tape discipline, and the binary serialization round trip.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -257,6 +259,37 @@ class TestGradCheck:
             grad_check(lambda x: T.reduce_sum(x), Tensor([1.0]), eps=1e-2)
 
 
+# op name -> (the op as a function of its tensor operands, one operand array each)
+MULTI_OPERAND = {
+    "add": (T.add, (np.ones(2), np.ones(2))),
+    "sub": (T.sub, (np.ones(2), np.ones(2))),
+    "mul": (T.mul, (np.ones(2), np.ones(2))),
+    "div": (T.div, (np.ones(2), np.full(2, 2.0))),
+    "affine": (T.affine, (np.ones((2, 2)), np.ones(2), np.ones(2))),
+    "matmul": (T.matmul, (np.ones((2, 3)), np.ones((3, 2)))),
+    "concat": (lambda *parts: T.concat(parts), (np.ones(2), np.ones(3), np.ones(1))),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 1),
+               (np.ones((1, 1, 4, 4)), np.ones((2, 1, 3, 3)), np.ones(2))),
+}
+SINGLE_OPERAND = {
+    "relu": (T.relu, (np.ones(2),)),
+    "sigmoid": (T.sigmoid, (np.ones(2),)),
+    "exp": (T.exp, (np.ones(2),)),
+    "log": (T.log, (np.ones(2),)),
+    "power": (lambda a: T.power(a, 2.0), (np.ones(2),)),
+    "clamp_min": (lambda a: T.clamp_min(a, 0.5), (np.ones(2),)),
+    "broadcast_to": (lambda a: T.broadcast_to(a, (3, 2)), (np.ones(2),)),
+    "transpose": (T.transpose, (np.ones((2, 3)),)),
+    "reshape": (lambda a: T.reshape(a, (6,)), (np.ones((2, 3)),)),
+    "take": (lambda a: T.take(a, [[1, 0], [2, 2]]), (np.ones((2, 3)),)),
+    "softmax": (T.softmax, (np.ones((2, 3)),)),
+    "reduce_sum": (T.reduce_sum, (np.ones((2, 3)),)),
+    "reduce_mean": (lambda a: T.reduce_mean(a, axis=0), (np.ones((2, 3)),)),
+    "avg_pool2": (T.avg_pool2, (np.ones((1, 1, 2, 2)),)),
+}
+ALL_OPS = {**MULTI_OPERAND, **SINGLE_OPERAND}
+
+
 class TestTape:
     def test_disconnected_parameter_grad_is_exactly_zero(self):
         tape = GradientTape()
@@ -314,13 +347,31 @@ class TestTape:
         tape.backward(T.reduce_sum(T.mul(T.reshape(flat, (6,)), 2.0)))
         np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
 
-    def test_cross_tape_operands_rejected(self):
-        t1, t2 = GradientTape(), GradientTape()
-        a, b = Tensor([1.0]), Tensor([2.0])
-        t1.watch(a)
-        t2.watch(b)
-        with pytest.raises(TapeError):
-            T.add(a, b)
+    @pytest.mark.parametrize("name", sorted(MULTI_OPERAND))
+    def test_cross_tape_operands_rejected(self, name):
+        """The first operand on one tape and any other on a second."""
+        op, arrays = MULTI_OPERAND[name]
+        for i in range(1, len(arrays)):
+            operands = [Tensor(a) for a in arrays]
+            GradientTape().watch(operands[0])
+            GradientTape().watch(operands[i])
+            with pytest.raises(TapeError, match="different tapes"):
+                op(*operands)
+
+    @pytest.mark.parametrize("name", sorted(ALL_OPS))
+    def test_op_on_constants_returns_a_constant_and_records_nothing(self, name):
+        op, arrays = ALL_OPS[name]
+        tape = GradientTape()
+        tape.watch(Tensor([1.0]))
+        out = op(*[Tensor(a) for a in arrays])
+        assert out.tape is None and out.tape_id is None
+        assert tape._ops == []
+
+    def test_op_tables_cover_every_op(self):
+        ops = {name for name, f in vars(T).items() if inspect.isfunction(f)
+               and not name.startswith("_") and f.__annotations__.get("return") == "Tensor"}
+        assert set(ALL_OPS) == ops
+        assert len(ALL_OPS) == len(MULTI_OPERAND) + len(SINGLE_OPERAND)
 
 
 class TestSerialization:
@@ -356,14 +407,6 @@ class TestSerialization:
         raw = T.pack(b"TEST", 7, {}, [("w", Tensor([1.0, 2.0]))])
         with pytest.raises(ValueError, match="^3 trailing bytes after the last record$"):
             T.unpack(raw + b"\x00" * 3, b"TEST", 7)
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "t.csv"
-        T.tensor_to_csv(Tensor([[1.5, 2.0], [3.0, 4.25]]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# shape: 2x2"
-        assert [float(v) for v in lines[1].split(",")] == [1.5, 2.0]
-        assert [float(v) for v in lines[2].split(",")] == [3.0, 4.25]
 
 
 class TestBatchedOps:

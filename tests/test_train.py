@@ -257,3 +257,26 @@ class TestNonFinitePixels:
             sa.evaluate_baseline(net, self.damaged(np.nan))
         with pytest.raises(DatasetError, match="non-finite"):
             sa.train_baseline(net, self.damaged(np.inf), TrainConfig(epochs=1, batch_size=4))
+
+
+class TestLabelOutsideTheModel:
+    """A label that is not one of the model's classes is a data error at
+    every entry point that takes a labeled dataset, whatever its source."""
+
+    ENTRY_POINTS = {
+        "train": lambda data: train(tiny_model(), data, TrainConfig(epochs=1, batch_size=4)),
+        "evaluate": lambda data: evaluate(tiny_model(), data),
+        "train_baseline": lambda data: sa.train_baseline(
+            sa.build_baseline(0, (16, 16), 3), data, TrainConfig(epochs=1, batch_size=4)),
+        "evaluate_baseline": lambda data: sa.evaluate_baseline(
+            sa.build_baseline(0, (16, 16), 3), data),
+    }
+
+    @pytest.mark.parametrize("label", [3, 5, -1])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected_and_named(self, entry, label):
+        data = tiny_dataset()
+        data[5] = LabeledImage(data[5].pixels, label, data[5].foreground_mask)
+        with pytest.raises(DatasetError,
+                           match=f"^label {label} is not one of the model's 3 classes$"):
+            self.ENTRY_POINTS[entry](data)
