@@ -16,11 +16,11 @@ import numpy as np
 from .tensor import (
     DimensionError,
     Tensor,
-    affine,
+    _common_tape,
+    _record,
+    _tiled,
+    _unbroadcast,
     conv2d,
-    div,
-    reduce_mean,
-    relu,
     reshape,
     sigmoid,
 )
@@ -76,12 +76,56 @@ def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
         raise DimensionError(f"expected an H×W image or a B×H×W batch, got shape {shape}")
     lead, (height, width) = shape[:-2], shape[-2:]
     x = reshape(image, (-1, 1, height, width))
-    per_channel = (net.channels, 1, 1)
-    scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
-    # nested, so a tape-free pass frees each B×C×H×W intermediate at once
-    a = relu(affine(conv2d(x, net.conv1_w, net.conv1_b, PAD),
-                    scale, reshape(net.bn_beta, per_channel)))
-    pooled = reduce_mean(reshape(a, (-1, net.channels, height * width)), axis=2)
+    a, pooled = _hidden_layer(net, conv2d(x, net.conv1_w, net.conv1_b, PAD))
     f = conv2d(a, net.conv2_w, net.conv2_b, PAD)
     return CoarseOutput(attention_map=sigmoid(reshape(f, shape)),
                         z_coarse=reshape(pooled, lead + (net.channels,)))
+
+
+def _hidden_layer(net: CoarseNet, h: Tensor) -> tuple[Tensor, Tensor]:
+    """relu(h * bn_gamma / AFFINE_DIVISOR + bn_beta) per channel of conv1's
+    B×C×H×W output h, and its per-channel spatial mean: one tape op each.
+
+    h is conv1's fresh channel-minor product, so each step is one pass
+    over its (B·H, W·C) rows with the per-channel vector tiled along a
+    row. Tape-free, the steps overwrite h's own buffer; taped, h stays
+    for the gamma gradient and the result takes a new buffer. The mean
+    sums a pixel-major (H·W, B·C) copy one pixel after another, the
+    order in which numpy sums over the pixels of the channel-minor map.
+    The backward is the unfused relu, affine, reshape and div gradients
+    on the same operands, in the same order."""
+    b, c, height, width = h.data.shape
+    tape = _common_tape(h, net.bn_gamma, net.bn_beta)
+    scale = net.bn_gamma.data / AFFINE_DIVISOR
+    rows = np.ascontiguousarray(h.data.transpose(0, 2, 3, 1)).reshape(-1, width * c)
+    out = rows if tape is None else np.empty_like(rows)
+    np.multiply(rows, _tiled(scale, width), out=out)
+    out += _tiled(net.bn_beta.data, width)
+    a_data = out.reshape(b, height, width, c).transpose(0, 3, 1, 2)
+    if tape is not None:
+        mask = np.greater(a_data, 0, order="C")
+    np.maximum(out, 0.0, out=out)
+    pixels = np.ascontiguousarray(out.reshape(b, height * width, c).swapaxes(0, 1))
+    a = Tensor(a_data, tape)
+    pooled = Tensor(pixels.reshape(height * width, b * c).mean(axis=0).reshape(b, c), tape)
+    if tape is not None:
+        hd, sd = h.data, scale.reshape(c, 1, 1)
+        # the tape calls the three gradients in turn with one g: the first
+        # of them forms relu's g * mask, the last lets it go
+        taped = [i for i, t in enumerate((h, net.bn_gamma, net.bn_beta)) if t.tape is tape]
+        held = []
+
+        def masked(g, i):
+            if i == taped[0]:
+                held.append(g * mask)
+            return held.pop() if i == taped[-1] else held[0]
+
+        _record(tape, a, (
+            (h, lambda g: _unbroadcast(masked(g, 0) * sd, hd.shape)),
+            (net.bn_gamma, lambda g: _unbroadcast(masked(g, 1) * hd, sd.shape).reshape(c)
+             / AFFINE_DIVISOR),
+            (net.bn_beta, lambda g: _unbroadcast(masked(g, 2), sd.shape).reshape(c)),
+        ))
+        n, shape = height * width, a_data.shape
+        _record(tape, pooled, ((a, lambda g: np.broadcast_to((g / n)[:, :, None, None], shape)),))
+    return a, pooled

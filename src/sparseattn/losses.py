@@ -38,6 +38,9 @@ from .tensor import (
 )
 
 PROB_FLOOR = 1e-12
+# the largest exponent exp() takes in float64: a row's own similarity is 1,
+# so exp(1/tau) overflows on every row below tau = 1 / TAU_EXP_LIMIT
+TAU_EXP_LIMIT = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -55,6 +58,9 @@ class LossConfig:
         non_negative = (self.gamma, self.emphasis, self.lambda_contrast, self.lambda_distill)
         if not (0 < self.tau < np.inf and all(0 <= x < np.inf for x in non_negative)):
             raise ValueError(f"need finite settings, tau > 0 and the rest >= 0, got {self}")
+        if 1.0 / self.tau > TAU_EXP_LIMIT:
+            raise ValueError(f"tau must be at least {1.0 / TAU_EXP_LIMIT:.6g}, got {self.tau}: "
+                             f"below that the contrastive exp(1/tau) overflows float64")
         if self.alpha_per_class is not None and not all(a > 0 for a in self.alpha_per_class):
             raise ValueError("class weights must be > 0")
 

@@ -278,7 +278,7 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     e = np.exp(-np.abs(x))             # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(x >= 0, 1.0, e) / (1.0 + e)   # 1/(1+e) or e/(1+e): one quotient
     out = Tensor(s, a.tape)
     if a.tape is not None:
         _record(a.tape, out, ((a, lambda g: g * s * (1.0 - s)),))
@@ -532,8 +532,9 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     K*K*min(C_in, C_out) values per pixel: on the input (im2col as one
     contiguous plane per tap, then one product) when C_in <= C_out,
     otherwise on the output (one product per pixel that yields every tap,
-    then K*K shifted sums). Either way each tap moves only its slice inside
-    the input (_taps): no padded copy.
+    then K*K shifted sums, _shifted_sum). On the input each tap moves only
+    its slice inside the input (_taps); on the output each tap adds in one
+    contiguous pass over the batch. Neither pads a copy of the input.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -564,15 +565,20 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
         cols = _tap_gather(x.data, k, p, (ho, wo), True).reshape(b, c_in * k * k, ho * wo)
-        flat = (cols.swapaxes(1, 2) @ wmat.T).swapaxes(1, 2)      # channel-minor view
+        prod = cols.swapaxes(1, 2) @ wmat.T                        # B, Ho*Wo, C_out
+        rows = prod.reshape(b * ho, wo * c_out)   # a view: the product is a fresh array
+        rows += _tiled(bias.data, wo)             # so the bias goes in place, row by row
+        flat = prod.swapaxes(1, 2)                                 # channel-minor view
+        data = flat.reshape(b, c_out, ho, wo)
     else:
         wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
         flat_x = x.data.reshape(b, c_in, h * w)
-        taps = wmat @ flat_x                                      # B, C_out*K*K, H*W
-        flat = _tap_sum(taps.reshape(b, c_out, k, k, h, w), p, (ho, wo), True)
-        flat = flat.reshape(b, c_out, ho * wo)
-    flat += bias.data[:, None]                                   # a fresh array: add in place
-    data = flat.reshape(b, c_out, ho, wo)
+        # one product over the batch's pixels, tap-major: a view of a
+        # channel-minor input (the coarse conv2's) is its operand as it is;
+        # unnamed, so the taps are freed before the bias makes the output
+        sums = _shifted_sum((wmat @ x.data.swapaxes(0, 1).reshape(c_in, b * h * w))
+                            .reshape(c_out, k, k, b, h, w), p, (ho, wo))
+        data = sums.swapaxes(0, 1) + bias.data[:, None, None]
     tape = _common_tape(x, kernel, bias)
     out = Tensor(data, tape)
     if tape is not None:
@@ -581,7 +587,7 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         if c_in <= c_out:
             def back_x(g):
                 dcols = wmat.T @ g.reshape(b, c_out, ho * wo)     # B, C_in*K*K, Ho*Wo
-                return _tap_sum(dcols.reshape(b, c_in, k, k, ho, wo), p, (h, w), False)
+                return _tap_sum(dcols.reshape(b, c_in, k, k, ho, wo), p, (h, w))
 
             def back_w(g):
                 # pixel-major rows, copied only when the kernel is watched:
@@ -618,6 +624,15 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
     return out
 
 
+def _tiled(vec: np.ndarray, n: int) -> np.ndarray:
+    """vec repeated n times end to end: a per-channel vector laid along a
+    row of n channel-minor pixels, so that a per-channel step over that
+    memory is one long contiguous pass rather than a loop of C-long ones."""
+    row = np.empty((n, vec.size))
+    row[:] = vec
+    return row.reshape(-1)
+
+
 @functools.lru_cache(maxsize=64)
 def _taps(k: int, p: int, src: tuple, dst: tuple, onto_output: bool) -> tuple:
     """(i, j, destination slices, source slices) of each K×K tap in (i, j)
@@ -651,16 +666,51 @@ def _tap_gather(a: np.ndarray, k: int, p: int, size: tuple, onto_output: bool) -
     return planes
 
 
-def _tap_sum(planes: np.ndarray, p: int, size: tuple, onto_output: bool) -> np.ndarray:
-    """Adjoint of _tap_gather: B×C×K×K×H×W -> B×C×size. Each tap adds only
-    its in-range slice, in the (i, j) order of a sum over zero-padded
-    planes: a skipped term would add +0.0 to an accumulator that starts at
-    +0.0 and never becomes -0.0, so the result is that sum bit for bit."""
+def _tap_sum(planes: np.ndarray, p: int, size: tuple) -> np.ndarray:
+    """Adjoint of the window gather (_tap_gather onto the output):
+    B×C×K×K×Ho×Wo window gradients -> B×C×size, each added onto the input
+    pixel its window entry read. Each tap adds only its in-range slice, in the (i, j) order of a sum over
+    zero-padded planes: a skipped term would add +0.0 to an accumulator
+    that starts at +0.0 and never becomes -0.0, so the result is that sum
+    bit for bit."""
     b, c, k = planes.shape[:3]
     out = np.zeros((b, c) + size)
-    for i, j, (dy, dx), (sy, sx) in _taps(k, p, planes.shape[4:], size, onto_output):
+    for i, j, (dy, dx), (sy, sx) in _taps(k, p, planes.shape[4:], size, False):
         out[:, :, dy, dx] += planes[:, :, i, j, sy, sx]
     return out
+
+
+def _shifted_sum(taps: np.ndarray, p: int, size: tuple) -> np.ndarray:
+    """C×K×K×B×H×W products of each tap with each input pixel -> C×B×size:
+    output pixel (y, x) sums tap (i, j) of input pixel (y + i - p,
+    x + j - p) over the taps in (i, j) order, as a sum over zero-padded
+    planes does, bit for bit. Each tap adds in one contiguous pass over
+    the batch's flat pixels, at its shift's offset; the rows and columns
+    that the shift carries across an image's edge are zeroed first, since
+    the padded sum reads zeros there. An output larger than the input
+    (padding above (K-1)/2) gets a zero border first. Overwrites `taps`."""
+    k = taps.shape[1]
+    extra = max(0, p - (k - 1) // 2)
+    if extra:
+        taps = np.pad(taps, ((0, 0),) * 4 + ((extra, extra),) * 2)
+        p -= extra
+    c, _, _, b, h, w = taps.shape
+    ho, wo = size
+    for t in range(k):
+        d = t - p
+        rows = slice(max(0, h + d), h) if d < 0 else slice(0, max(0, ho + d - h))
+        cols = slice(max(0, w + d), w) if d < 0 else slice(0, max(0, wo + d - w))
+        taps[:, t, :, :, rows, :] = 0.0
+        taps[:, :, t, :, :, cols] = 0.0
+    n = b * h * w
+    flat = taps.reshape(c, k * k, n)
+    out = np.zeros((c, n))
+    for t in range(k * k):
+        off = (t // k - p) * w + t % k - p
+        lo = min(n, max(0, -off))           # a shift past the whole batch adds nothing
+        hi = max(lo, n - max(0, off))
+        out[:, lo:hi] += flat[:, t, lo + off:hi + off]
+    return out.reshape(c, b, h, w)[:, :, :ho, :wo]
 
 
 def avg_pool2(x) -> Tensor:

@@ -155,13 +155,13 @@ class TestRejectedSettings:
     @pytest.mark.parametrize("flags", [
         ["--heads", "3"], ["--dim", "0"], ["--hidden", "0"],
         ["--k-min", "0"],
-        ["--tau", "0"], ["--gamma", "-1"],
+        ["--tau", "0"], ["--tau", "0.0014"], ["--gamma", "-1"],
         ["--samples-per-class", "0"], ["--image-size", "8"], ["--noise-sigma", "-1"],
         ["--model", "baseline", "--image-size", "18"],
         ["--ema-beta", "nan"], ["--k-alpha", "nan"], ["--lr", "nan"], ["--wd", "nan"],
         ["--lambda-distill", "nan"], ["--batch", "0"], ["--epochs", "-1"],
     ], ids=["model-heads", "model-dim", "model-hidden", "budget-k-min", "loss-tau",
-            "loss-gamma", "data-samples", "data-image-size", "data-noise", "baseline-shape",
+            "loss-tau-overflows", "loss-gamma", "data-samples", "data-image-size", "data-noise", "baseline-shape",
             "budget-ema-beta-nan", "budget-k-alpha-nan", "train-lr-nan", "train-wd-nan",
             "loss-lambda-distill-nan", "train-batch-0", "train-epochs-negative"])
     def test_train_exits_2(self, tmp_path, capsys, flags):

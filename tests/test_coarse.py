@@ -1,18 +1,26 @@
-"""Coarse saliency net: map range, pooled features, and gradient paths."""
+"""Coarse saliency net: map range, pooled features, gradient paths, and the
+fused hidden layer against the unfused ops it replaces."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparseattn as sa
+import sparseattn.coarse as coarse
 from sparseattn.coarse import AFFINE_DIVISOR, CoarseNet, coarse_forward
 from sparseattn.losses import LossConfig, total_loss
 from sparseattn.tensor import (
     DimensionError,
     GradientTape,
     Tensor,
+    add,
     affine,
     conv2d,
     div,
+    mul,
+    reduce_mean,
+    reduce_sum,
     relu,
     reshape,
     sigmoid,
@@ -24,11 +32,24 @@ def make_net(seed=0):
 
 
 def hidden_map(net, img):
-    """The 1×C×H×W post-ReLU map of one H×W image, recomputed by hand."""
-    h = conv2d(reshape(img, (1, 1) + img.data.shape), net.conv1_w, net.conv1_b, 1)
+    """The B×C×H×W post-ReLU map of an H×W image (B = 1) or a B×H×W batch,
+    recomputed by hand as the separate conv2d, affine and relu ops."""
+    h = conv2d(reshape(img, (-1, 1) + img.data.shape[-2:]), net.conv1_w, net.conv1_b, 1)
     per_channel = (net.channels, 1, 1)
     scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
     return relu(affine(h, scale, reshape(net.bn_beta, per_channel)))
+
+
+def unfused_forward(net, img):
+    """(attention map, pooled features) of coarse_forward, composed from
+    hidden_map and a reduce_mean over the reshaped map: the oracle for the
+    fused hidden layer."""
+    shape = img.data.shape
+    lead, (height, width) = shape[:-2], shape[-2:]
+    a = hidden_map(net, img)
+    pooled = reduce_mean(reshape(a, (-1, net.channels, height * width)), axis=2)
+    f = conv2d(a, net.conv2_w, net.conv2_b, 1)
+    return sigmoid(reshape(f, shape)), reshape(pooled, lead + (net.channels,))
 
 
 class TestCoarseForward:
@@ -79,7 +100,7 @@ class TestCoarseForward:
         img = Tensor(rng.uniform(0, 1, (9, 9)))
         out = coarse_forward(net, img)
         a = hidden_map(net, img).data[0]
-        np.testing.assert_allclose(out.z_coarse.data, a.mean(axis=(1, 2)), atol=1e-12)
+        np.testing.assert_array_equal(out.z_coarse.data, a.mean(axis=(1, 2)))
 
 
 class TestGradientPaths:
@@ -111,3 +132,120 @@ class TestGradientPaths:
                             LossConfig(lambda_distill=0.0))
         tape.backward(report.total_tensor)
         np.testing.assert_array_equal(model.coarse.conv2_w.grad, 0.0)
+
+
+def varied_net(seed):
+    """A net whose biases, gains and shifts are all non-trivial, with some
+    negative gains, so the ReLU mask differs from channel to channel."""
+    net = make_net(seed)
+    rng = np.random.default_rng(seed + 100)
+    net.conv1_b.data = rng.normal(0, 0.2, net.channels)
+    net.bn_gamma.data = rng.normal(0.8, 0.6, net.channels)
+    net.bn_beta.data = rng.normal(0, 0.3, net.channels)
+    net.conv2_b.data = rng.normal(0, 0.5, 1)
+    return net
+
+
+class TestFusedHiddenLayer:
+    """coarse_forward's one hidden-layer op and pooled mean equal the unfused
+    conv2d → affine → relu → reduce_mean composition bit for bit, forward
+    and backward, tape-free and taped."""
+
+    GRIDS = [(32, 32), (7, 11)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["32x32", "7x11"])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_tape_free_outputs_equal_the_unfused_ops(self, batch, grid):
+        net = varied_net(batch)
+        img = Tensor(np.random.default_rng(batch).uniform(0, 1, (batch,) + grid))
+        out = coarse_forward(net, img)
+        want_map, want_pool = unfused_forward(net, img)
+        np.testing.assert_array_equal(out.attention_map.data, want_map.data)
+        np.testing.assert_array_equal(out.z_coarse.data, want_pool.data)
+
+    @staticmethod
+    def taped_run(net, forward, img, weights, terms):
+        """Outputs and parameter gradients of a loss that weighs the map, the
+        pooled features or both (`terms`) by fixed random arrays."""
+        tape = GradientTape()
+        named = net.params()
+        tape.watch(*[t for _, t in named])
+        amap, pooled = forward(net, img)
+        parts = {"map": reduce_sum(mul(amap, weights[0])),
+                 "pool": reduce_sum(mul(pooled, weights[1]))}
+        loss = parts[terms[0]] if len(terms) == 1 else add(parts["map"], parts["pool"])
+        tape.backward(loss)
+        grads = {name: t.grad for name, t in named}
+        for _, t in named:
+            t.grad = None
+        return amap.data, pooled.data, grads
+
+    @pytest.mark.parametrize("terms", [("map", "pool"), ("map",), ("pool",)],
+                             ids=["both", "map-only", "pool-only"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["32x32", "7x11"])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_taped_outputs_and_gradients_equal_the_unfused_ops(self, batch, grid, terms):
+        """Every parameter's gradient, conv1_w, conv1_b, bn_gamma and bn_beta
+        among them, whether the hidden map's gradient comes from conv2, from
+        the pooled mean or from both."""
+        net = varied_net(batch + 1)
+        rng = np.random.default_rng(batch + 7)
+        img = Tensor(rng.uniform(0, 1, (batch,) + grid))
+        weights = (rng.normal(0, 1, (batch,) + grid), rng.normal(0, 1, (batch, net.channels)))
+
+        def fused(net, img):
+            out = coarse_forward(net, img)
+            return out.attention_map, out.z_coarse
+
+        got = self.taped_run(net, fused, img, weights, terms)
+        want = self.taped_run(net, unfused_forward, img, weights, terms)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert set(got[2]) == set(want[2])
+        for name in got[2]:
+            np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+        assert np.abs(got[2]["bn_gamma"]).sum() > 0 and np.abs(got[2]["conv1_b"]).sum() > 0
+
+    def test_tape_free_affine_and_relu_overwrite_the_conv1_output(self, monkeypatch):
+        """Tape-free, the hidden map that conv2 reads is conv1's own product
+        buffer; taped, conv1's output stays as it was, for bn_gamma's gradient."""
+        net = varied_net(3)
+        img = Tensor(np.random.default_rng(3).uniform(0, 1, (8, 16, 16)))
+        calls = []
+
+        def spy(x, kernel, bias, padding):
+            out = conv2d(x, kernel, bias, padding)
+            calls.append((x.data, out.data.copy(), out.data))
+            return out
+
+        monkeypatch.setattr(coarse, "conv2d", spy)
+        coarse_forward(net, img)
+        (_, _, conv1_out), (conv2_in, _, _) = calls
+        assert np.shares_memory(conv1_out, conv2_in)
+
+        calls.clear()
+        tape = GradientTape()
+        tape.watch(*[t for _, t in net.params()])
+        coarse_forward(net, img)
+        (_, before, conv1_out), (conv2_in, _, _) = calls
+        assert not np.shares_memory(conv1_out, conv2_in)
+        np.testing.assert_array_equal(conv1_out, before)
+
+    def test_tape_free_peak_memory(self):
+        """One tape-free forward of 8 images of 32×32 holds at most 2.4
+        B×8×H×W buffers at once; 2.26 measured. Its peak is conv1's nine
+        window planes (9/8) beside their product (1), or conv2's nine tap
+        products (9/8) and their sum (1/8) beside the hidden map (1). An
+        affine or ReLU result kept beside the hidden map, or conv2's tap
+        sum through strided slices (numpy buffers each of those adds),
+        exceeds it."""
+        net = varied_net(5)
+        img = Tensor(np.random.default_rng(5).uniform(0, 1, (8, 32, 32)))
+        coarse_forward(net, img)          # caches the tap slices
+        tracemalloc.start()
+        try:
+            coarse_forward(net, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * 8 * net.channels * 32 * 32 * 8

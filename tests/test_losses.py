@@ -312,5 +312,8 @@ def test_loss_config_validation():
         LossConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
+    with pytest.raises(ValueError, match="tau must be at least 0.00140888, got 0.0014"):
+        LossConfig(tau=0.0014)
+    LossConfig(tau=0.00141)   # above the floor: exp(1/tau) itself is finite
     with pytest.raises(ValueError):
         LossConfig(alpha_per_class=[1.0, 0.0])

@@ -77,6 +77,17 @@ class TestElementwise:
         np.testing.assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
         assert np.isnan(got[8])
 
+    def test_sigmoid_one_quotient_equals_two_quotients_bit_for_bit(self):
+        """Dividing the branch's numerator once by 1 + e gives the bits of
+        the two quotients it replaced, NaN's included."""
+        rng = np.random.default_rng(99)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0],
+                            rng.normal(0, 1, 8192)])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = T.sigmoid(Tensor(x)).data
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_relu_definition(self):
         assert T.relu(Tensor(-2.5)).item() == 0.0
         assert T.relu(Tensor(3.0)).item() == 3.0
@@ -608,7 +619,7 @@ class TestBatchedOps:
 
 def padded_tap_sum(taps, p, ho, wo):
     """The tap sum over explicitly zero-padded products, tap by tap in
-    (i, j) order: the reference that _tap_sum must equal bit for bit."""
+    (i, j) order: the reference that _shifted_sum must equal bit for bit."""
     k = taps.shape[2]
     tp = np.pad(taps, ((0, 0),) * 4 + ((p, p), (p, p)))
     out = np.zeros(taps.shape[:2] + (ho, wo))
@@ -620,20 +631,22 @@ def padded_tap_sum(taps, p, ho, wo):
 
 class TestTapPath:
     """conv2d's output-side window path (C_in > C_out), which the coarse
-    conv2 (8 -> 1 channels) runs: the tap-plane sum onto the output and,
+    conv2 (8 -> 1 channels) runs: the shifted tap sum onto the output and,
     in backward, the tap-plane gather onto the input."""
 
     @pytest.mark.parametrize("k,p,h,w", [(1, 0, 6, 5), (1, 1, 6, 5), (3, 0, 6, 5), (3, 1, 6, 5),
                                          (3, 2, 6, 5), (5, 0, 6, 5), (5, 2, 6, 5), (5, 3, 6, 5),
-                                         (5, 2, 1, 2)])
+                                         (5, 2, 1, 2), (3, 1, 7, 11), (3, 1, 32, 32)])
     def test_sum_matches_the_padded_sum_and_spread_is_its_adjoint(self, k, p, h, w):
         """<sum(T), G> = <T, spread(G)>, and the sum equals the zero-padded
-        loop exactly; on a 1-pixel-high input some taps meet no pixel."""
+        loop exactly, across the edges between the batch's images; on a
+        1-pixel-high input some taps meet no pixel."""
         rng = np.random.default_rng(80 + 10 * k + p + h)
         ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
         taps = rng.normal(0, 1, (2, 3, k, k, h, w))
         g = rng.normal(0, 1, (2, 3, ho, wo))
-        summed = T._tap_sum(taps, p, (ho, wo), True)
+        tap_major = np.ascontiguousarray(taps.transpose(1, 2, 3, 0, 4, 5))
+        summed = T._shifted_sum(tap_major, p, (ho, wo)).swapaxes(0, 1)
         np.testing.assert_array_equal(summed, padded_tap_sum(taps, p, ho, wo))
         spread = T._tap_gather(g, k, p, (h, w), False)
         assert spread.shape == taps.shape and spread.flags["C_CONTIGUOUS"]
@@ -729,7 +742,7 @@ class TestWindowPath:
         assert planes.shape == g.shape and planes.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(planes, tap_major(padded_im2col(x, k, p, ho, wo),
                                                         3, k, ho, wo))
-        back = T._tap_sum(g, p, (h, w), False)
+        back = T._tap_sum(g, p, (h, w))
         rows = g.transpose(0, 4, 5, 1, 2, 3).reshape(2, ho * wo, 3 * k * k)
         np.testing.assert_array_equal(back, padded_col2im(rows, 3, k, p, h, w, ho, wo))
         assert np.vdot(planes, g) == pytest.approx(np.vdot(x, back), rel=1e-12)
