@@ -36,7 +36,7 @@ from .train import (
 
 
 CHANNELS = (16, 32)
-KSIZE, PAD = 3, 1   # both convolutions: 3x3 kernels, same padding
+KSIZE = 3   # both convolutions: 3x3 kernels
 
 
 def _flat_size(h: int, w: int) -> int:
@@ -87,8 +87,8 @@ def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
     """(C,) logits of one H×W image, or B×C logits of a B×H×W batch."""
     shape = images.data.shape
     x = reshape(images, (-1, 1) + shape[-2:])
-    h = avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b, PAD)))
-    h = avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b, PAD)))
+    h = avg_pool2(relu(conv2d(x, net.conv1_w, net.conv1_b)))
+    h = avg_pool2(relu(conv2d(h, net.conv2_w, net.conv2_b)))
     flat = reshape(h, (x.data.shape[0], -1))
     logits = add(matmul(flat, net.head_w), net.head_b)
     return reshape(logits, shape[:-2] + (net.class_count,))

@@ -224,6 +224,9 @@ def cmd_train(args) -> int:
     settings = _resolve(args)
     family = _FAMILIES[settings["model"]]
     data, classes = _load_data(settings)
+    if classes > len(data):   # n images show at most n classes
+        raise DatasetError(f"label {classes - 1} is not below the dataset's {len(data)} images, "
+                           "so it cannot set the class count")
     train_set, test_set = split(data, 0.8, settings["seed"])
     config = _build(TrainConfig, settings, seed=settings["seed"],
                     loss=_build(LossConfig, settings))

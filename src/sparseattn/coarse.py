@@ -29,7 +29,7 @@ from .tensor import (
 # gamma*x + beta moves outputs 1e-5 relative and derails seed-fixed training runs
 AFFINE_DIVISOR = float(np.sqrt(1.0 + 1e-5))
 
-KSIZE, PAD = 3, 1   # both convolutions: 3x3 kernels, same padding
+KSIZE = 3   # both convolutions: 3x3 kernels
 
 
 @dataclass
@@ -76,8 +76,8 @@ def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
         raise DimensionError(f"expected an H×W image or a B×H×W batch, got shape {shape}")
     lead, (height, width) = shape[:-2], shape[-2:]
     x = reshape(image, (-1, 1, height, width))
-    a, pooled = _hidden_layer(net, conv2d(x, net.conv1_w, net.conv1_b, PAD))
-    f = conv2d(a, net.conv2_w, net.conv2_b, PAD)
+    a, pooled = _hidden_layer(net, conv2d(x, net.conv1_w, net.conv1_b))
+    f = conv2d(a, net.conv2_w, net.conv2_b)
     return CoarseOutput(attention_map=sigmoid(reshape(f, shape)),
                         z_coarse=reshape(pooled, lead + (net.channels,)))
 
@@ -110,22 +110,13 @@ def _hidden_layer(net: CoarseNet, h: Tensor) -> tuple[Tensor, Tensor]:
     pooled = Tensor(pixels.reshape(height * width, b * c).mean(axis=0).reshape(b, c), tape)
     if tape is not None:
         hd, sd = h.data, scale.reshape(c, 1, 1)
-        # the tape calls the three gradients in turn with one g: the first
-        # of them forms relu's g * mask, the last lets it go
-        taped = [i for i, t in enumerate((h, net.bn_gamma, net.bn_beta)) if t.tape is tape]
-        held = []
-
-        def masked(g, i):
-            if i == taped[0]:
-                held.append(g * mask)
-            return held.pop() if i == taped[-1] else held[0]
-
+        # relu's g * mask, formed once for the three gradients
         _record(tape, a, (
-            (h, lambda g: _unbroadcast(masked(g, 0) * sd, hd.shape)),
-            (net.bn_gamma, lambda g: _unbroadcast(masked(g, 1) * hd, sd.shape).reshape(c)
+            (h, lambda gm: _unbroadcast(gm * sd, hd.shape)),
+            (net.bn_gamma, lambda gm: _unbroadcast(gm * hd, sd.shape).reshape(c)
              / AFFINE_DIVISOR),
-            (net.bn_beta, lambda g: _unbroadcast(masked(g, 2), sd.shape).reshape(c)),
-        ))
+            (net.bn_beta, lambda gm: _unbroadcast(gm, sd.shape).reshape(c)),
+        ), pre=lambda g: g * mask)
         n, shape = height * width, a_data.shape
         _record(tape, pooled, ((a, lambda g: np.broadcast_to((g / n)[:, :, None, None], shape)),))
     return a, pooled

@@ -19,6 +19,7 @@ import numpy as np
 
 from .selector import Selection
 from .tensor import (
+    NumericError,
     Tensor,
     add,
     clamp_min,
@@ -121,8 +122,13 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
     z = div(embeddings, reshape(norms, (b, 1)))
     sims = matmul(z, transpose(z))
     scores = exp(mul(sims, 1.0 / cfg.tau))
+    with np.errstate(over="ignore"):   # a row of finite scores can still sum past float64
+        rows = reduce_sum(scores, axis=1)
+    if not np.all(np.isfinite(rows.data)):
+        raise NumericError(f"a row of contrastive scores exp(similarity / tau) sums "
+                           f"past float64 at tau {cfg.tau}; a larger tau avoids it")
 
-    denom = sub(reduce_sum(scores, axis=1), take(scores, np.arange(b)))
+    denom = sub(rows, take(scores, np.arange(b)))
     ratio = div(take(scores, positive), denom)
     return mul(reduce_mean(log(take(ratio, anchors))), -1.0)
 

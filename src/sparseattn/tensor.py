@@ -110,10 +110,12 @@ class GradientTape:
             raise NumericError("backward root is not finite")
 
         grads: dict[int, np.ndarray] = {root.tape_id: np.ones_like(root.data)}
-        for out_id, parent_ids, fns in reversed(self._ops):
+        for out_id, parent_ids, fns, pre in reversed(self._ops):
             g = grads.pop(out_id, None)
             if g is None:
                 continue
+            if pre is not None:
+                g = pre(g)
             for pid, fn in zip(parent_ids, fns):
                 if pid is None:
                     continue
@@ -147,11 +149,14 @@ def _common_tape(*ts: Tensor):
     return tape
 
 
-def _record(tape: GradientTape, out: Tensor, pairs) -> None:
+def _record(tape: GradientTape, out: Tensor, pairs, pre=None) -> None:
+    """Tape out's op as (parent, gradient closure) pairs; given pre, backward
+    passes pre(g), computed once, to every taped parent's closure for g."""
     tape._ops.append((
         out.tape_id,
         tuple(p.tape_id if p.tape is tape else None for p, _ in pairs),
         tuple(fn for _, fn in pairs),
+        pre,
     ))
 
 
@@ -523,11 +528,11 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x, kernel, bias, padding: int) -> Tensor:
+def conv2d(x, kernel, bias) -> Tensor:
     """Cross-correlation of a B×C_in×H×W batch with a C_out×C_in×K×K kernel.
 
-    Stride 1, symmetric zero padding. Output is B×C_out×H'×W' with
-    H' = H + 2*padding - K + 1. The K*K window shifts are taken on the
+    Stride 1 and same padding: (K-1)/2 zeros on every side, so the output
+    is B×C_out×H×W; K must be odd. The K*K window shifts are taken on the
     narrower side of the kernel, so no transient holds more than
     K*K*min(C_in, C_out) values per pixel: on the input (im2col as one
     contiguous plane per tap, then one product) when C_in <= C_out,
@@ -555,21 +560,15 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} must be ({c_out},)")
-    p = int(padding)
-    if p < 0:
-        raise DimensionError(f"conv2d: padding must be >= 0, got {p}")
-    ho, wo = h + 2 * p - k + 1, w + 2 * p - k + 1
-    if ho < 1 or wo < 1:
-        raise DimensionError(f"conv2d: window {k} too large for padded input {h}×{w}")
 
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
-        cols = _tap_gather(x.data, k, p, (ho, wo), True).reshape(b, c_in * k * k, ho * wo)
-        prod = cols.swapaxes(1, 2) @ wmat.T                        # B, Ho*Wo, C_out
-        rows = prod.reshape(b * ho, wo * c_out)   # a view: the product is a fresh array
-        rows += _tiled(bias.data, wo)             # so the bias goes in place, row by row
+        cols = _tap_gather(x.data, k, True).reshape(b, c_in * k * k, h * w)
+        prod = cols.swapaxes(1, 2) @ wmat.T                        # B, H*W, C_out
+        rows = prod.reshape(b * h, w * c_out)     # a view: the product is a fresh array
+        rows += _tiled(bias.data, w)              # so the bias goes in place, row by row
         flat = prod.swapaxes(1, 2)                                 # channel-minor view
-        data = flat.reshape(b, c_out, ho, wo)
+        data = flat.reshape(b, c_out, h, w)
     else:
         wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
         flat_x = x.data.reshape(b, c_in, h * w)
@@ -577,50 +576,41 @@ def conv2d(x, kernel, bias, padding: int) -> Tensor:
         # channel-minor input (the coarse conv2's) is its operand as it is;
         # unnamed, so the taps are freed before the bias makes the output
         sums = _shifted_sum((wmat @ x.data.swapaxes(0, 1).reshape(c_in, b * h * w))
-                            .reshape(c_out, k, k, b, h, w), p, (ho, wo))
+                            .reshape(c_out, k, k, b, h, w))
         data = sums.swapaxes(0, 1) + bias.data[:, None, None]
     tape = _common_tape(x, kernel, bias)
     out = Tensor(data, tape)
     if tape is not None:
         # closures capture arrays and shapes only: a captured Tensor would
         # tie its tape into a reference cycle that outlives the step
+        pre = None
         if c_in <= c_out:
             def back_x(g):
-                dcols = wmat.T @ g.reshape(b, c_out, ho * wo)     # B, C_in*K*K, Ho*Wo
-                return _tap_sum(dcols.reshape(b, c_in, k, k, ho, wo), p, (h, w))
+                dcols = wmat.T @ g.reshape(b, c_out, h * w)       # B, C_in*K*K, H*W
+                return _tap_sum(dcols.reshape(b, c_in, k, k, h, w))
 
             def back_w(g):
                 # pixel-major rows, copied only when the kernel is watched:
                 # with the planes' transposed view as its operand, BLAS adds
                 # this sum over every output pixel in another order
                 rows = np.ascontiguousarray(cols.swapaxes(1, 2))
-                g = g.reshape(b, c_out, ho * wo)
+                g = g.reshape(b, c_out, h * w)
                 return (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k)
+
+            back_b = lambda g: g.reshape(b, c_out, h * w).sum(axis=(0, 2))
         else:
-            def spread(g):
-                return _tap_gather(g, k, p, (h, w), False).reshape(b, c_out * k * k, h * w)
+            def pre(g):   # g, and its spread onto the input for the input and kernel gradients
+                return g, _tap_gather(g, k, False).reshape(b, c_out * k * k, h * w)
 
-            # the tape calls back_x, then back_w, with the same g: when it
-            # calls both, back_x hands its spread on rather than both building one
-            handed = []
-            kernel_taped = kernel.tape is tape
+            def back_x(gs):
+                return (wmat.T @ gs[1]).reshape(b, c_in, h, w)
 
-            def back_x(g):
-                s = spread(g)
-                if kernel_taped:
-                    handed.append(s)
-                return (wmat.T @ s).reshape(b, c_in, h, w)
-
-            def back_w(g):
-                s = handed.pop() if handed else spread(g)
-                dw = (s @ flat_x.swapaxes(1, 2)).sum(axis=0)
+            def back_w(gs):
+                dw = (gs[1] @ flat_x.swapaxes(1, 2)).sum(axis=0)
                 return dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
 
-        _record(tape, out, (
-            (x, back_x),
-            (kernel, back_w),
-            (bias, lambda g: g.reshape(b, c_out, ho * wo).sum(axis=(0, 2))),
-        ))
+            back_b = lambda gs: gs[0].reshape(b, c_out, h * w).sum(axis=(0, 2))
+        _record(tape, out, ((x, back_x), (kernel, back_w), (bias, back_b)), pre)
     return out
 
 
@@ -634,72 +624,66 @@ def _tiled(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _taps(k: int, p: int, src: tuple, dst: tuple, onto_output: bool) -> tuple:
+def _taps(k: int, size: tuple, onto_output: bool) -> tuple:
     """(i, j, destination slices, source slices) of each K×K tap in (i, j)
-    order. Tap (i, j) of output pixel (y, x) is input pixel (y + i - p,
-    x + j - p); the destination is the output grid when onto_output, else
-    the input grid, and the slices cover where both pixels lie inside their
-    grids (src and dst are their H×W). Cached, as a model uses few shapes
-    and the slices cost more than a small image's copy."""
+    order on an H×W grid (size) padded by p = (K-1)/2. Tap (i, j) of output
+    pixel (y, x) is input pixel (y + i - p, x + j - p); the destination is
+    the output pixel when onto_output, else the input pixel, and the slices
+    cover where both pixels lie inside the grid. Cached, as a model uses
+    few shapes and the slices cost more than a small image's copy."""
+    p = k // 2
     sign = 1 if onto_output else -1
 
-    def overlap(offset: int, n_src: int, n_dst: int) -> tuple[slice, slice]:
+    def overlap(offset: int, n: int) -> tuple[slice, slice]:
         lo = max(0, -offset)
-        hi = max(lo, min(n_dst, n_src - offset))
+        hi = max(lo, n - max(0, offset))
         return slice(lo, hi), slice(lo + offset, hi + offset)
-    rows = [overlap(sign * (i - p), src[0], dst[0]) for i in range(k)]
-    cols = [overlap(sign * (j - p), src[1], dst[1]) for j in range(k)]
+    rows = [overlap(sign * (i - p), size[0]) for i in range(k)]
+    cols = [overlap(sign * (j - p), size[1]) for j in range(k)]
     return tuple((i, j, (dy, dx), (sy, sx))
                  for i, (dy, sy) in enumerate(rows) for j, (dx, sx) in enumerate(cols))
 
 
-def _tap_gather(a: np.ndarray, k: int, p: int, size: tuple, onto_output: bool) -> np.ndarray:
-    """B×C×H×W -> B×C×K×K×size, C-contiguous, one contiguous plane per tap:
+def _tap_gather(a: np.ndarray, k: int, onto_output: bool) -> np.ndarray:
+    """B×C×H×W -> B×C×K×K×H×W, C-contiguous, one contiguous plane per tap:
     entry (i, j, y, x) is the pixel of `a` that tap (i, j) pairs with pixel
-    (y, x) of the destination grid, or zero where it lies outside `a`. Onto
-    the output, `a` is the input and the planes are its zero-padded windows
+    (y, x) of the destination, or zero where it lies outside `a`. Onto the
+    output, `a` is the input and the planes are its zero-padded windows
     (im2col); onto the input, `a` is an output gradient, spread to the input
     pixel each tap reads."""
-    planes = np.zeros(a.shape[:2] + (k, k) + size)
-    for i, j, (dy, dx), (sy, sx) in _taps(k, p, a.shape[2:], size, onto_output):
+    planes = np.zeros(a.shape[:2] + (k, k) + a.shape[2:])
+    for i, j, (dy, dx), (sy, sx) in _taps(k, a.shape[2:], onto_output):
         planes[:, :, i, j, dy, dx] = a[:, :, sy, sx]
     return planes
 
 
-def _tap_sum(planes: np.ndarray, p: int, size: tuple) -> np.ndarray:
+def _tap_sum(planes: np.ndarray) -> np.ndarray:
     """Adjoint of the window gather (_tap_gather onto the output):
-    B×C×K×K×Ho×Wo window gradients -> B×C×size, each added onto the input
-    pixel its window entry read. Each tap adds only its in-range slice, in the (i, j) order of a sum over
-    zero-padded planes: a skipped term would add +0.0 to an accumulator
-    that starts at +0.0 and never becomes -0.0, so the result is that sum
-    bit for bit."""
-    b, c, k = planes.shape[:3]
-    out = np.zeros((b, c) + size)
-    for i, j, (dy, dx), (sy, sx) in _taps(k, p, planes.shape[4:], size, False):
+    B×C×K×K×H×W window gradients -> B×C×H×W, each added onto the input
+    pixel its window entry read. Each tap adds only its in-range slice, in
+    the (i, j) order of a sum over zero-padded planes: a skipped term would
+    add +0.0 to an accumulator that starts at +0.0 and never becomes -0.0,
+    so the result is that sum bit for bit."""
+    out = np.zeros(planes.shape[:2] + planes.shape[4:])
+    for i, j, (dy, dx), (sy, sx) in _taps(planes.shape[2], out.shape[2:], False):
         out[:, :, dy, dx] += planes[:, :, i, j, sy, sx]
     return out
 
 
-def _shifted_sum(taps: np.ndarray, p: int, size: tuple) -> np.ndarray:
-    """C×K×K×B×H×W products of each tap with each input pixel -> C×B×size:
+def _shifted_sum(taps: np.ndarray) -> np.ndarray:
+    """C×K×K×B×H×W products of each tap with each input pixel -> C×B×H×W:
     output pixel (y, x) sums tap (i, j) of input pixel (y + i - p,
-    x + j - p) over the taps in (i, j) order, as a sum over zero-padded
-    planes does, bit for bit. Each tap adds in one contiguous pass over
-    the batch's flat pixels, at its shift's offset; the rows and columns
-    that the shift carries across an image's edge are zeroed first, since
-    the padded sum reads zeros there. An output larger than the input
-    (padding above (K-1)/2) gets a zero border first. Overwrites `taps`."""
-    k = taps.shape[1]
-    extra = max(0, p - (k - 1) // 2)
-    if extra:
-        taps = np.pad(taps, ((0, 0),) * 4 + ((extra, extra),) * 2)
-        p -= extra
-    c, _, _, b, h, w = taps.shape
-    ho, wo = size
+    x + j - p), p = (K-1)/2, over the taps in (i, j) order, as a sum over
+    zero-padded planes does, bit for bit. Each tap adds in one contiguous
+    pass over the batch's flat pixels, at its shift's offset; the rows and
+    columns that the shift carries across an image's edge are zeroed
+    first, since the padded sum reads zeros there. Overwrites `taps`."""
+    c, k, _, b, h, w = taps.shape
+    p = k // 2
     for t in range(k):
         d = t - p
-        rows = slice(max(0, h + d), h) if d < 0 else slice(0, max(0, ho + d - h))
-        cols = slice(max(0, w + d), w) if d < 0 else slice(0, max(0, wo + d - w))
+        rows = slice(max(0, h + d), h) if d < 0 else slice(0, d)
+        cols = slice(max(0, w + d), w) if d < 0 else slice(0, d)
         taps[:, t, :, :, rows, :] = 0.0
         taps[:, :, t, :, :, cols] = 0.0
     n = b * h * w
@@ -710,7 +694,7 @@ def _shifted_sum(taps: np.ndarray, p: int, size: tuple) -> np.ndarray:
         lo = min(n, max(0, -off))           # a shift past the whole batch adds nothing
         hi = max(lo, n - max(0, off))
         out[:, lo:hi] += flat[:, t, lo + off:hi + off]
-    return out.reshape(c, b, h, w)[:, :, :ho, :wo]
+    return out.reshape(c, b, h, w)
 
 
 def avg_pool2(x) -> Tensor:

@@ -107,6 +107,29 @@ class TestTrainCommand:
         assert run_train(tmp_path, ["--tau", "0.002"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_label_beyond_the_image_count_exits_3(self, tmp_path, capsys):
+        """The class count is the largest label + 1, and n images show at
+        most n classes: a label of 10^12 once sized a classifier of 466 TiB
+        and died with a MemoryError (exit 1)."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for name in ("a.pgm", "b.pgm"):
+            write_pgm(data_dir / name, np.zeros((16, 16)))
+        (data_dir / "manifest.csv").write_text("filename,label\na.pgm,0\nb.pgm,1000000000000\n")
+        code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "out"),
+                     *FAST_TRAIN])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "label 1000000000000" in err
+
+    def test_row_sum_overflow_is_a_numeric_abort(self, tmp_path, capsys):
+        """Just above the tau floor each exp(1/tau) is finite but a row of
+        them sums past float64: exit 4 with one line naming tau, and no
+        overflow warning (which pytest turns into an error)."""
+        assert run_train(tmp_path, ["--tau", "0.00141"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tau 0.00141" in err
+
 
 class TestConfigFile:
     def test_unknown_key_exits_2(self, tmp_path, capsys):

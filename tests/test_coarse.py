@@ -34,7 +34,7 @@ def make_net(seed=0):
 def hidden_map(net, img):
     """The B×C×H×W post-ReLU map of an H×W image (B = 1) or a B×H×W batch,
     recomputed by hand as the separate conv2d, affine and relu ops."""
-    h = conv2d(reshape(img, (-1, 1) + img.data.shape[-2:]), net.conv1_w, net.conv1_b, 1)
+    h = conv2d(reshape(img, (-1, 1) + img.data.shape[-2:]), net.conv1_w, net.conv1_b)
     per_channel = (net.channels, 1, 1)
     scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
     return relu(affine(h, scale, reshape(net.bn_beta, per_channel)))
@@ -48,7 +48,7 @@ def unfused_forward(net, img):
     lead, (height, width) = shape[:-2], shape[-2:]
     a = hidden_map(net, img)
     pooled = reduce_mean(reshape(a, (-1, net.channels, height * width)), axis=2)
-    f = conv2d(a, net.conv2_w, net.conv2_b, 1)
+    f = conv2d(a, net.conv2_w, net.conv2_b)
     return sigmoid(reshape(f, shape)), reshape(pooled, lead + (net.channels,))
 
 
@@ -77,7 +77,7 @@ class TestCoarseForward:
         net = make_net(2)
         img = Tensor(rng.uniform(0, 1, (12, 12)))
         out = coarse_forward(net, img)
-        pre = conv2d(hidden_map(net, img), net.conv2_w, net.conv2_b, 1).data[0, 0]
+        pre = conv2d(hidden_map(net, img), net.conv2_w, net.conv2_b).data[0, 0]
         expected = sigmoid(Tensor(pre)).data
         np.testing.assert_array_equal(out.attention_map.data, expected)
 
@@ -213,8 +213,8 @@ class TestFusedHiddenLayer:
         img = Tensor(np.random.default_rng(3).uniform(0, 1, (8, 16, 16)))
         calls = []
 
-        def spy(x, kernel, bias, padding):
-            out = conv2d(x, kernel, bias, padding)
+        def spy(x, kernel, bias):
+            out = conv2d(x, kernel, bias)
             calls.append((x.data, out.data.copy(), out.data))
             return out
 
