@@ -9,6 +9,10 @@ outputs, averaged over heads, is the global representation.
 All heads run in one pass: their query and key projections sit side by
 side as H*d_h columns, and a batch of token matrices is one B×(k+1)×D
 tensor.
+
+The distillation readout (token weights in the CLS readout, per-head
+attention views) is computed on read: only the distillation target and
+`sparseattn viz` read it, so evaluate() and predict() never compute it.
 """
 
 from __future__ import annotations
@@ -33,11 +37,30 @@ from .tensor import (
 
 @dataclass
 class FineOutput:
-    """Per image; a batch adds a leading axis to every field."""
+    """Per image; a batch adds a leading axis to z_fine and to the readout,
+    which is computed on every read: the distillation target reads it once
+    per training batch, `sparseattn viz` once per image."""
 
-    z_fine: Tensor                 # (D,) mean CLS output over heads
-    head_attn: list[Tensor]        # per head, (k+1)×d_h column-stochastic (constants)
-    pixel_importance: Tensor       # (k+1,) attention each token gets in the CLS readout (constant)
+    z_fine: Tensor       # (D,) mean CLS output over heads
+    a: np.ndarray        # B×(k+1)×H*d_h column-stochastic attention, B = 1 unbatched
+    q_cls: np.ndarray    # B×H*d_h CLS query rows, a copy: the full q is freed
+    heads: int
+
+    @property
+    def pixel_importance(self) -> Tensor:
+        """(k+1,) attention each token gets in the CLS readout (constant): token
+        j's weight in head h's readout is sum_c q_cls[c] * a[j, c] over the
+        head's columns; its magnitude is averaged over heads."""
+        b, n, _ = self.a.shape
+        flow = (self.a * self.q_cls[:, None, :]).reshape(b, n, self.heads, -1).sum(axis=-1)
+        return Tensor(np.abs(flow).mean(axis=-1).reshape(self.z_fine.data.shape[:-1] + (n,)))
+
+    @property
+    def head_attn(self) -> list[Tensor]:
+        """Per head, (k+1)×d_h column-stochastic (constants)."""
+        n = self.a.shape[1]
+        by_head = self.a.reshape(self.z_fine.data.shape[:-1] + (n, self.heads, -1))
+        return [Tensor(by_head[..., h, :]) for h in range(self.heads)]
 
 
 class FineAttention:
@@ -90,14 +113,5 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     cls_cols = np.broadcast_to((n_tokens - 1) * fa.dim + np.arange(fa.dim), (b, fa.dim))
     z_fine = div(take(reshape(out, (b, n_tokens * fa.dim)), cls_cols), float(fa.heads))
 
-    # token j's weight in head h's CLS readout is sum_c q_cls[c] * a[j, c]
-    # over the head's columns; its magnitude, averaged over heads, is the
-    # attention the classifier pays to the token. It only feeds the
-    # detached distillation target and diagnostics, so it stays off the tape.
-    q_cls = q.data[:, -1, :]
-    flow = (a.data * q_cls[:, None, :]).reshape(b, n_tokens, fa.heads, fa.head_dim).sum(axis=-1)
-    importance = np.abs(flow).mean(axis=-1).reshape(lead + (n_tokens,))
-    by_head = a.data.reshape(lead + (n_tokens, fa.heads, fa.head_dim))
-    head_attn = [Tensor(by_head[..., h, :]) for h in range(fa.heads)]
-    return FineOutput(z_fine=reshape(z_fine, lead + (fa.dim,)), head_attn=head_attn,
-                      pixel_importance=Tensor(importance))
+    return FineOutput(z_fine=reshape(z_fine, lead + (fa.dim,)), a=a.data,
+                      q_cls=q.data[:, -1, :].copy(), heads=fa.heads)

@@ -1,12 +1,29 @@
 """Fine attention: column stochasticity, the scalar worked example, the
-vectorized-vs-triple-loop oracle, and normalization invariance.
+vectorized-vs-triple-loop oracle, normalization invariance, and the
+readout computed on read: bit-exact with the eager expressions, and never
+computed by tape-free inference.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from sparseattn.fine import FineAttention, fine_forward
-from sparseattn.tensor import DimensionError, Tensor, mul, reduce_sum
+import sparseattn as sa
+from sparseattn.fine import FineAttention, FineOutput, fine_forward
+from sparseattn.tensor import (
+    DimensionError,
+    GradientTape,
+    Tensor,
+    add,
+    div,
+    matmul,
+    mul,
+    reduce_sum,
+    relu,
+    reshape,
+)
+from sparseattn.train import _batch_report
 
 
 def make_attention(seed=0, dim=4, heads=2, epsilon=1e-6):
@@ -151,3 +168,82 @@ class TestFineForward:
         errors = param_grad_errors(fa.params(), loss)
         for name, err in errors.items():
             assert err <= 1e-4, f"{name}: {err}"
+
+
+def eager_readout(fa: FineAttention, tokens: np.ndarray):
+    """The readout as fine_forward computed it on every call before it moved
+    into FineOutput's properties: the forward's own ops up to the attention
+    `a` and the queries, then the same expressions."""
+    lead = tokens.shape[:-2]
+    n_tokens = tokens.shape[-2]
+    x = reshape(Tensor(tokens), (-1,) + tokens.shape[-2:])
+    b = x.data.shape[0]
+    q = matmul(x, fa.w_q)
+    keys = add(relu(matmul(x, fa.w_k)), fa.epsilon)
+    a = div(keys, reshape(reduce_sum(keys, axis=1), (b, 1, -1)))
+    q_cls = q.data[:, -1, :]
+    flow = (a.data * q_cls[:, None, :]).reshape(b, n_tokens, fa.heads, fa.head_dim).sum(axis=-1)
+    importance = np.abs(flow).mean(axis=-1).reshape(lead + (n_tokens,))
+    by_head = a.data.reshape(lead + (n_tokens, fa.heads, fa.head_dim))
+    return importance, [by_head[..., h, :] for h in range(fa.heads)]
+
+
+class TestReadoutOnRead:
+    @pytest.mark.parametrize("heads,head_dim", itertools.product((1, 2, 4, 8), (1, 2, 3, 8)))
+    def test_bit_exact_with_the_eager_expressions(self, heads, head_dim):
+        dim = heads * head_dim
+        rng = np.random.default_rng(100 * heads + head_dim)
+        fa = FineAttention(rng, dim=dim, heads=heads)
+        for shape in ((13, dim), (5, 13, dim)):
+            tokens = rng.normal(0, 1, shape)
+            out = fine_forward(fa, Tensor(tokens))
+            importance, attn = eager_readout(fa, tokens)
+            assert out.pixel_importance.data.shape == shape[:-1]
+            assert np.array_equal(out.pixel_importance.data, importance)
+            assert len(out.head_attn) == heads
+            for got, want in zip(out.head_attn, attn):
+                assert got.data.shape == shape[:-1] + (head_dim,)
+                assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
+    def test_kept_cls_query_owns_its_data(self, shape):
+        out = fine_forward(make_attention(7), Tensor(np.random.default_rng(7).normal(0, 1, shape)))
+        assert out.q_cls.base is None
+        assert out.q_cls.shape == (int(np.prod(shape[:-2])), 4)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts the computations of each readout property."""
+    counts = {"pixel_importance": 0, "head_attn": 0}
+    for name in counts:
+        def counted(self, _get=getattr(FineOutput, name).fget, _name=name):
+            counts[_name] += 1
+            return _get(self)
+        monkeypatch.setattr(FineOutput, name, property(counted))
+    return counts
+
+
+class TestInferenceSkipsTheReadout:
+    def model_and_data(self):
+        data = sa.generate(sa.SyntheticSpec(image_size=16, seed=3, samples_per_class=4))
+        model = sa.build_model(seed=3, image_shape=(16, 16), class_count=3, hidden=8,
+                               k_init=40, k_min=16)
+        return model, data
+
+    def test_evaluate_and_predict_never_compute_it(self, reads):
+        model, data = self.model_and_data()
+        sa.evaluate(model, data)
+        for s in data[:3]:
+            sa.predict(model, s.pixels)
+        assert reads == {"pixel_importance": 0, "head_attn": 0}
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_a_batch_report_reads_importance_once(self, reads, taped):
+        model, data = self.model_and_data()
+        cfg = sa.TrainConfig().loss
+        if taped:
+            tape = GradientTape()
+            tape.watch(*[t for _, t in model.params()])
+        _batch_report(model, data[:6], 40, cfg)
+        assert reads == {"pixel_importance": 1, "head_attn": 0}
