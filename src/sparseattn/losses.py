@@ -129,8 +129,11 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
                            f"past float64 at tau {cfg.tau}; a larger tau avoids it")
 
     denom = sub(rows, take(scores, np.arange(b)))
-    ratio = div(take(scores, positive), denom)
-    return mul(reduce_mean(log(take(ratio, anchors))), -1.0)
+    ratio = take(div(take(scores, positive), denom), anchors)
+    if not np.all(np.isfinite(ratio.data) & (ratio.data > 0)):
+        raise NumericError(f"a contrastive ratio, positive score over the other scores, is 0 "
+                           f"or not finite at tau {cfg.tau}; a larger tau avoids it")
+    return mul(reduce_mean(log(ratio)), -1.0)
 
 
 def distill_target(pixel_importance: Tensor, k: int, emphasis: float) -> np.ndarray:

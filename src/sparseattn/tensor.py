@@ -327,7 +327,9 @@ def power(a, exponent: float) -> Tensor:
         ad = a.data
         def back(g):
             with np.errstate(invalid="ignore", divide="ignore"):
-                return g * p * ad ** (p - 1.0)
+                d = g * p * ad ** (p - 1.0)
+            # a zero gradient times an infinite slope (a below-1 power at 0) stays 0
+            return np.where((g == 0) & np.isnan(d), 0.0, d)
         _record(a.tape, out, ((a, back),))
     return out
 
@@ -537,9 +539,11 @@ def conv2d(x, kernel, bias) -> Tensor:
     K*K*min(C_in, C_out) values per pixel: on the input (im2col as one
     contiguous plane per tap, then one product) when C_in <= C_out,
     otherwise on the output (one product per pixel that yields every tap,
-    then K*K shifted sums, _shifted_sum). On the input each tap moves only
-    its slice inside the input (_taps); on the output each tap adds in one
-    contiguous pass over the batch. Neither pads a copy of the input.
+    then K*K shifted sums). Every tap moves one way, as one shifted pass
+    along the flat pixels: _tap_gather copies it into its own plane and
+    _shifted_sum adds it up, sign 1 reading each pixel's window and sign -1
+    its adjoint, so each path's backward runs the other helper at the other
+    sign. Neither pads a copy of the input.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -563,7 +567,7 @@ def conv2d(x, kernel, bias) -> Tensor:
 
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
-        cols = _tap_gather(x.data, k, True).reshape(b, c_in * k * k, h * w)
+        cols = _tap_gather(x.data, k, 1).reshape(b, c_in * k * k, h * w)
         prod = cols.swapaxes(1, 2) @ wmat.T                        # B, H*W, C_out
         rows = prod.reshape(b * h, w * c_out)     # a view: the product is a fresh array
         rows += _tiled(bias.data, w)              # so the bias goes in place, row by row
@@ -576,7 +580,7 @@ def conv2d(x, kernel, bias) -> Tensor:
         # channel-minor input (the coarse conv2's) is its operand as it is;
         # unnamed, so the taps are freed before the bias makes the output
         sums = _shifted_sum((wmat @ x.data.swapaxes(0, 1).reshape(c_in, b * h * w))
-                            .reshape(c_out, k, k, b, h, w))
+                            .reshape(c_out, k, k, b, h, w), 1)
         data = sums.swapaxes(0, 1) + bias.data[:, None, None]
     tape = _common_tape(x, kernel, bias)
     out = Tensor(data, tape)
@@ -587,7 +591,7 @@ def conv2d(x, kernel, bias) -> Tensor:
         if c_in <= c_out:
             def back_x(g):
                 dcols = wmat.T @ g.reshape(b, c_out, h * w)       # B, C_in*K*K, H*W
-                return _tap_sum(dcols.reshape(b, c_in, k, k, h, w))
+                return _shifted_sum(dcols.reshape(-1, k, k, 1, h, w), -1).reshape(b, c_in, h, w)
 
             def back_w(g):
                 # pixel-major rows, copied only when the kernel is watched:
@@ -600,7 +604,7 @@ def conv2d(x, kernel, bias) -> Tensor:
             back_b = lambda g: g.reshape(b, c_out, h * w).sum(axis=(0, 2))
         else:
             def pre(g):   # g, and its spread onto the input for the input and kernel gradients
-                return g, _tap_gather(g, k, False).reshape(b, c_out * k * k, h * w)
+                return g, _tap_gather(g, k, -1).reshape(b, c_out * k * k, h * w)
 
             def back_x(gs):
                 return (wmat.T @ gs[1]).reshape(b, c_in, h, w)
@@ -623,78 +627,65 @@ def _tiled(vec: np.ndarray, n: int) -> np.ndarray:
     return row.reshape(-1)
 
 
+def _edge(d: int, n: int) -> slice:
+    """Where on a length-n axis a read at offset d (y reads y + d) arrives
+    only from across an end: the first d if d > 0, else the last -d."""
+    return slice(max(0, n + d), n) if d < 0 else slice(0, d)
+
+
 @functools.lru_cache(maxsize=64)
-def _taps(k: int, size: tuple, onto_output: bool) -> tuple:
-    """(i, j, destination slices, source slices) of each K×K tap in (i, j)
-    order on an H×W grid (size) padded by p = (K-1)/2. Tap (i, j) of output
-    pixel (y, x) is input pixel (y + i - p, x + j - p); the destination is
-    the output pixel when onto_output, else the input pixel, and the slices
-    cover where both pixels lie inside the grid. Cached, as a model uses
-    few shapes and the slices cost more than a small image's copy."""
+def _shifts(k: int, w: int, n: int, sign: int) -> tuple:
+    """(destination, source) slices of each K×K tap, in (i, j) order, over
+    n flat pixels in rows w wide, where tap (i, j) reads at offset
+    sign·((i - p)·w + j - p), p = (K-1)/2, and both ends lie inside. Cached:
+    a model uses few shapes, and the slices cost more than a small copy."""
     p = k // 2
-    sign = 1 if onto_output else -1
-
-    def overlap(offset: int, n: int) -> tuple[slice, slice]:
-        lo = max(0, -offset)
-        hi = max(lo, n - max(0, offset))
-        return slice(lo, hi), slice(lo + offset, hi + offset)
-    rows = [overlap(sign * (i - p), size[0]) for i in range(k)]
-    cols = [overlap(sign * (j - p), size[1]) for j in range(k)]
-    return tuple((i, j, (dy, dx), (sy, sx))
-                 for i, (dy, sy) in enumerate(rows) for j, (dx, sx) in enumerate(cols))
+    table = []
+    for t in range(k * k):
+        off = sign * ((t // k - p) * w + t % k - p)
+        lo = min(n, max(0, -off))           # a shift past all n pixels moves nothing
+        hi = max(lo, n - max(0, off))
+        table.append((slice(lo, hi), slice(lo + off, hi + off)))
+    return tuple(table)
 
 
-def _tap_gather(a: np.ndarray, k: int, onto_output: bool) -> np.ndarray:
-    """B×C×H×W -> B×C×K×K×H×W, C-contiguous, one contiguous plane per tap:
-    entry (i, j, y, x) is the pixel of `a` that tap (i, j) pairs with pixel
-    (y, x) of the destination, or zero where it lies outside `a`. Onto the
-    output, `a` is the input and the planes are its zero-padded windows
-    (im2col); onto the input, `a` is an output gradient, spread to the input
-    pixel each tap reads."""
-    planes = np.zeros(a.shape[:2] + (k, k) + a.shape[2:])
-    for i, j, (dy, dx), (sy, sx) in _taps(k, a.shape[2:], onto_output):
-        planes[:, :, i, j, dy, dx] = a[:, :, sy, sx]
+def _tap_gather(a: np.ndarray, k: int, sign: int) -> np.ndarray:
+    """B×C×H×W -> B×C×K×K×H×W, C-contiguous: plane (i, j) holds pixel
+    (y + s(i - p), x + s(j - p)) of `a` at (y, x), s = sign, p = (K-1)/2,
+    or zero outside `a`. Sign 1 gives an input's padded windows (im2col);
+    sign -1 spreads an output gradient onto the input pixels the taps read.
+    Each tap is one shifted copy along each image's flat pixels; the
+    columns it carried across a row end are then zeroed."""
+    b, c, h, w = a.shape
+    planes = np.zeros((b, c, k, k, h, w))
+    flat, src = planes.reshape(b, c, k * k, h * w), a.reshape(b, c, h * w)
+    for t, (dst, sl) in enumerate(_shifts(k, w, h * w, sign)):
+        flat[:, :, t, dst] = src[:, :, sl]
+    for j in range(k):
+        planes[:, :, :, j, :, _edge(sign * (k // 2 - j), w)] = 0.0
     return planes
 
 
-def _tap_sum(planes: np.ndarray) -> np.ndarray:
-    """Adjoint of the window gather (_tap_gather onto the output):
-    B×C×K×K×H×W window gradients -> B×C×H×W, each added onto the input
-    pixel its window entry read. Each tap adds only its in-range slice, in
-    the (i, j) order of a sum over zero-padded planes: a skipped term would
-    add +0.0 to an accumulator that starts at +0.0 and never becomes -0.0,
-    so the result is that sum bit for bit."""
-    out = np.zeros(planes.shape[:2] + planes.shape[4:])
-    for i, j, (dy, dx), (sy, sx) in _taps(planes.shape[2], out.shape[2:], False):
-        out[:, :, dy, dx] += planes[:, :, i, j, sy, sx]
-    return out
-
-
-def _shifted_sum(taps: np.ndarray) -> np.ndarray:
-    """C×K×K×B×H×W products of each tap with each input pixel -> C×B×H×W:
-    output pixel (y, x) sums tap (i, j) of input pixel (y + i - p,
-    x + j - p), p = (K-1)/2, over the taps in (i, j) order, as a sum over
-    zero-padded planes does, bit for bit. Each tap adds in one contiguous
-    pass over the batch's flat pixels, at its shift's offset; the rows and
-    columns that the shift carries across an image's edge are zeroed
-    first, since the padded sum reads zeros there. Overwrites `taps`."""
-    c, k, _, b, h, w = taps.shape
-    p = k // 2
+def _shifted_sum(taps: np.ndarray, sign: int) -> np.ndarray:
+    """M×K×K×N×H×W products of each tap with each pixel of N images ->
+    M×N×H×W: pixel (y, x) sums tap (i, j) of pixel (y + s(i - p),
+    x + s(j - p)), s = sign, p = (K-1)/2, in (i, j) order, bit for bit as a
+    sum over zero-padded planes. Sign 1 sums each output pixel's window;
+    sign -1, im2col's adjoint, adds each window entry onto the input pixel
+    it read. Each tap adds in one contiguous pass over the flat pixels, once
+    the rows and columns its shift carries across an image's edge, where the
+    padded sum reads zeros, are zeroed. Overwrites `taps`."""
+    m, k, _, b, h, w = taps.shape
     for t in range(k):
-        d = t - p
-        rows = slice(max(0, h + d), h) if d < 0 else slice(0, d)
-        cols = slice(max(0, w + d), w) if d < 0 else slice(0, d)
-        taps[:, t, :, :, rows, :] = 0.0
-        taps[:, :, t, :, :, cols] = 0.0
+        d = sign * (t - k // 2)
+        taps[:, t, :, :, _edge(d, h), :] = 0.0
+        taps[:, :, t, :, :, _edge(d, w)] = 0.0
     n = b * h * w
-    flat = taps.reshape(c, k * k, n)
-    out = np.zeros((c, n))
-    for t in range(k * k):
-        off = (t // k - p) * w + t % k - p
-        lo = min(n, max(0, -off))           # a shift past the whole batch adds nothing
-        hi = max(lo, n - max(0, off))
-        out[:, lo:hi] += flat[:, t, lo + off:hi + off]
-    return out.reshape(c, b, h, w)
+    flat = taps.reshape(m, k * k, n)
+    out = np.zeros((m, n))
+    for t, (dst, src) in enumerate(_shifts(k, w, n, sign)):
+        out[:, dst] += flat[:, t, src]
+    return out.reshape(m, b, h, w)
 
 
 def avg_pool2(x) -> Tensor:

@@ -238,20 +238,20 @@ def fit(model, dataset: list[LabeledImage], config: TrainConfig, batch_report,
                 comp_contr += report.contrastive * n
                 comp_dist += report.distill * n
                 correct += sum(int(p) == s.label for p, s in zip(preds, batch))
+            mean_loss = loss_sum / n_fit
+
+            # validation pass: loss and confusion in one tape-free sweep
+            val_loss = 0.0
+            conf = np.zeros((model.class_count, model.class_count), dtype=np.int64)
+            for start in range(0, len(val_data), bs):
+                batch = val_data[start:start + bs]
+                report, preds = batch_report(batch, cfg)
+                val_loss += report.total * len(batch)
+                np.add.at(conf, ([s.label for s in batch], preds), 1)
+            val_loss /= len(val_data)
         except NumericError:
             restore(last_good)
             raise
-        mean_loss = loss_sum / n_fit
-
-        # validation pass: loss and confusion in one tape-free sweep
-        val_loss = 0.0
-        conf = np.zeros((model.class_count, model.class_count), dtype=np.int64)
-        for start in range(0, len(val_data), bs):
-            batch = val_data[start:start + bs]
-            report, preds = batch_report(batch, cfg)
-            val_loss += report.total * len(batch)
-            np.add.at(conf, ([s.label for s in batch], preds), 1)
-        val_loss /= len(val_data)
         val_metrics = metrics_from_confusion(conf, 0.0, 0.0)
         extra = end_epoch(mean_loss)
 

@@ -18,7 +18,7 @@ from sparseattn.losses import (
     total_loss,
 )
 from sparseattn.selector import Selection
-from sparseattn.tensor import GradientTape, Tensor, grad_check
+from sparseattn.tensor import GradientTape, NumericError, Tensor, grad_check
 
 
 def pixels_at(flat_indices, width):
@@ -46,6 +46,15 @@ class TestFocalLoss:
         cfg = LossConfig(gamma=2.0)
         logits = Tensor([[800.0, 0.0, 0.0]])   # p_y saturates to 1.0
         assert focal_loss(logits, [0], cfg).item() == 0.0
+
+    def test_saturated_fractional_gamma_gives_a_zero_gradient(self):
+        """p_y = 1.0 exactly sends 0 into (1 - p_y)^0.5, whose slope there is
+        infinite; the upstream gradient there is 0, so the logits' is too."""
+        tape = GradientTape()
+        logits = Tensor([[40.0, 0.0, 0.0]])
+        tape.watch(logits)
+        tape.backward(focal_loss(logits, [0], LossConfig(gamma=0.5)))
+        np.testing.assert_array_equal(logits.grad, [[0.0, 0.0, 0.0]])
 
     def test_class_weights_scale_terms(self):
         cfg = LossConfig(gamma=0.0, alpha_per_class=[2.0, 1.0])
@@ -127,6 +136,20 @@ class TestContrastiveLoss:
         z = Tensor([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
         value = contrastive_loss(z, [0, 0, 1], cfg).item()
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("tau", [0.002, 0.003])
+    def test_degenerate_ratio_is_a_numeric_error_naming_tau(self, tau):
+        """Opposite rows at a small tau: anchor 0's ratio underflows to 0 at
+        0.002, and at 0.003 anchor 1's denominator, its row less its own
+        score, cancels to 0."""
+        z = Tensor([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(NumericError, match=f"tau {tau};") as err:
+            contrastive_loss(z, [0, 0, 1], LossConfig(tau=tau))
+        assert "\n" not in str(err.value)
+
+    def test_same_rows_at_the_default_tau_keep_their_value(self):
+        z = Tensor([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        assert contrastive_loss(z, [0, 0, 1], LossConfig(tau=0.07)).item() == 14.632321878938257
 
     def test_one_sample_gives_zero(self):
         tape = GradientTape()

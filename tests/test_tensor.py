@@ -131,6 +131,20 @@ class TestElementwise:
         out = T.power(Tensor([0.3, 0.0, 2.0]), 0.0)
         np.testing.assert_array_equal(out.data, [1.0, 1.0, 1.0])
 
+    def test_power_below_one_at_zero_passes_a_zero_gradient(self):
+        """The slope of x^0.5 at 0 is infinite: a zero upstream gradient
+        stays 0 there, a non-zero one still gives a non-finite gradient."""
+        tape = GradientTape()
+        x = Tensor([0.0, 4.0])
+        tape.watch(x)
+        tape.backward(T.reduce_sum(T.mul(T.power(x, 0.5), [0.0, 1.0])))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.25])
+        tape = GradientTape()
+        x = Tensor([0.0, 4.0])
+        tape.watch(x)
+        with pytest.raises(NumericError):
+            tape.backward(T.reduce_sum(T.power(x, 0.5)))
+
 
 class TestReduce:
     def test_sum(self):
@@ -701,10 +715,11 @@ class TestTapPath:
         taps = rng.normal(0, 1, (2, 3, k, k, h, w))
         g = rng.normal(0, 1, (2, 3, h, w))
         tap_major = np.ascontiguousarray(taps.transpose(1, 2, 3, 0, 4, 5))
-        summed = T._shifted_sum(tap_major).swapaxes(0, 1)
+        summed = T._shifted_sum(tap_major, 1).swapaxes(0, 1)   # overwrites its own copy
         np.testing.assert_array_equal(summed, padded_tap_sum(taps))
-        spread = T._tap_gather(g, k, False)
+        spread = T._tap_gather(g, k, -1)
         assert spread.shape == taps.shape and spread.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(spread, padded_gather(g, k, -1))
         assert np.vdot(summed, g) == pytest.approx(np.vdot(taps, spread), rel=1e-12)
 
     def test_shared_spread_gives_the_separate_gradients(self):
@@ -756,6 +771,23 @@ def tap_major(rows, c, k, h, w):
     return rows.reshape(-1, h, w, c, k, k).transpose(0, 3, 4, 5, 1, 2)
 
 
+def padded_gather(x, k, sign):
+    """x's zero-padded windows as B×C×K×K×H×W tap planes; at sign -1 each
+    window is read flipped, tap (i, j) at the opposite offset."""
+    planes = tap_major(padded_im2col(x, k), x.shape[1], k, *x.shape[2:])
+    return planes if sign == 1 else planes[:, :, ::-1, ::-1]
+
+
+def padded_shifted_sum(taps, sign):
+    """M×K×K×N×H×W taps summed in (i, j) order by a padded reference: the
+    padded tap sum at sign 1, the padded scatter-add (col2im) at sign -1."""
+    m, k, _, n, h, w = taps.shape
+    if sign == 1:
+        return padded_tap_sum(taps.transpose(3, 0, 1, 2, 4, 5)).swapaxes(0, 1)
+    rows = taps.transpose(3, 4, 5, 0, 1, 2).reshape(n, h * w, m * k * k)
+    return padded_col2im(rows, m, k, h, w).swapaxes(0, 1)
+
+
 def pixel_major_conv(x0, w0, b0, g0):
     """conv2d's input-side path computed from the padded windows as C-order
     rows: the output rows @ wmat.T read as a channel-minor view plus the
@@ -772,6 +804,44 @@ def pixel_major_conv(x0, w0, b0, g0):
     dx = padded_col2im(g.swapaxes(1, 2) @ wmat, c_in, k, h, w)
     dw = (g @ rows).sum(axis=0).reshape(w0.shape)
     return flat.reshape(b, c_out, h, w), dx, dw, g.sum(axis=(0, 2))
+
+
+class TestFlatShifts:
+    """The one window mechanism both conv2d paths share: _tap_gather copies
+    and _shifted_sum adds each tap as a shifted pass along flat pixels, at
+    sign 1 (each pixel's window) or sign -1 (its adjoint)."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k,h,w", [(1, 4, 3), (3, 6, 5), (5, 3, 4), (3, 1, 1),
+                                       (5, 7, 1), (7, 2, 3), (3, 32, 32)])
+    def test_sum_matches_the_padded_reference(self, sign, n, k, h, w):
+        """Across the edges between the N images as well as inside each."""
+        rng = np.random.default_rng(160 + 10 * k + h + n)
+        taps = rng.normal(0, 1, (3, k, k, n, h, w))
+        got = T._shifted_sum(taps.copy(), sign)
+        np.testing.assert_array_equal(got, padded_shifted_sum(taps, sign))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k,h,w", [(1, 4, 3), (3, 6, 5), (5, 3, 4), (3, 1, 1), (7, 2, 3)])
+    def test_gather_matches_the_padded_reference(self, sign, k, h, w):
+        rng = np.random.default_rng(170 + 10 * k + h)
+        x = rng.normal(0, 1, (2, 3, h, w))
+        np.testing.assert_array_equal(T._tap_gather(x, k, sign), padded_gather(x, k, sign))
+
+    def test_signs_and_lengths_back_to_back(self):
+        """The cached shift table is keyed by sign and flat length as well as
+        by window and row width: on one H×W, both signs, and one image then
+        two, each equal their reference when run one after the other."""
+        rng = np.random.default_rng(181)
+        k, h, w = 3, 5, 4
+        x = rng.normal(0, 1, (2, 3, h, w))
+        for sign in (1, -1, 1):
+            np.testing.assert_array_equal(T._tap_gather(x, k, sign), padded_gather(x, k, sign))
+        for n, sign in ((1, 1), (1, -1), (2, -1), (2, 1)):
+            taps = rng.normal(0, 1, (3, k, k, n, h, w))
+            got = T._shifted_sum(taps.copy(), sign)
+            np.testing.assert_array_equal(got, padded_shifted_sum(taps, sign))
 
 
 class TestWindowPath:
@@ -791,10 +861,11 @@ class TestWindowPath:
         rng = np.random.default_rng(120 + 10 * k + k // 2 + h)
         x = rng.normal(0, 1, (2, 3, h, w))
         g = rng.normal(0, 1, (2, 3, k, k, h, w))
-        planes = T._tap_gather(x, k, True)
+        planes = T._tap_gather(x, k, 1)
         assert planes.shape == g.shape and planes.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(planes, tap_major(padded_im2col(x, k), 3, k, h, w))
-        back = T._tap_sum(g)
+        # _shifted_sum overwrites its argument, so it gets a copy of g
+        back = T._shifted_sum(g.reshape(6, k, k, 1, h, w).copy(), -1).reshape(2, 3, h, w)
         rows = g.transpose(0, 4, 5, 1, 2, 3).reshape(2, h * w, 3 * k * k)
         np.testing.assert_array_equal(back, padded_col2im(rows, 3, k, h, w))
         assert np.vdot(planes, g) == pytest.approx(np.vdot(x, back), rel=1e-12)
@@ -804,7 +875,7 @@ class TestWindowPath:
         its windows are the same as those of a C-order copy."""
         rng = np.random.default_rng(131)
         x = rng.normal(0, 1, (2, 6, 5, 4)).transpose(0, 3, 1, 2)
-        np.testing.assert_array_equal(T._tap_gather(x, 3, True),
+        np.testing.assert_array_equal(T._tap_gather(x, 3, 1),
                                       tap_major(padded_im2col(x, 3), 4, 3, 6, 5))
 
     @pytest.mark.parametrize("c_in,c_out,size,batch", [

@@ -2,6 +2,8 @@
 overfit sanity, determinism, and the numeric-abort contract.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,29 @@ class TestTrain:
                                            learning_rate=1e25))
         for name, t in model.params():
             assert np.all(np.isfinite(t.data)), name
+
+    def test_nonfinite_validation_loss_restores_the_last_epoch(self, monkeypatch):
+        """A NumericError in the second epoch's tape-free validation pass
+        leaves the parameters the first epoch ended with."""
+        model = tiny_model(seed=5)
+        first = {}
+
+        def report(m, batch, k, cfg):
+            if m.params()[0][1].tape is None:   # no tape: a validation batch
+                params = {n: t.data.copy() for n, t in m.params()}
+                if not first:
+                    first.update(params)
+                elif any(not np.array_equal(params[n], first[n]) for n in first):
+                    raise NumericError("validation loss is not finite")
+            return batch_report(m, batch, k, cfg)
+        # the package's `train` attribute is the function, not the module
+        module = importlib.import_module("sparseattn.train")
+        batch_report = module._batch_report
+        monkeypatch.setattr(module, "_batch_report", report)
+        with pytest.raises(NumericError):
+            train(model, tiny_dataset(), TrainConfig(epochs=3, batch_size=4, seed=5))
+        for name, t in model.params():
+            np.testing.assert_array_equal(t.data, first[name], err_msg=name)
 
     def test_log_records_epoch_fields(self):
         model = tiny_model(seed=7)
