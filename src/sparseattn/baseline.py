@@ -32,11 +32,17 @@ from .train import (
     chunked_confusion,
     fit,
     metrics_from_confusion,
+    stack_images,
 )
 
 
 CHANNELS = (16, 32)
 KSIZE = 3   # both convolutions: 3x3 kernels
+# images per taped forward in training. Two-epoch fixture calls took a
+# median 1.00 s one image at a time and 1.04/0.84/0.91/1.02 s at chunks of
+# 2/4/8/32, peak RSS 71.7 MB, then 71.8/72.9/76.1/88.9 MB (2-CPU Xeon, one
+# BLAS thread): at 32, conv2's window columns alone take 9.4 MB
+TRAIN_CHUNK = 4
 
 
 def _flat_size(h: int, w: int) -> int:
@@ -96,9 +102,10 @@ def baseline_forward(net: BaselineNet, images: Tensor) -> Tensor:
 
 def _batch_report(net: BaselineNet, batch,
                   cfg: LossConfig) -> tuple[BatchLossReport, np.ndarray]:
-    """Focal loss over a batch, one forward pass per image: one pass over
-    the whole batch ran no faster and held about 10 MB more at 32 images."""
-    logits = concat([baseline_forward(net, Tensor(s.pixels.data[None])) for s in batch], axis=0)
+    """Focal loss over a batch, one taped forward per TRAIN_CHUNK stacked
+    images: 82 tape ops per 32-image step, against 298 one image at a time."""
+    logits = concat([baseline_forward(net, stack_images(batch[i:i + TRAIN_CHUNK]))
+                     for i in range(0, len(batch), TRAIN_CHUNK)], axis=0)
     loss = focal_loss(logits, [s.label for s in batch], cfg)
     value = loss.item()
     report = BatchLossReport(focal=value, contrastive=0.0, distill=0.0, total=value,

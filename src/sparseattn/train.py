@@ -21,8 +21,8 @@ from .tensor import GradientTape, NumericError, Tensor
 
 # images per tape-free forward in evaluate(): enough to amortize the
 # per-call overhead; each image in a chunk adds about 0.3 MB to the peak
-# resident memory at 32×32 (one k=512 pass over 180 images: +2.1, +3.7
-# and +5.9 MB at chunks of 4, 8 and 16)
+# resident memory at 32×32 (one k=512 pass over 180 images in a fresh
+# process: +1.1, +2.1, +3.1 and +5.6 MB at chunks of 1, 4, 8 and 16)
 EVAL_CHUNK = 8
 
 
