@@ -1,10 +1,11 @@
 """Convolutional front-end: full-resolution saliency map plus pooled features.
 
 Two 3x3 conv layers (1 -> 8 -> 1 channels, same padding) with a fixed
-per-channel affine after the first. The sigmoid of the final map ranks
-pixels for selection; the spatial mean of the 8-channel post-ReLU map is
-the pooled global feature that joins the fused representation. A B×H×W
-batch runs through the same convolutions in one call.
+per-channel affine and a ReLU after the first, one `affine_relu` op that
+the classifier's blocks share. The sigmoid of the final map ranks pixels
+for selection; the spatial mean of the 8-channel post-ReLU map is the
+pooled global feature that joins the fused representation. A B×H×W batch
+runs through the same convolutions in one call.
 """
 
 from __future__ import annotations
@@ -76,47 +77,59 @@ def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:
         raise DimensionError(f"expected an H×W image or a B×H×W batch, got shape {shape}")
     lead, (height, width) = shape[:-2], shape[-2:]
     x = reshape(image, (-1, 1, height, width))
-    a, pooled = _hidden_layer(net, conv2d(x, net.conv1_w, net.conv1_b))
+    a = affine_relu(conv2d(x, net.conv1_w, net.conv1_b), net.bn_gamma, net.bn_beta)
+    pooled = _pooled_mean(a)
     f = conv2d(a, net.conv2_w, net.conv2_b)
     return CoarseOutput(attention_map=sigmoid(reshape(f, shape)),
                         z_coarse=reshape(pooled, lead + (net.channels,)))
 
 
-def _hidden_layer(net: CoarseNet, h: Tensor) -> tuple[Tensor, Tensor]:
-    """relu(h * bn_gamma / AFFINE_DIVISOR + bn_beta) per channel of conv1's
-    B×C×H×W output h, and its per-channel spatial mean: one tape op each.
+def affine_relu(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """relu(x * gamma / AFFINE_DIVISOR + beta) per channel of a B×C matrix
+    or of conv1's channel-minor B×C×H×W map x: one tape op.
 
-    h is conv1's fresh channel-minor product, so each step is one pass
-    over its (B·H, W·C) rows with the per-channel vector tiled along a
-    row. Tape-free, the steps overwrite h's own buffer; taped, h stays
-    for the gamma gradient and the result takes a new buffer. The mean
-    sums a pixel-major (H·W, B·C) copy one pixel after another, the
-    order in which numpy sums over the pixels of the channel-minor map.
-    The backward is the unfused relu, affine, reshape and div gradients
-    on the same operands, in the same order."""
-    b, c, height, width = h.data.shape
-    tape = _common_tape(h, net.bn_gamma, net.bn_beta)
-    scale = net.bn_gamma.data / AFFINE_DIVISOR
-    rows = np.ascontiguousarray(h.data.transpose(0, 2, 3, 1)).reshape(-1, width * c)
+    Each step is one pass over x's rows, a matrix's B rows or the map's
+    B·H rows of W·C, with the per-channel vector tiled along a row.
+    Tape-free, the steps overwrite x's own buffer, so x must be a fresh
+    product that nothing else reads; taped, x stays for gamma's gradient
+    and the result takes a new buffer. The backward is the unfused relu,
+    affine and div gradients on the same operands, in the same order."""
+    xd = x.data
+    c = gamma.data.size
+    tape = _common_tape(x, gamma, beta)
+    scale = gamma.data / AFFINE_DIVISOR
+    if xd.ndim == 4:
+        b, _, height, width = xd.shape
+        rows = xd.transpose(0, 2, 3, 1).reshape(-1, width * c)
+    else:
+        width, rows = 1, xd
     out = rows if tape is None else np.empty_like(rows)
     np.multiply(rows, _tiled(scale, width), out=out)
-    out += _tiled(net.bn_beta.data, width)
-    a_data = out.reshape(b, height, width, c).transpose(0, 3, 1, 2)
+    out += _tiled(beta.data, width)
+    a_data = out if xd.ndim == 2 else out.reshape(b, height, width, c).transpose(0, 3, 1, 2)
     if tape is not None:
         mask = np.greater(a_data, 0, order="C")
     np.maximum(out, 0.0, out=out)
-    pixels = np.ascontiguousarray(out.reshape(b, height * width, c).swapaxes(0, 1))
     a = Tensor(a_data, tape)
-    pooled = Tensor(pixels.reshape(height * width, b * c).mean(axis=0).reshape(b, c), tape)
     if tape is not None:
-        hd, sd = h.data, scale.reshape(c, 1, 1)
+        sd = scale.reshape((c,) + (1,) * (xd.ndim - 2))
         # relu's g * mask, formed once for the three gradients
         _record(tape, a, (
-            (h, lambda gm: _unbroadcast(gm * sd, hd.shape)),
-            (net.bn_gamma, lambda gm: _unbroadcast(gm * hd, sd.shape).reshape(c)
-             / AFFINE_DIVISOR),
-            (net.bn_beta, lambda gm: _unbroadcast(gm, sd.shape).reshape(c)),
+            (x, lambda gm: _unbroadcast(gm * sd, xd.shape)),
+            (gamma, lambda gm: _unbroadcast(gm * xd, sd.shape).reshape(c) / AFFINE_DIVISOR),
+            (beta, lambda gm: _unbroadcast(gm, sd.shape).reshape(c)),
         ), pre=lambda g: g * mask)
-        n, shape = height * width, a_data.shape
-        _record(tape, pooled, ((a, lambda g: np.broadcast_to((g / n)[:, :, None, None], shape)),))
-    return a, pooled
+    return a
+
+
+def _pooled_mean(a: Tensor) -> Tensor:
+    """The per-channel spatial mean of a channel-minor B×C×H×W map: one
+    tape op. It sums a pixel-major (H·W, B·C) copy one pixel after another,
+    the order in which numpy sums over the pixels of the channel-minor map."""
+    b, c, height, width = shape = a.data.shape
+    n = height * width
+    pixels = np.ascontiguousarray(a.data.transpose(0, 2, 3, 1).reshape(b, n, c).swapaxes(0, 1))
+    pooled = Tensor(pixels.reshape(n, b * c).mean(axis=0).reshape(b, c), a.tape)
+    if a.tape is not None:
+        _record(a.tape, pooled, ((a, lambda g: np.broadcast_to((g / n)[:, :, None, None], shape)),))
+    return pooled

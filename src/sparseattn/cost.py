@@ -2,9 +2,11 @@
 
 Counts cover the linear maps: convolutions at H*W*C_in*K^2*C_out, matrix
 products at their product dimensions, and the per-column attention
-normalization divides. Activations and bias adds are excluded. The fine
-stage is linear in the token count k+1, which the sweep tests exhibit
-against the baseline's H*W growth.
+normalization divides. Elementwise work is excluded: activations, bias
+adds, and the per-channel affine that `coarse.affine_relu` applies in the
+coarse hidden layer and in every classifier block alike. The fine stage
+is linear in the token count k+1, which the sweep tests exhibit against
+the baseline's H*W growth.
 """
 
 from __future__ import annotations
@@ -49,10 +51,8 @@ def count_cost(model: ModelState, image_shape: tuple[int, int], k: int) -> CostR
     fine = tokens * d * d + model.fine.heads * per_head
 
     hid = model.classifier.hidden
-    classifier = (d + ch) * hid
-    for _ in model.classifier.blocks:
-        classifier += hid * hid + hid + hid * hid
-    classifier += hid * model.class_count
+    blocks = len(model.classifier.blocks)
+    classifier = (d + ch) * hid + blocks * 2 * hid * hid + hid * model.class_count
 
     return CostReport(
         parameters=model.param_count(),

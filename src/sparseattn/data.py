@@ -25,10 +25,11 @@ class DatasetError(ValueError):
 
 
 def read_file(path, what: str, error=DatasetError, encoding: str | None = None):
-    """The bytes of file `path`, decoded if an `encoding` is given, or an `error`."""
+    """The bytes of file `path`, or an `error`. Given an `encoding`, the
+    decoded text, without the byte-order mark some editors write first."""
     try:
         data = Path(path).read_bytes()
-        return data.decode(encoding) if encoding else data
+        return data.decode(encoding).removeprefix("\ufeff") if encoding else data
     except UnicodeDecodeError as err:
         raise error(f"{what} {path}: not {encoding} text: {err}") from err
     except (FileNotFoundError, ValueError) as err:   # ValueError: a NUL byte in the name

@@ -1,6 +1,6 @@
 """Full model assembly: fusion of coarse and fine features, residual MLP
-classifier with a fixed per-channel affine in each block, end-to-end
-forward pass, and the versioned SATM checkpoint format.
+classifier whose blocks share the coarse net's per-channel affine and
+ReLU, end-to-end forward pass, and the versioned SATM checkpoint format.
 
 Every stage takes its per-image input (an H×W image, a (k+1)×D token
 matrix, a fused vector) with or without one leading batch axis, which it
@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coarse import AFFINE_DIVISOR, CoarseNet, CoarseOutput, coarse_forward
+from .coarse import CoarseNet, CoarseOutput, affine_relu, coarse_forward
 from .data import SYNTHETIC_CLASSES, DatasetError, check_image, parse_checkpoint, read_file
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
@@ -21,25 +21,23 @@ from .selector import KController, Selection, select_top_k
 from .tensor import (
     Tensor,
     add,
-    affine,
     assign_params,
     check_sizes,
     concat,
-    div,
     matmul,
     pack,
-    relu,
     reshape,
     unpack,
 )
 
 
 class Classifier:
-    """Affine in, two pre-activation residual blocks, affine out.
+    """Linear in, two pre-activation residual blocks, linear out.
 
-    Block form: affine -> per-channel affine (gamma / AFFINE_DIVISOR,
-    beta) -> relu -> affine, added to the skip. No statistic is taken over
-    a batch, so a sample's logits never depend on the rest of its batch.
+    Block form: linear -> affine_relu with the block's gamma and beta (the
+    coarse net's per-channel affine and ReLU, one op) -> linear, added to
+    the skip. No statistic is taken over a batch, so a sample's logits
+    never depend on the rest of its batch.
     """
 
     block_count = 2
@@ -79,10 +77,8 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     h = add(matmul(x, clf.w_in), clf.b_in)
     for blk in clf.blocks:
         t = add(matmul(h, blk["w1"]), blk["b1"])
-        t = affine(t, div(blk["gamma"], AFFINE_DIVISOR), blk["beta"])
-        r = relu(t)
-        u = add(matmul(r, blk["w2"]), blk["b2"])
-        h = add(h, u)
+        r = affine_relu(t, blk["gamma"], blk["beta"])
+        h = add(h, add(matmul(r, blk["w2"]), blk["b2"]))
     logits = add(matmul(h, clf.w_out), clf.b_out)
     return reshape(logits, lead + (clf.classes,))
 

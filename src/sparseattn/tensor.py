@@ -3,9 +3,9 @@
 A GradientTape records operations in execution order and replays them in
 exact reverse on backward(). Tapes are single-use. Tensors created without
 a tape are constants, so the same forward code runs tape-free for cheap
-inference. add, sub, mul, div and affine broadcast their operands the way
-numpy does (a bias row, a per-channel scale, a per-row normalizer), and
-one rule, _unbroadcast, sums each gradient back to its operand's shape.
+inference. add, sub, mul and div broadcast their operands the way numpy
+does (a bias row, a per-channel scale, a per-row normalizer), and one
+rule, _unbroadcast, sums each gradient back to its operand's shape.
 The structural ops that a batched model needs (matmul, transpose, take)
 also accept a leading batch axis; conv2d and avg_pool2 take batches only.
 """
@@ -244,36 +244,13 @@ def div(a, b) -> Tensor:
     return out
 
 
-def affine(x, scale, shift) -> Tensor:
-    """x*scale + shift with numpy broadcasting. shift is added in place, so
-    a large x costs one temporary, not two; it must broadcast to the shape
-    of x*scale."""
-    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    tape = _common_tape(x, scale, shift)
-    try:
-        data = x.data * scale.data
-        data += shift.data
-    except ValueError as err:
-        raise DimensionError(f"affine: shapes {x.data.shape}, {scale.data.shape} and "
-                             f"{shift.data.shape} do not broadcast") from err
-    out = Tensor(data, tape)
-    if tape is not None:
-        xd, sd, bsh = x.data, scale.data, shift.data.shape
-        _record(tape, out, (
-            (x, lambda g: _unbroadcast(g * sd, xd.shape)),
-            (scale, lambda g: _unbroadcast(g * xd, sd.shape)),
-            (shift, lambda g: _unbroadcast(g, bsh)),
-        ))
-    return out
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0), a.tape)
     if a.tape is not None:
         # a C-order mask whatever a's layout: the gradient arrives C-ordered,
         # and a bool mask in another layout sends g * mask through numpy's
-        # slow buffered path (the coarse conv1 output is channel-minor)
+        # slow buffered path (the baseline's conv outputs are channel-minor)
         mask = np.greater(a.data, 0, order="C")
         _record(a.tape, out, ((a, lambda g: g * mask),))
     return out

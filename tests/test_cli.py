@@ -140,6 +140,13 @@ class TestConfigFile:
         assert code == 2
         assert "nonsense-key" in capsys.readouterr().err
 
+    def test_config_saved_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        """The mark is dropped, so the first key is a known one."""
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfimage-size=16\nk=40\n")
+        assert main(["cost", "--config", str(cfg)]) == 0
+        assert "sparse model (k=40)" in capsys.readouterr().out
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("epochs=9\nseed=7\n")
@@ -685,21 +692,21 @@ class TestCostOutput:
         ("satm", False): (
             "sparse model (k=40)\n  parameters    804\n  coarse        36864 MACs\n"
             "  embedding     4480 MACs\n  fine          3444 MACs\n"
-            "  classifier    392 MACs\n  total         45180 MACs\n  % image       15.62\n"
+            "  classifier    376 MACs\n  total         45164 MACs\n  % image       15.62\n"
             + BASELINE_TABLE + "  flops ratio   0.136\n"),
         ("satm", True): (
-            '{"baseline": ' + BASELINE_JSON + ', "flops_ratio": 0.13554867511520738, '
+            '{"baseline": ' + BASELINE_JSON + ', "flops_ratio": 0.13550067204301075, '
             '"sparse": {"parameters": 804, "pixel_percent": 15.625, "stage_flops": '
-            '{"classifier": 392, "coarse": 36864, "embedding": 4480, "fine": 3444}, '
-            '"total_flops": 45180}}\n'),
+            '{"classifier": 376, "coarse": 36864, "embedding": 4480, "fine": 3444}, '
+            '"total_flops": 45164}}\n'),
         ("none", False): (
             "sparse model (k=160)\n  parameters    5220\n  coarse        147456 MACs\n"
             "  embedding     17920 MACs\n  fine          13524 MACs\n"
-            "  classifier    4640 MACs\n  total         183540 MACs\n  % image       15.62\n"),
+            "  classifier    4576 MACs\n  total         183476 MACs\n  % image       15.62\n"),
         ("none", True): (
             '{"sparse": {"parameters": 5220, "pixel_percent": 15.625, "stage_flops": '
-            '{"classifier": 4640, "coarse": 147456, "embedding": 17920, "fine": 13524}, '
-            '"total_flops": 183540}}\n'),
+            '{"classifier": 4576, "coarse": 147456, "embedding": 17920, "fine": 13524}, '
+            '"total_flops": 183476}}\n'),
     }
 
     @pytest.mark.parametrize("as_json", [False, True])

@@ -15,7 +15,6 @@ from sparseattn.tensor import (
     GradientTape,
     Tensor,
     add,
-    affine,
     conv2d,
     div,
     mul,
@@ -33,11 +32,11 @@ def make_net(seed=0):
 
 def hidden_map(net, img):
     """The B×C×H×W post-ReLU map of an H×W image (B = 1) or a B×H×W batch,
-    recomputed by hand as the separate conv2d, affine and relu ops."""
+    recomputed by hand as the separate conv2d, div, mul, add and relu ops."""
     h = conv2d(reshape(img, (-1, 1) + img.data.shape[-2:]), net.conv1_w, net.conv1_b)
     per_channel = (net.channels, 1, 1)
     scale = reshape(div(net.bn_gamma, AFFINE_DIVISOR), per_channel)
-    return relu(affine(h, scale, reshape(net.bn_beta, per_channel)))
+    return relu(add(mul(h, scale), reshape(net.bn_beta, per_channel)))
 
 
 def unfused_forward(net, img):
@@ -148,7 +147,7 @@ def varied_net(seed):
 
 class TestFusedHiddenLayer:
     """coarse_forward's one hidden-layer op and pooled mean equal the unfused
-    conv2d → affine → relu → reduce_mean composition bit for bit, forward
+    conv2d → mul → add → relu → reduce_mean composition bit for bit, forward
     and backward, tape-free and taped."""
 
     GRIDS = [(32, 32), (7, 11)]

@@ -1,12 +1,17 @@
 """Multiply-accumulate accounting: conv formula, stage sums, token-linear
-fine stage, and sparse-vs-dense scaling behavior.
+fine stage, sparse-vs-dense scaling behavior, and each stage's count
+against the multiplies a forward pass executes.
 """
 
+import importlib
+
+import numpy as np
 import pytest
 
 import sparseattn as sa
 from sparseattn.baseline import baseline_cost, build_baseline
 from sparseattn.cost import conv_flops, count_cost
+from sparseattn.tensor import Tensor
 
 
 def model_at(shape=(32, 32), hidden=32, dim=4):
@@ -104,3 +109,55 @@ class TestSparseVsDense:
         d = report.to_dict()
         assert d["total_flops"] == report.total_flops
         assert d["stage_flops"]["fine"] == report.stage_flops["fine"]
+
+
+def conv_multiplies(x, kernel):
+    b, c_in, h, w = x
+    c_out, _, k, _ = kernel
+    return b * h * w * c_in * k * k * c_out
+
+
+def matmul_multiplies(a, b):
+    """A (..., m, n) @ (..., n, p) product, leading batch axes included."""
+    return int(np.prod(a[:-1])) * a[-1] * b[-1]
+
+
+# (module that looks the op up, op, its multiply count, stage it runs in)
+EXECUTED_OPS = [
+    ("coarse", "conv2d", conv_multiplies, "coarse"),
+    ("embedding", "matmul", matmul_multiplies, "embedding"),
+    ("fine", "matmul", matmul_multiplies, "fine"),
+    ("model", "matmul", matmul_multiplies, "classifier"),
+]
+
+
+@pytest.mark.parametrize("size,k,dim,heads,hidden,channels", [
+    (16, 10, 4, 2, 8, 8), (16, 40, 8, 4, 32, 4), (12, 144, 6, 3, 16, 2)])
+def test_count_cost_counts_the_executed_multiplies(monkeypatch, size, k, dim, heads,
+                                                   hidden, channels):
+    """Each stage of count_cost equals the multiplies one tape-free forward
+    runs in that stage's conv2d or matmul calls, per image; the fine stage
+    adds its (k+1)·D attention normalization divides. No stage counts its
+    per-channel affine."""
+    executed = dict.fromkeys(("coarse", "embedding", "fine", "classifier"), 0)
+
+    def counted(fn, multiplies, stage):
+        def wrapper(*args):
+            executed[stage] += multiplies(*[a.data.shape for a in args[:2]])
+            return fn(*args)
+        return wrapper
+
+    for module_name, op, multiplies, stage in EXECUTED_OPS:
+        module = importlib.import_module(f"sparseattn.{module_name}")
+        monkeypatch.setattr(module, op, counted(getattr(module, op), multiplies, stage))
+    m = sa.build_model(seed=3, image_shape=(size, size), class_count=3, dim=dim,
+                       heads=heads, hidden=hidden, coarse_channels=channels,
+                       k_init=k, k_min=1)
+    batch = 2
+    images = Tensor(np.random.default_rng(3).uniform(0, 1, (batch, size, size)))
+    logits, diag = sa.model_forward(m, images, k)
+    assert logits.data.shape == (batch, 3) and diag.pixels.triplets.shape == (batch, k, 3)
+    stages = count_cost(m, (size, size), k).stage_flops
+    divides = {"fine": (k + 1) * dim}
+    assert {stage: n + batch * divides.get(stage, 0) for stage, n in executed.items()} == \
+        {stage: batch * n for stage, n in stages.items()}

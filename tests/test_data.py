@@ -306,6 +306,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="differs"):
             load_dataset(tmp_path)
 
+    def test_manifest_saved_with_a_byte_order_mark_loads(self, tmp_path):
+        """The mark is dropped, so the header row is still recognised."""
+        write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
+        (tmp_path / "manifest.csv").write_bytes(b"\xef\xbb\xbffilename,label\na.pgm,2\n")
+        assert [s.label for s in load_dataset(tmp_path)] == [2]
+
     def test_non_integer_label(self, tmp_path):
         write_pgm(tmp_path / "a.pgm", np.zeros((4, 4)))
         (tmp_path / "manifest.csv").write_text("filename,label\na.pgm,x\n")

@@ -3,9 +3,9 @@ every module-level name is referenced somewhere in the package.
 
 No linter runs on this repository, and a deleted function easily leaves
 its import behind, as a merged one leaves its helper. Each module of
-src/sparseattn except __init__.py (whose imports are the public API) is
-parsed with ast; an imported name counts as used when it appears as a name
-anywhere in the module. A function, class or constant that a module
+src/sparseattn except __init__.py (whose imports are the public API), and
+each script in tools/, is parsed with ast; an imported name counts as used
+when it appears as a name anywhere in the module. A function, class or constant that a module
 defines at its top level, private (one leading underscore) or public,
 counts as referenced when some module of the package, __init__.py
 included, reads it as a name, an attribute or an import; reads from tests
@@ -24,6 +24,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparseattn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((PACKAGE.parent.parent / "tools").glob("*.py"))
 FILE_FORMAT_OWNERS = {"cli", "data", "model"}
 
 
@@ -74,9 +75,10 @@ def unreferenced_names(sources: dict[str, str], public: bool) -> list[str]:
 
 def test_modules_found():
     assert {"tensor.py", "train.py", "baseline.py"} <= {p.name for p in MODULES}
+    assert {"fingerprint.py", "select_timing.py"} <= {p.name for p in TOOLS}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -6,15 +6,31 @@ import numpy as np
 import pytest
 
 import sparseattn as sa
+import sparseattn.model as model_module
+from sparseattn.coarse import AFFINE_DIVISOR, affine_relu
 from sparseattn.model import (
+    Classifier,
     build_model,
     checkpoint_bytes,
+    classifier_forward,
     model_from_bytes,
     model_forward,
     predict,
     restore_model,
 )
-from sparseattn.tensor import GradientTape, Tensor, concat, reduce_sum, mul
+from sparseattn.tensor import (
+    GradientTape,
+    Tensor,
+    add,
+    concat,
+    div,
+    grad_check,
+    matmul,
+    mul,
+    reduce_sum,
+    relu,
+    reshape,
+)
 
 
 def small_model(seed=0, shape=(12, 12), hidden=8, **kw):
@@ -83,6 +99,153 @@ class TestModelForward:
         assert len(diag.pixels) == 9
         assert diag.coarse.attention_map.data.shape == (12, 12)
         assert diag.fine.pixel_importance.data.shape == (10,)
+
+
+def chained_classifier_forward(clf, fused):
+    """classifier_forward with each block's affine and ReLU as the separate
+    div, mul, add and relu ops: the oracle for the shared affine_relu."""
+    lead = fused.data.shape[:-1]
+    h = add(matmul(reshape(fused, (-1, clf.in_dim)), clf.w_in), clf.b_in)
+    for blk in clf.blocks:
+        t = add(matmul(h, blk["w1"]), blk["b1"])
+        r = relu(add(mul(t, div(blk["gamma"], AFFINE_DIVISOR)), blk["beta"]))
+        h = add(h, add(matmul(r, blk["w2"]), blk["b2"]))
+    return reshape(add(matmul(h, clf.w_out), clf.b_out), lead + (clf.classes,))
+
+
+def varied_classifier(seed, hidden, in_dim=12, classes=3):
+    """A classifier whose biases, gains and shifts are all non-trivial, with
+    some negative gains, so each block's ReLU mask differs from unit to unit."""
+    clf = Classifier(np.random.default_rng(seed), in_dim=in_dim, hidden=hidden,
+                     classes=classes)
+    rng = np.random.default_rng(seed + 100)
+    for blk in clf.blocks:
+        blk["b1"].data = rng.normal(0, 0.3, hidden)
+        blk["gamma"].data = rng.normal(0.8, 0.6, hidden)
+        blk["beta"].data = rng.normal(0, 0.3, hidden)
+        blk["b2"].data = rng.normal(0, 0.3, hidden)
+    return clf
+
+
+class TestClassifierAffineRelu:
+    """Each classifier block calls the coarse net's affine_relu, which equals
+    the div → mul → add → relu chain bit for bit, forward and backward."""
+
+    @staticmethod
+    def fused_input(batch, in_dim=12):
+        """One fused vector for B = 1, the predict() case; a B×in_dim batch
+        otherwise."""
+        shape = (in_dim,) if batch == 1 else (batch, in_dim)
+        return np.random.default_rng(batch).normal(0, 1, shape)
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_tape_free_logits_equal_the_chain(self, batch, hidden):
+        clf = varied_classifier(batch, hidden)
+        x = self.fused_input(batch)
+        got = classifier_forward(clf, Tensor(x)).data
+        want = chained_classifier_forward(clf, Tensor(x)).data
+        assert got.shape == x.shape[:-1] + (3,)
+        np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def taped_run(clf, forward, x, weights):
+        """Logits and the gradients of every parameter and of the input for
+        a loss that weighs the logits by fixed random numbers."""
+        tape = GradientTape()
+        fused = Tensor(x)
+        named = clf.params() + [("input", fused)]
+        tape.watch(*[t for _, t in named])
+        logits = forward(clf, fused)
+        tape.backward(reduce_sum(mul(logits, weights)))
+        grads = {name: t.grad for name, t in named}
+        for _, t in named:
+            t.grad = None
+        return logits.data, grads
+
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_taped_logits_and_gradients_equal_the_chain(self, batch, hidden):
+        clf = varied_classifier(batch + 1, hidden)
+        x = self.fused_input(batch)
+        weights = np.random.default_rng(batch + 7).normal(0, 1, x.shape[:-1] + (3,))
+        got = self.taped_run(clf, classifier_forward, x, weights)
+        want = self.taped_run(clf, chained_classifier_forward, x, weights)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert set(got[1]) == set(want[1])
+        for name in got[1]:
+            np.testing.assert_array_equal(got[1][name], want[1][name], err_msg=name)
+        for i in range(Classifier.block_count):
+            assert np.abs(got[1][f"block{i}.gamma"]).sum() > 0
+
+    def test_matches_central_differences_on_a_matrix(self):
+        """x, gamma and beta of a B×C input. x is fed as a fresh sum, as the
+        classifier feeds it, because a tape-free call writes into x."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(0, 1, (5, 6)))
+        gamma = Tensor(rng.normal(0.5, 0.8, 6))
+        beta = Tensor(rng.normal(0, 0.5, 6))
+        w = rng.normal(0, 1, (5, 6))
+
+        def loss(x_, gamma_, beta_):
+            return reduce_sum(mul(affine_relu(add(x_, 0.0), gamma_, beta_), w))
+
+        pre = x.data * gamma.data / AFFINE_DIVISOR + beta.data
+        assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
+        assert grad_check(lambda t: loss(t, gamma, beta), x) <= 1e-6
+        assert grad_check(lambda t: loss(x, t, beta), gamma) <= 1e-6
+        assert grad_check(lambda t: loss(x, gamma, t), beta) <= 1e-6
+
+    def test_tape_free_call_overwrites_only_the_fresh_product(self, monkeypatch):
+        """Tape-free, each block's ReLU output is its w1 product's own buffer,
+        and no parameter, block input or other matmul operand changes;
+        taped, the product stays as it was, for gamma's gradient."""
+        clf = varied_classifier(4, 8)
+        x = Tensor(self.fused_input(8))
+        calls, operands = [], []
+
+        def spy(t, gamma, beta):
+            before = t.data.copy()
+            out = affine_relu(t, gamma, beta)
+            calls.append((t.data, before, out.data))
+            return out
+
+        def spy_matmul(a, b):
+            operands.append((a.data, a.data.copy()))
+            return matmul(a, b)
+
+        monkeypatch.setattr(model_module, "affine_relu", spy)
+        monkeypatch.setattr(model_module, "matmul", spy_matmul)
+        params = {name: t.data.copy() for name, t in clf.params()}
+        fused = x.data.copy()
+        classifier_forward(clf, x)
+        assert len(calls) == Classifier.block_count
+        for product, _, out in calls:
+            assert np.shares_memory(product, out)
+        for data, before in operands:
+            np.testing.assert_array_equal(data, before)
+        np.testing.assert_array_equal(x.data, fused)
+        for name, t in clf.params():
+            np.testing.assert_array_equal(t.data, params[name], err_msg=name)
+
+        calls.clear()
+        tape = GradientTape()
+        tape.watch(*[t for _, t in clf.params()])
+        classifier_forward(clf, x)
+        for product, before, out in calls:
+            assert not np.shares_memory(product, out)
+            np.testing.assert_array_equal(product, before)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_each_block_records_six_tape_ops(self, blocks):
+        """matmul and bias add, affine_relu, matmul and bias add, and the skip
+        add; the input and output layers record two ops each."""
+        clf = varied_classifier(5, 8)
+        clf.blocks = (clf.blocks * 2)[:blocks]
+        tape = GradientTape()
+        tape.watch(*[t for _, t in clf.params()])
+        classifier_forward(clf, Tensor(self.fused_input(8)))
+        assert len(tape._ops) == 4 + 6 * blocks
 
 
 class TestPredict:

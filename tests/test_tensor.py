@@ -267,8 +267,8 @@ class TestGradCheck:
             point = Tensor(rng.uniform(0.5, 1.5, 3))
             assert grad_check(f, point, eps=1e-5) <= 1e-4
         per_channel = lambda v: T.reshape(v, (3, 1, 1))
-        f = lambda v: T.reduce_sum(T.affine(T.reshape(mat, (3, 2, 2)), per_channel(v),
-                                            per_channel(T.mul(v, 0.5))))
+        f = lambda v: T.reduce_sum(T.add(T.mul(T.reshape(mat, (3, 2, 2)), per_channel(v)),
+                                         per_channel(T.mul(v, 0.5))))
         assert grad_check(f, Tensor(rng.uniform(0.5, 1.5, 3)), eps=1e-5) <= 1e-4
 
     def test_conv2d_all_arguments(self):
@@ -296,7 +296,6 @@ MULTI_OPERAND = {
     "sub": (T.sub, (np.ones(2), np.ones(2))),
     "mul": (T.mul, (np.ones(2), np.ones(2))),
     "div": (T.div, (np.ones(2), np.full(2, 2.0))),
-    "affine": (T.affine, (np.ones((2, 2)), np.ones(2), np.ones(2))),
     "matmul": (T.matmul, (np.ones((2, 3)), np.ones((3, 2)))),
     "concat": (lambda *parts: T.concat(parts), (np.ones(2), np.ones(3), np.ones(1))),
     "conv2d": (T.conv2d, (np.ones((1, 1, 4, 4)), np.ones((2, 1, 3, 3)), np.ones(2))),
@@ -552,26 +551,6 @@ class TestBatchedOps:
                                   other) <= 1e-6
         with pytest.raises(DimensionError):
             T.add(m, Tensor(np.ones(4)))
-
-    def test_channel_affine_per_item_of_a_batch(self):
-        rng = np.random.default_rng(55)
-        x = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
-        scale = Tensor(rng.uniform(0.5, 1.5, (3, 1, 1)))  # per channel
-        shift = Tensor(rng.normal(0, 1, 4))               # per column
-        out = T.affine(x, scale, shift).data
-        for i in range(2):
-            np.testing.assert_array_equal(
-                out[i], T.affine(Tensor(x.data[i]), scale, shift).data)
-        np.testing.assert_array_equal(out, x.data * scale.data + shift.data)
-        f = self.weighted
-        assert grad_check(f(lambda t: T.affine(t, scale, shift),
-                            x.data.shape), x) <= 1e-6
-        assert grad_check(f(lambda t: T.affine(x, t, shift),
-                            x.data.shape), scale) <= 1e-6
-        assert grad_check(f(lambda t: T.affine(x, scale, t),
-                            x.data.shape), shift) <= 1e-6
-        with pytest.raises(DimensionError):
-            T.affine(Tensor(np.ones(3)), 2.0, Tensor(np.ones((2, 3))))
 
     def test_broadcast_to(self):
         rng = np.random.default_rng(56)
