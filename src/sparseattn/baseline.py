@@ -13,6 +13,7 @@ from .data import SYNTHETIC_CLASSES, LabeledImage
 from .losses import BatchLossReport, LossConfig, focal_loss
 from .tensor import (
     GradientTape,  # noqa: F401  (bench/tracer.py wraps the name here to time steps)
+    Module,
     Tensor,
     add,
     assign_params,
@@ -50,7 +51,7 @@ def _flat_size(h: int, w: int) -> int:
     return CHANNELS[1] * (h // 4) * (w // 4)
 
 
-class BaselineNet:
+class BaselineNet(Module):
     """1 -> 16 -> 32 channel conv net; each block is conv, relu, 2x2 avg pool."""
 
     def __init__(self, rng: np.random.Generator, image_shape: tuple[int, int],
@@ -71,16 +72,6 @@ class BaselineNet:
         self.conv2_b = Tensor(np.zeros(c2))
         self.head_w = Tensor(rng.uniform(-lim3, lim3, (flat, classes)))
         self.head_b = Tensor(np.zeros(classes))
-
-    def params(self):
-        return [
-            ("conv1_w", self.conv1_w), ("conv1_b", self.conv1_b),
-            ("conv2_w", self.conv2_w), ("conv2_b", self.conv2_b),
-            ("head_w", self.head_w), ("head_b", self.head_b),
-        ]
-
-    def param_count(self) -> int:
-        return sum(t.data.size for _, t in self.params())
 
 
 def build_baseline(seed: int, image_shape: tuple[int, int],

@@ -16,6 +16,7 @@ import numpy as np
 
 from .tensor import (
     DimensionError,
+    Module,
     Tensor,
     _common_tape,
     _record,
@@ -41,7 +42,7 @@ class CoarseOutput:
     z_coarse: Tensor        # (channels,) pooled post-ReLU features
 
 
-class CoarseNet:
+class CoarseNet(Module):
     """1 -> channels -> 1 conv stack with a learnable per-channel affine
     (bn_gamma / AFFINE_DIVISOR, bn_beta) on the hidden layer. No statistic
     is taken over a batch, so an image's output never depends on the other
@@ -57,16 +58,6 @@ class CoarseNet:
         self.bn_beta = Tensor(np.zeros(channels))
         self.conv2_w = Tensor(rng.uniform(-lim2, lim2, (1, channels, KSIZE, KSIZE)))
         self.conv2_b = Tensor(np.zeros(1))
-
-    def params(self):
-        return [
-            ("conv1_w", self.conv1_w),
-            ("conv1_b", self.conv1_b),
-            ("bn_gamma", self.bn_gamma),
-            ("bn_beta", self.bn_beta),
-            ("conv2_w", self.conv2_w),
-            ("conv2_b", self.conv2_b),
-        ]
 
 
 def coarse_forward(net: CoarseNet, image: Tensor) -> CoarseOutput:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, broadcast_to, concat, matmul, relu, reshape
+from .tensor import Module, Tensor, add, broadcast_to, concat, matmul, relu, reshape
 
 
-class Embedder:
+class Embedder(Module):
     """3 -> hidden -> dim MLP with ReLU, shared across pixels; CLS token row."""
 
     hidden = 16
@@ -31,13 +31,6 @@ class Embedder:
         # fine-path gradient at init, so it starts at weight scale instead
         lim_cls = (1.0 / dim) ** 0.5
         self.cls_token = Tensor(rng.uniform(-lim_cls, lim_cls, dim))
-
-    def params(self):
-        return [
-            ("w1", self.w1), ("b1", self.b1),
-            ("w2", self.w2), ("b2", self.b2),
-            ("cls_token", self.cls_token),
-        ]
 
 
 def embed_pixels(emb: Embedder, triplets) -> Tensor:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .tensor import (
     DimensionError,
+    Module,
     Tensor,
     add,
     div,
@@ -63,7 +64,7 @@ class FineOutput:
         return [Tensor(by_head[..., h, :]) for h in range(self.heads)]
 
 
-class FineAttention:
+class FineAttention(Module):
     """Shared value projection; query and key projections of D×(H*d_h),
     head h owning columns h*d_h to (h+1)*d_h, with d_h = D/H."""
 
@@ -82,9 +83,6 @@ class FineAttention:
         q, k = rng.uniform(-lim, lim, (2, heads, dim, self.head_dim))
         self.w_q = Tensor(q.transpose(1, 0, 2).reshape(dim, dim))
         self.w_k = Tensor(k.transpose(1, 0, 2).reshape(dim, dim))
-
-    def params(self):
-        return [("w_v", self.w_v), ("w_q", self.w_q), ("w_k", self.w_k)]
 
 
 def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:

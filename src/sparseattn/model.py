@@ -19,6 +19,7 @@ from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
 from .tensor import (
+    Module,
     Tensor,
     add,
     assign_params,
@@ -31,7 +32,7 @@ from .tensor import (
 )
 
 
-class Classifier:
+class Classifier(Module):
     """Linear in, two pre-activation residual blocks, linear out.
 
     Block form: linear -> affine_relu with the block's gamma and beta (the
@@ -62,6 +63,7 @@ class Classifier:
         self.b_out = Tensor(np.zeros(classes))
 
     def params(self):
+        # the blocks are dicts, which Module.params does not enter
         out = [("w_in", self.w_in), ("b_in", self.b_in)]
         for i, blk in enumerate(self.blocks):
             for key in ("w1", "b1", "gamma", "beta", "w2", "b2"):
@@ -91,7 +93,7 @@ class Diagnostics:
 
 
 @dataclass
-class ModelState:
+class ModelState(Module):
     """Every learnable module plus the non-gradient controller state."""
 
     coarse: CoarseNet
@@ -101,17 +103,6 @@ class ModelState:
     controller: KController
     class_count: int
     image_shape: tuple[int, int]
-
-    def params(self):
-        out = []
-        for prefix, module in (("coarse", self.coarse), ("embedder", self.embedder),
-                               ("fine", self.fine), ("classifier", self.classifier)):
-            for name, t in module.params():
-                out.append((f"{prefix}.{name}", t))
-        return out
-
-    def param_count(self) -> int:
-        return sum(t.data.size for _, t in self.params())
 
 
 def build_model(seed: int, image_shape: tuple[int, int],

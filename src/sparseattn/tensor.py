@@ -63,6 +63,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{taped})"
 
 
+class Module:
+    """A learnable stage whose parameters are its Tensor attributes.
+
+    params() names them in the order they were first assigned, so the
+    order __init__ draws them in is also the checkpoint record order, the
+    optimizer's and the tape's watch order. An attribute that is itself a
+    Module adds its params() under "<attribute>."; anything else is not a
+    parameter.
+    """
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out.append((name, value))
+            elif isinstance(value, Module):
+                out += [(f"{name}.{sub}", t) for sub, t in value.params()]
+        return out
+
+    def param_count(self) -> int:
+        return sum(t.data.size for _, t in self.params())
+
+
 class GradientTape:
     """Append-only record of operations, replayed once in reverse.
 

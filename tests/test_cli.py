@@ -208,6 +208,22 @@ class TestRejectedSettings:
         captured = capsys.readouterr()
         assert captured.err.count("config error") == 4 and captured.out == ""
 
+    # Each size asks for petabytes, more than a process can map (128 TiB on
+    # x86-64 Linux), so the first large allocation fails whatever the
+    # host's memory and overcommit policy.
+    @pytest.mark.parametrize("argv", [
+        ["cost", "--hidden", "1000000000000000"],
+        ["gen", "--out", "g", "--image-size", "10000000", "--samples-per-class", "1"],
+    ], ids=["cost-hidden", "gen-image-size"])
+    def test_size_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error: sizes too large for memory: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUnusablePaths:
     """An input path that names a directory, a config file that is not UTF-8

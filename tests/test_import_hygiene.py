@@ -3,15 +3,16 @@ every module-level name is referenced somewhere in the package.
 
 No linter runs on this repository, and a deleted function easily leaves
 its import behind, as a merged one leaves its helper. Each module of
-src/sparseattn except __init__.py (whose imports are the public API), and
-each script in tools/, is parsed with ast; an imported name counts as used
-when it appears as a name anywhere in the module. A function, class or constant that a module
-defines at its top level, private (one leading underscore) or public,
-counts as referenced when some module of the package, __init__.py
-included, reads it as a name, an attribute or an import; reads from tests
-do not count, so a public name that only tests call fails too. An import
-or definition whose own line carries `# noqa` is exempt: such a name is
-kept for code elsewhere that looks it up there.
+src/sparseattn except __init__.py (whose imports are the public API),
+each script in tools/ and each file in tests/ is parsed with ast; an
+imported name counts as used when it appears as a name anywhere in the
+module. A function, class or constant that a module defines at its top
+level, private (one leading underscore) or public, counts as referenced
+when some module of the package, __init__.py included, reads it as a
+name, an attribute or an import; reads from tests do not count, so a
+public name that only tests call fails too. An import or definition
+whose own line carries `# noqa` is exempt: such a name is kept for code
+elsewhere that looks it up there.
 
 File I/O stays in the modules that own a file format: no module but cli,
 data and model calls open(), as a function or as a method.
@@ -25,6 +26,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparseattn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TOOLS = sorted((PACKAGE.parent.parent / "tools").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 FILE_FORMAT_OWNERS = {"cli", "data", "model"}
 
 
@@ -75,10 +77,11 @@ def unreferenced_names(sources: dict[str, str], public: bool) -> list[str]:
 
 def test_modules_found():
     assert {"tensor.py", "train.py", "baseline.py"} <= {p.name for p in MODULES}
-    assert {"fingerprint.py", "select_timing.py"} <= {p.name for p in TOOLS}
+    assert {"fingerprint.py", "seeds.py", "select_timing.py"} <= {p.name for p in TOOLS}
+    assert {"conftest.py", "test_import_hygiene.py"} <= {p.name for p in TESTS}
 
 
-@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -276,6 +276,40 @@ class TestPredict:
         assert int(np.argmax(shifted)) == predict(m, img)
 
 
+# the parameter order of each module: its SATM or SATB record order, its
+# AdamW state order and its tape watch order
+STAGE_PARAMS = {
+    "coarse": ["conv1_w", "conv1_b", "bn_gamma", "bn_beta", "conv2_w", "conv2_b"],
+    "embedder": ["w1", "b1", "w2", "b2", "cls_token"],
+    "fine": ["w_v", "w_q", "w_k"],
+    "classifier": ["w_in", "b_in"]
+                  + [f"block{i}.{key}" for i in range(2)
+                     for key in ("w1", "b1", "gamma", "beta", "w2", "b2")]
+                  + ["w_out", "b_out"],
+}
+
+
+class TestParameterOrder:
+    def test_each_stage(self):
+        m = small_model()
+        for stage, names in STAGE_PARAMS.items():
+            assert [n for n, _ in getattr(m, stage).params()] == names
+
+    def test_model_state_prefixes_stages_in_field_order(self):
+        m = small_model()
+        assert [n for n, _ in m.params()] == [
+            f"{stage}.{n}" for stage, names in STAGE_PARAMS.items() for n in names]
+        assert [t for _, t in m.params()] == [
+            t for stage in STAGE_PARAMS for _, t in getattr(m, stage).params()]
+        assert m.param_count() == sum(t.data.size for _, t in m.params())
+
+    def test_baseline(self):
+        net = sa.build_baseline(0, (8, 8), 3)
+        assert [n for n, _ in net.params()] == [
+            "conv1_w", "conv1_b", "conv2_w", "conv2_b", "head_w", "head_b"]
+        assert net.param_count() == 16 * 9 + 16 + 32 * 16 * 9 + 32 + 32 * 4 * 3 + 3
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self):
         m = small_model(9, hidden=16)

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 import sparseattn.tensor as T
+from sparseattn.selector import KController
 from sparseattn.tensor import (
     DimensionError,
     DomainError,
     GradientTape,
+    Module,
     NumericError,
     TapeError,
     Tensor,
     grad_check,
 )
+from sparseattn.train import AdamW
 
 
 def scalar(fn):
@@ -485,6 +488,58 @@ class TestSerialization:
         raw = T.pack(b"TEST", 7, {}, [("w", Tensor([1.0, 2.0]))])
         with pytest.raises(ValueError, match="^3 trailing bytes after the last record$"):
             T.unpack(raw + b"\x00" * 3, b"TEST", 7)
+
+
+class _Inner(Module):
+    def __init__(self):
+        self.a = Tensor(np.ones((2, 3)))
+        self.deeper = _Leaf()
+
+
+class _Leaf(Module):
+    def __init__(self):
+        self.x = Tensor(np.ones(1))
+
+
+class _Toy(Module):
+    """An int, a Tensor, a sub-Module and a non-Module object, then a
+    Tensor assigned last."""
+
+    def __init__(self):
+        self.size = 3
+        self.w = Tensor(np.full(4, 2.0))
+        self.inner = _Inner()
+        self.controller = KController()
+        self.late = Tensor(np.full(3, 5.0))
+
+
+class TestModule:
+    """Module.params: the Tensor attributes in assignment order, a
+    sub-Module's under its attribute name, nothing else."""
+
+    def test_names_in_init_order(self):
+        toy = _Toy()
+        assert [name for name, _ in toy.params()] == [
+            "w", "inner.a", "inner.deeper.x", "late"]
+        assert [t for _, t in toy.params()] == [toy.w, toy.inner.a, toy.inner.deeper.x, toy.late]
+        assert toy.param_count() == 4 + 6 + 1 + 3
+
+    def test_module_without_tensors_has_none(self):
+        assert Module().params() == [] and Module().param_count() == 0
+
+    def test_last_tensor_is_stepped_and_packed(self):
+        """A tensor added at the end of __init__ needs no list: AdamW steps
+        it and pack writes it, as the last record."""
+        toy = _Toy()
+        tape = GradientTape()
+        tape.watch(*(t for _, t in toy.params()))
+        tape.backward(T.reduce_sum(T.mul(toy.late, [1.0, -1.0, 2.0])))
+        AdamW(toy.params(), learning_rate=0.1, weight_decay=0.0).step()
+        np.testing.assert_allclose(toy.late.data, [4.9, 5.1, 4.9])
+        np.testing.assert_array_equal(toy.w.data, np.full(4, 2.0))
+        _, arrays = T.unpack(T.pack(b"TEST", 1, {}, toy.params()), b"TEST", 1)
+        assert list(arrays)[-1] == "late"
+        assert arrays["late"].tobytes() == toy.late.data.tobytes()
 
 
 class TestBatchedOps:
