@@ -6,7 +6,7 @@ each one feeds, then a key=value config file, then explicit flags. Every
 run echoes its effective settings to <out>/config.resolved, which is itself
 a valid config file, so a run can be reproduced with --config alone. Exit
 codes: 0 success, 2 config error (any setting the library rejects, NaN
-included, or sizes too large to allocate), 3 data error, 4 numeric abort.
+included, or memory it cannot allocate), 3 data error, 4 numeric abort.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
     except MemoryError as err:   # numpy's says what it could not allocate, in one line
-        print(f"config error: sizes too large for memory: {err}", file=sys.stderr)
+        print(f"config error: cannot allocate memory: {err}", file=sys.stderr)
         return 2
 
 

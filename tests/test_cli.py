@@ -220,7 +220,7 @@ class TestRejectedSettings:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("config error: sizes too large for memory: ")
+        assert captured.err.startswith("config error: cannot allocate memory: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 

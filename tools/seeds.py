@@ -25,7 +25,7 @@ on stderr counts the seeds that pass both criteria.
 
     python3 tools/seeds.py 1-20            # development seeds
     python3 tools/seeds.py 101-110         # held out: read to gate, never to tune
-    python3 tools/seeds.py 42 --jobs 1
+    python3 tools/seeds.py 42
 
 Ten seeds take about a minute two at a time on a 2-CPU Xeon host.
 """
@@ -62,7 +62,8 @@ def criteria(accuracy: float, k: int, pixels: int, epochs: int, elapsed_s: float
              hit_rate: float) -> dict[str, bool]:
     """The bounds of tests/test_acceptance.py's criteria 9 (accuracy at
     least 0.90 with k at most 20% of the pixels, in at most 60 epochs and
-    under 300 s) and 11 (a mean hit rate of at least 0.70)."""
+    under 300 s) and 11 (a mean hit rate of at least 0.70). A copy of the
+    test's inline bounds: change both together."""
     return {
         "criterion_9": (accuracy >= 0.90 and k <= 0.20 * pixels
                         and epochs <= 60 and elapsed_s < 300.0),
@@ -72,7 +73,8 @@ def criteria(accuracy: float, k: int, pixels: int, epochs: int, elapsed_s: float
 
 def hit_rate(model, test_set, k: int) -> float:
     """Mean over the images of the share of their k selected pixels inside
-    the foreground, one image at a time as criterion 11 computes it."""
+    the foreground, one image at a time as criterion 11 computes it (a copy
+    of the test's loop: change both together)."""
     rates = []
     for sample in test_set:
         out = coarse_forward(model.coarse, sample.pixels)
@@ -155,7 +157,6 @@ def parse_seeds(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="?", type=parse_seeds, default=parse_seeds("1-20"))
-    parser.add_argument("--jobs", type=int, choices=(1, 2), default=2)
     parser.add_argument("--in-process", type=int, metavar="SEED",
                         help="run one seed in this process and print its line")
     for name, default in SIZES.items():
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     if args.in_process is not None:
         print(json.dumps(run_seed(args.in_process, sizes)))
         return 0
-    results = run(args.seeds, sizes, args.jobs)
+    results = run(args.seeds, sizes)
     for result in results:
         print(json.dumps(result), flush=True)
     passed = [r["seed"] for r in results if r.get("passed")]
