@@ -51,7 +51,7 @@ def count_cost(model: ModelState, image_shape: tuple[int, int], k: int) -> CostR
     fine = tokens * d * d + model.fine.heads * per_head
 
     hid = model.classifier.hidden
-    blocks = len(model.classifier.blocks)
+    blocks = len(model.classifier.block)
     classifier = (d + ch) * hid + blocks * 2 * hid * hid + hid * model.class_count
 
     return CostReport(

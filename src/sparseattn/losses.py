@@ -152,16 +152,15 @@ def distill_target(pixel_importance: Tensor, k: int, emphasis: float) -> np.ndar
 
 
 def distill_loss(coarse_map: Tensor, pixel_importance: Tensor,
-                 selected: Selection, cfg: LossConfig,
-                 target: np.ndarray | None = None) -> Tensor:
+                 selected: Selection, cfg: LossConfig) -> Tensor:
     """KL(P_coarse || P_fine) restricted to the selected pixel support,
     averaged over the images of a batch.
 
     coarse_map is H×W (B×H×W for a batch) and `selected` the matching
     selection. P_coarse is the softmax of the coarse-map values at the
     selected positions and carries gradient; P_fine is the detached,
-    sharpened importance distribution (or an explicit `target`), so the
-    divergence trains only the coarse side.
+    sharpened importance distribution, so the divergence trains only the
+    coarse side.
     """
     k = len(selected)
     if k == 0:
@@ -169,8 +168,7 @@ def distill_loss(coarse_map: Tensor, pixel_importance: Tensor,
     h, w = coarse_map.data.shape[-2:]
     maps = reshape(coarse_map, (-1, h * w))
     p_coarse = softmax(take(maps, selected.index.reshape(-1, k)))
-    if target is None:
-        target = distill_target(pixel_importance, k, cfg.emphasis)
+    target = distill_target(pixel_importance, k, cfg.emphasis)
     log_target = Tensor(np.log(target).reshape(-1, k))
     kl = reduce_sum(mul(p_coarse, sub(log(p_coarse), log_target)), axis=1)
     return reduce_mean(kl)

@@ -32,14 +32,25 @@ from .tensor import (
 )
 
 
-class Classifier(Module):
-    """Linear in, two pre-activation residual blocks, linear out.
+class Block(Module):
+    """One pre-activation residual block: linear -> affine_relu with gamma
+    and beta (the coarse net's per-channel affine and ReLU, one op) ->
+    linear, added to the skip."""
 
-    Block form: linear -> affine_relu with the block's gamma and beta (the
-    coarse net's per-channel affine and ReLU, one op) -> linear, added to
-    the skip. No statistic is taken over a batch, so a sample's logits
-    never depend on the rest of its batch.
-    """
+    def __init__(self, rng: np.random.Generator, hidden: int):
+        lim = (1.0 / hidden) ** 0.5
+        self.w1 = Tensor(rng.uniform(-lim, lim, (hidden, hidden)))
+        self.b1 = Tensor(np.zeros(hidden))
+        self.gamma = Tensor(np.ones(hidden))
+        self.beta = Tensor(np.zeros(hidden))
+        self.w2 = Tensor(rng.uniform(-lim, lim, (hidden, hidden)))
+        self.b2 = Tensor(np.zeros(hidden))
+
+
+class Classifier(Module):
+    """Linear in, two residual Blocks, linear out. No statistic is taken
+    over a batch, so a sample's logits never depend on the rest of its
+    batch."""
 
     block_count = 2
 
@@ -51,24 +62,9 @@ class Classifier(Module):
         lim_h = (1.0 / hidden) ** 0.5
         self.w_in = Tensor(rng.uniform(-lim_in, lim_in, (in_dim, hidden)))
         self.b_in = Tensor(np.zeros(hidden))
-        self.blocks = [{
-            "w1": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
-            "b1": Tensor(np.zeros(hidden)),
-            "gamma": Tensor(np.ones(hidden)),
-            "beta": Tensor(np.zeros(hidden)),
-            "w2": Tensor(rng.uniform(-lim_h, lim_h, (hidden, hidden))),
-            "b2": Tensor(np.zeros(hidden)),
-        } for _ in range(self.block_count)]
+        self.block = [Block(rng, hidden) for _ in range(self.block_count)]
         self.w_out = Tensor(rng.uniform(-lim_h, lim_h, (hidden, classes)))
         self.b_out = Tensor(np.zeros(classes))
-
-    def params(self):
-        # the blocks are dicts, which Module.params does not enter
-        out = [("w_in", self.w_in), ("b_in", self.b_in)]
-        for i, blk in enumerate(self.blocks):
-            for key in ("w1", "b1", "gamma", "beta", "w2", "b2"):
-                out.append((f"block{i}.{key}", blk[key]))
-        return out + [("w_out", self.w_out), ("b_out", self.b_out)]
 
 
 def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
@@ -77,10 +73,10 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     lead = fused.data.shape[:-1]
     x = reshape(fused, (-1, clf.in_dim))
     h = add(matmul(x, clf.w_in), clf.b_in)
-    for blk in clf.blocks:
-        t = add(matmul(h, blk["w1"]), blk["b1"])
-        r = affine_relu(t, blk["gamma"], blk["beta"])
-        h = add(h, add(matmul(r, blk["w2"]), blk["b2"]))
+    for blk in clf.block:
+        t = add(matmul(h, blk.w1), blk.b1)
+        r = affine_relu(t, blk.gamma, blk.beta)
+        h = add(h, add(matmul(r, blk.w2), blk.b2))
     logits = add(matmul(h, clf.w_out), clf.b_out)
     return reshape(logits, lead + (clf.classes,))
 

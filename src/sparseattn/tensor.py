@@ -69,8 +69,9 @@ class Module:
     params() names them in the order they were first assigned, so the
     order __init__ draws them in is also the checkpoint record order, the
     optimizer's and the tape's watch order. An attribute that is itself a
-    Module adds its params() under "<attribute>."; anything else is not a
-    parameter.
+    Module adds its params() under "<attribute>.", and the i-th item of a
+    list attribute, a Module too, under "<attribute><i>."; anything else is
+    not a parameter.
     """
 
     def params(self) -> list[tuple[str, Tensor]]:
@@ -80,6 +81,9 @@ class Module:
                 out.append((name, value))
             elif isinstance(value, Module):
                 out += [(f"{name}.{sub}", t) for sub, t in value.params()]
+            elif isinstance(value, list):
+                out += [(f"{name}{i}.{sub}", t) for i, item in enumerate(value)
+                        for sub, t in item.params()]
         return out
 
     def param_count(self) -> int:

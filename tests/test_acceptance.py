@@ -1,6 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line. The end-to-end training criteria (9, 10, 11) share one seed-fixed
-run provided by a module-scoped fixture.
+run provided by a module-scoped fixture: tools/fingerprint.py's training
+fixture, judged by tools/seeds.py's criteria and hit rate, so the test
+and the per-seed tool apply one definition.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion
 lines as they complete.
@@ -11,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-import sparseattn as sa
-from conftest import param_grad_errors
+from conftest import load_tool, param_grad_errors
 from sparseattn.baseline import baseline_cost, build_baseline
 from sparseattn.cli import main as cli_main
 from sparseattn.coarse import coarse_forward
@@ -23,7 +24,6 @@ from sparseattn.losses import (
     LossConfig,
     contrastive_loss,
     distill_loss,
-    distill_target,
     focal_loss,
 )
 from sparseattn.model import (
@@ -35,7 +35,11 @@ from sparseattn.model import (
 )
 from sparseattn.selector import KController, select_top_k, update_k
 from sparseattn.tensor import GradientTape, Tensor, add, concat, grad_check, mul, reshape
-from sparseattn.train import TrainConfig, evaluate, train
+from sparseattn.train import evaluate, train
+
+# the training fixture and criteria 9 and 11, as tools/seeds.py runs them on any seed
+fingerprint = load_tool("fingerprint")
+seeds = load_tool("seeds")
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -50,30 +54,30 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 TRAIN_SEED = 42
-IMAGE_SIZE = 32
-PIXELS = IMAGE_SIZE * IMAGE_SIZE
 
 
 @pytest.fixture(scope="module")
 def trained_run():
+    """The fixture trained as tools/seeds.py trains a seed; the verdicts of
+    criteria 9 and 11 are its seeds.criteria() at the final k."""
     start = time.monotonic()
-    spec = sa.SyntheticSpec(image_size=IMAGE_SIZE, seed=TRAIN_SEED,
-                            noise_sigma=0.05, samples_per_class=300)
-    data = sa.generate(spec)
-    train_set, test_set = sa.split(data, 0.8, seed=TRAIN_SEED)
-    model = build_model(seed=TRAIN_SEED, image_shape=(IMAGE_SIZE, IMAGE_SIZE),
-                        class_count=3, hidden=32, dim=4, heads=2,
-                        k_init=512, k_min=160)
-    config = TrainConfig(epochs=28, batch_size=32, seed=TRAIN_SEED,
-                         learning_rate=3e-3)
+    train_set, test_set, model, config = fingerprint.fixture(TRAIN_SEED)
     model, logs = train(model, train_set, config)
     elapsed = time.monotonic() - start
+    accuracy = evaluate(model, test_set).accuracy
+    k = model.controller.k
+    h, w = model.image_shape
+    hit_rate = seeds.hit_rate(model, test_set, k)
     return {
         "model": model,
         "logs": logs,
         "test_set": test_set,
         "elapsed": elapsed,
         "epochs": config.epochs,
+        "accuracy": accuracy,
+        "pixels": h * w,
+        "hit_rate": hit_rate,
+        **seeds.criteria(accuracy, k, h * w, config.epochs, elapsed, hit_rate),
     }
 
 
@@ -127,12 +131,11 @@ class TestCriterion1:
         for img in images:
             _, diag0 = model_forward(m, img, k=4)
             frozen.append((diag0.pixels,
-                           distill_target(diag0.fine.pixel_importance, 4,
-                                          mcfg.emphasis)))
+                           Tensor(diag0.fine.pixel_importance.data.copy())))
 
         def loss():
             logit_rows, z_rows, d_sum = [], [], None
-            for img, (pixels, target) in zip(images, frozen):
+            for img, (pixels, teacher) in zip(images, frozen):
                 co = coarse_forward(m.coarse, img)
                 tokens = embed_pixels(m.embedder, pixels.triplets)
                 fo = fine_forward(m.fine, tokens)
@@ -140,8 +143,7 @@ class TestCriterion1:
                                             concat([fo.z_fine, co.z_coarse], axis=-1))
                 logit_rows.append(reshape(logits, (1, 3)))
                 z_rows.append(reshape(fo.z_fine, (1, 4)))
-                term = distill_loss(co.attention_map, fo.pixel_importance,
-                                    pixels, mcfg, target=target)
+                term = distill_loss(co.attention_map, teacher, pixels, mcfg)
                 d_sum = term if d_sum is None else add(d_sum, term)
             f = focal_loss(concat(logit_rows, axis=0), labels, mcfg)
             c = contrastive_loss(concat(z_rows, axis=0), labels, mcfg)
@@ -295,25 +297,21 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_learning_with_sparse_budget(self, trained_run):
-        metrics = evaluate(trained_run["model"], trained_run["test_set"])
         k_final = trained_run["model"].controller.k
-        ok = (metrics.accuracy >= 0.90
-              and k_final <= 0.20 * PIXELS
-              and trained_run["epochs"] <= 60
-              and trained_run["elapsed"] < 300.0)
         report(9, "synthetic 3-class >= 90% accuracy with k <= 20% of pixels",
-               ok, f"acc {metrics.accuracy:.4f}, k {k_final} "
-                   f"({100 * k_final / PIXELS:.1f}%), "
-                   f"{trained_run['elapsed']:.0f} s / {trained_run['epochs']} epochs")
+               trained_run["criterion_9"],
+               f"acc {trained_run['accuracy']:.4f}, k {k_final} "
+               f"({100 * k_final / trained_run['pixels']:.1f}%), "
+               f"{trained_run['elapsed']:.0f} s / {trained_run['epochs']} epochs")
 
 
 class TestCriterion10:
     def test_sparse_vs_dense_efficiency(self, trained_run):
         model = trained_run["model"]
         k_final = model.controller.k
-        sparse = count_cost(model, (IMAGE_SIZE, IMAGE_SIZE), k_final)
-        dense = baseline_cost(build_baseline(TRAIN_SEED,
-                                             (IMAGE_SIZE, IMAGE_SIZE), 3))
+        sparse = count_cost(model, model.image_shape, k_final)
+        dense = baseline_cost(build_baseline(TRAIN_SEED, model.image_shape,
+                                             model.class_count))
         ok = (sparse.total_flops < 0.5 * dense.total_flops
               and sparse.parameters < dense.parameters)
         report(10, "sparse FLOPs < 50% of dense baseline; fewer parameters",
@@ -324,17 +322,10 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_attention_localization(self, trained_run):
-        model = trained_run["model"]
-        k_final = model.controller.k
-        rates = []
-        for sample in trained_run["test_set"]:
-            out = coarse_forward(model.coarse, sample.pixels)
-            picked = select_top_k(out.attention_map, sample.pixels, k_final)
-            inside = int(sample.foreground_mask[picked.row, picked.col].sum())
-            rates.append(inside / len(picked))
-        mean_rate = float(np.mean(rates))
         report(11, "at least 70% of selected pixels inside the foreground",
-               mean_rate >= 0.70, f"mean hit rate {mean_rate:.3f} at k={k_final}")
+               trained_run["criterion_11"],
+               f"mean hit rate {trained_run['hit_rate']:.3f} "
+               f"at k={trained_run['model'].controller.k}")
 
 
 class TestCriterion12:

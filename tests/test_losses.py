@@ -193,13 +193,13 @@ class TestDistillLoss:
             pytest.approx(0.0, abs=1e-9)
 
     def test_hand_kl_value(self):
-        cfg = LossConfig()
+        cfg = LossConfig(emphasis=1.0)
         # coarse softmax over two equal map values -> [0.5, 0.5]
         coarse = Tensor(np.zeros((2, 2)))
         selected = pixels_at([0, 1], 2)
-        target = np.array([0.25, 0.75])
-        got = distill_loss(coarse, Tensor(np.zeros(3)), selected, cfg,
-                           target=target).item()
+        # importance mass exactly 1 (CLS last), so the target is [0.25, 0.75] exactly
+        importance = Tensor(np.array([0.25, 0.75, 0.0]))
+        got = distill_loss(coarse, importance, selected, cfg).item()
         expected = 0.5 * math.log(2) + 0.5 * math.log(2 / 3)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.14384, abs=1e-5)

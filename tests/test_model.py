@@ -106,10 +106,10 @@ def chained_classifier_forward(clf, fused):
     div, mul, add and relu ops: the oracle for the shared affine_relu."""
     lead = fused.data.shape[:-1]
     h = add(matmul(reshape(fused, (-1, clf.in_dim)), clf.w_in), clf.b_in)
-    for blk in clf.blocks:
-        t = add(matmul(h, blk["w1"]), blk["b1"])
-        r = relu(add(mul(t, div(blk["gamma"], AFFINE_DIVISOR)), blk["beta"]))
-        h = add(h, add(matmul(r, blk["w2"]), blk["b2"]))
+    for blk in clf.block:
+        t = add(matmul(h, blk.w1), blk.b1)
+        r = relu(add(mul(t, div(blk.gamma, AFFINE_DIVISOR)), blk.beta))
+        h = add(h, add(matmul(r, blk.w2), blk.b2))
     return reshape(add(matmul(h, clf.w_out), clf.b_out), lead + (clf.classes,))
 
 
@@ -119,11 +119,11 @@ def varied_classifier(seed, hidden, in_dim=12, classes=3):
     clf = Classifier(np.random.default_rng(seed), in_dim=in_dim, hidden=hidden,
                      classes=classes)
     rng = np.random.default_rng(seed + 100)
-    for blk in clf.blocks:
-        blk["b1"].data = rng.normal(0, 0.3, hidden)
-        blk["gamma"].data = rng.normal(0.8, 0.6, hidden)
-        blk["beta"].data = rng.normal(0, 0.3, hidden)
-        blk["b2"].data = rng.normal(0, 0.3, hidden)
+    for blk in clf.block:
+        blk.b1.data = rng.normal(0, 0.3, hidden)
+        blk.gamma.data = rng.normal(0.8, 0.6, hidden)
+        blk.beta.data = rng.normal(0, 0.3, hidden)
+        blk.b2.data = rng.normal(0, 0.3, hidden)
     return clf
 
 
@@ -241,7 +241,7 @@ class TestClassifierAffineRelu:
         """matmul and bias add, affine_relu, matmul and bias add, and the skip
         add; the input and output layers record two ops each."""
         clf = varied_classifier(5, 8)
-        clf.blocks = (clf.blocks * 2)[:blocks]
+        clf.block = (clf.block * 2)[:blocks]
         tape = GradientTape()
         tape.watch(*[t for _, t in clf.params()])
         classifier_forward(clf, Tensor(self.fused_input(8)))
@@ -376,7 +376,7 @@ class TestEndToEndGradients:
         """Every parameter within 1e-4 of central differences on an 8x8
         image at k=4, with selection and the distillation target frozen."""
         from conftest import param_grad_errors
-        from sparseattn.losses import LossConfig, distill_target
+        from sparseattn.losses import LossConfig
         from sparseattn.tensor import reshape
 
         m = build_model(seed=17, image_shape=(8, 8), class_count=3,
@@ -385,7 +385,7 @@ class TestEndToEndGradients:
         cfg = LossConfig(gamma=2.0, lambda_contrast=0.1, lambda_distill=0.5)
         _, diag0 = model_forward(m, img, k=4)
         frozen_pixels = diag0.pixels
-        frozen_target = distill_target(diag0.fine.pixel_importance, 4, cfg.emphasis)
+        frozen_importance = Tensor(diag0.fine.pixel_importance.data.copy())
 
         from sparseattn.coarse import coarse_forward
         from sparseattn.embedding import embed_pixels
@@ -400,8 +400,7 @@ class TestEndToEndGradients:
             fo = fine_forward(m.fine, tokens)
             logits = classifier_forward(m.classifier, concat([fo.z_fine, co.z_coarse], axis=-1))
             f = focal_loss(reshape(logits, (1, 3)), [1], cfg)
-            d = distill_loss(co.attention_map, fo.pixel_importance,
-                             frozen_pixels, cfg, target=frozen_target)
+            d = distill_loss(co.attention_map, frozen_importance, frozen_pixels, cfg)
             return add(f, tmul(d, cfg.lambda_distill))
 
         errors = param_grad_errors(m.params(), loss)

@@ -1,9 +1,14 @@
 """tools/seeds.py: the per-seed runner of acceptance criteria 9 and 11,
 on fixtures small enough to train in well under a second."""
 
+import numpy as np
 import pytest
 
+import sparseattn as sa
 from conftest import load_tool
+from sparseattn.coarse import coarse_forward
+from sparseattn.selector import select_top_k
+from sparseattn.train import EVAL_CHUNK
 
 seeds = load_tool("seeds")
 
@@ -52,5 +57,61 @@ def test_criteria_bounds(accuracy, k, elapsed_s, hit_rate, want):
     assert not seeds.criteria(1.0, 160, 32 * 32, 61, 1.0, 1.0)["criterion_9"]
 
 
-def test_parse_seeds():
+def test_parse_seeds(capsys):
     assert seeds.parse_seeds("1-3,7,101-102") == [1, 2, 3, 7, 101, 102]
+    assert seeds.parse_seeds("4-4") == [4]
+    # a reversed or open range is a usage error (exit 2), not a run of 0 seeds
+    for text in ("5-3", "3-", "1-3,9-8", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            seeds.main([text])
+        assert exit_.value.code == 2
+        assert "argument seeds" in capsys.readouterr().err
+
+
+def per_image_hit_rate(model, test_set, k):
+    """Criterion 11's hit rate one image at a time: the oracle of the
+    batched seeds.hit_rate."""
+    rates = []
+    for sample in test_set:
+        out = coarse_forward(model.coarse, sample.pixels)
+        picked = select_top_k(out.attention_map, sample.pixels, k)
+        rates.append(int(sample.foreground_mask[picked.row, picked.col].sum()) / len(picked))
+    return float(np.mean(rates))
+
+
+# seed, image size, samples per class, epochs, k_init, k_min: 9 test images
+TINY_FIXTURE = (3, 16, 15, 2, 32, 16)
+
+
+@pytest.fixture(scope="module")
+def tiny_fixture():
+    """The test split, an untrained model and one trained for 2 epochs."""
+    train_set, test_set, model, config = seeds.fixture(*TINY_FIXTURE)
+    untrained = seeds.fixture(*TINY_FIXTURE)[2]
+    trained, _ = sa.train(model, train_set, config)
+    return test_set, untrained, trained
+
+
+@pytest.mark.parametrize("chunk", [EVAL_CHUNK, 4])
+@pytest.mark.parametrize("k", [1, 8, 37, 160, 255, 256])
+def test_batched_hit_rate_equals_the_per_image_loop(tiny_fixture, k, chunk, monkeypatch):
+    """Bit for bit, over chunks that do not divide the test set."""
+    test_set, untrained, trained = tiny_fixture
+    assert len(test_set) % chunk != 0
+    monkeypatch.setattr(seeds, "EVAL_CHUNK", chunk)
+    for model in (untrained, trained):
+        assert seeds.hit_rate(model, test_set, k) == per_image_hit_rate(model, test_set, k)
+
+
+@pytest.mark.parametrize("k", [1, 37, 256])
+def test_batched_hit_rate_on_a_constant_map(tiny_fixture, k):
+    """Every rank a tie, so each image selects its first k pixels."""
+    test_set = tiny_fixture[0]
+    model = seeds.fixture(*TINY_FIXTURE)[2]
+    model.coarse.conv2_w.data = np.zeros_like(model.coarse.conv2_w.data)
+    scores = coarse_forward(model.coarse, seeds.stack_images(test_set)).attention_map
+    assert np.ptp(scores.data) == 0.0
+    got = seeds.hit_rate(model, test_set, k)
+    assert got == per_image_hit_rate(model, test_set, k)
+    first_k = np.stack([s.foreground_mask.reshape(-1)[:k] for s in test_set])
+    assert got == float(np.mean(first_k.sum(axis=1) / k))
