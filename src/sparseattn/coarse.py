@@ -20,6 +20,7 @@ from .tensor import (
     Tensor,
     _common_tape,
     _record,
+    _record_all,
     _tiled,
     _unbroadcast,
     conv2d,
@@ -79,38 +80,51 @@ def affine_relu(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """relu(x * gamma / AFFINE_DIVISOR + beta) per channel of a B×C matrix
     or of conv1's channel-minor B×C×H×W map x: one tape op.
 
-    Each step is one pass over x's rows, a matrix's B rows or the map's
-    B·H rows of W·C, with the per-channel vector tiled along a row.
     Tape-free, the steps overwrite x's own buffer, so x must be a fresh
     product that nothing else reads; taped, x stays for gamma's gradient
     and the result takes a new buffer. The backward is the unfused relu,
     affine and div gradients on the same operands, in the same order."""
-    xd = x.data
-    c = gamma.data.size
+    xd, gd = x.data, gamma.data
     tape = _common_tape(x, gamma, beta)
-    scale = gamma.data / AFFINE_DIVISOR
+    a_data, mask = affine_relu_arrays(xd, gd, beta.data, keep_x=tape is not None)
+    a = Tensor(a_data, tape)
+    if tape is not None:
+        _record_all(tape, a, (x, gamma, beta), lambda g: affine_relu_grads(g * mask, xd, gd))
+    return a
+
+
+def affine_relu_arrays(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       keep_x: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """affine_relu on arrays: the output, and relu's mask when keep_x is set.
+
+    Each step is one pass over x's rows, a matrix's B rows or the map's
+    B·H rows of W·C, with the per-channel vector tiled along a row. Without
+    keep_x the output is x's own buffer and no mask is made."""
+    c = gamma.size
+    scale = gamma / AFFINE_DIVISOR
     if xd.ndim == 4:
         b, _, height, width = xd.shape
         rows = xd.transpose(0, 2, 3, 1).reshape(-1, width * c)
+        scale, beta = _tiled(scale, width), _tiled(beta, width)
     else:
-        width, rows = 1, xd
-    out = rows if tape is None else np.empty_like(rows)
-    np.multiply(rows, _tiled(scale, width), out=out)
-    out += _tiled(beta.data, width)
-    a_data = out if xd.ndim == 2 else out.reshape(b, height, width, c).transpose(0, 3, 1, 2)
-    if tape is not None:
-        mask = np.greater(a_data, 0, order="C")
+        rows = xd
+    out = np.empty_like(rows) if keep_x else rows
+    np.multiply(rows, scale, out=out)
+    out += beta
+    a = out if xd.ndim == 2 else out.reshape(b, height, width, c).transpose(0, 3, 1, 2)
+    mask = np.greater(a, 0, order="C") if keep_x else None
     np.maximum(out, 0.0, out=out)
-    a = Tensor(a_data, tape)
-    if tape is not None:
-        sd = scale.reshape((c,) + (1,) * (xd.ndim - 2))
-        # relu's g * mask, formed once for the three gradients
-        _record(tape, a, (
-            (x, lambda gm: _unbroadcast(gm * sd, xd.shape)),
-            (gamma, lambda gm: _unbroadcast(gm * xd, sd.shape).reshape(c) / AFFINE_DIVISOR),
-            (beta, lambda gm: _unbroadcast(gm, sd.shape).reshape(c)),
-        ), pre=lambda g: g * mask)
-    return a
+    return a, mask
+
+
+def affine_relu_grads(gm: np.ndarray, xd: np.ndarray, gamma: np.ndarray) -> tuple:
+    """The x, gamma and beta gradients of affine_relu, given gm, the
+    upstream gradient times relu's mask."""
+    c = gamma.size
+    sd = (gamma / AFFINE_DIVISOR).reshape((c,) + (1,) * (xd.ndim - 2))
+    return (_unbroadcast(gm * sd, xd.shape),
+            _unbroadcast(gm * xd, sd.shape).reshape(c) / AFFINE_DIVISOR,
+            _unbroadcast(gm, sd.shape).reshape(c))
 
 
 def _pooled_mean(a: Tensor) -> Tensor:

@@ -4,14 +4,14 @@ Each pixel is one token; a two-layer MLP maps its coordinate/intensity
 triplet into R^D so position and intensity interact nonlinearly instead of
 being projected separately and summed. The learnable CLS token is appended
 as the last row. A batch of images embeds in one pass: every pixel of every
-image goes through one (B*k)×3 product.
+image goes through one (B*k)×3 product, and the whole stage is one tape op.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Module, Tensor, add, broadcast_to, concat, matmul, relu, reshape
+from .tensor import Module, Tensor, _common_tape, _record_all, _unbroadcast
 
 
 class Embedder(Module):
@@ -35,16 +35,38 @@ class Embedder(Module):
 
 def embed_pixels(emb: Embedder, triplets) -> Tensor:
     """Embed k (x, y, v) triplets into a (k+1)×D token matrix whose row k is
-    the CLS token; a B×k×3 batch gives B×(k+1)×D.
+    the CLS token; a B×k×3 batch gives B×(k+1)×D. One tape op.
 
     Pixel rows keep the selection order. The triplets themselves are
     constants; gradient reaches only the MLP weights and the CLS token.
+    The bias adds and the ReLU run in place on the products they follow;
+    the backward is the unfused matmul, add, relu and concat gradients on
+    the same operands, in the same order.
     """
     t = np.asarray(triplets, dtype=np.float64)
     if t.ndim not in (2, 3) or t.shape[-1] != 3 or t.shape[-2] == 0:
         raise ValueError(f"embed_pixels needs k >= 1 triplets as (..., k, 3), got {t.shape}")
-    lead, k = t.shape[:-2], t.shape[-2]
-    h = relu(add(matmul(Tensor(t.reshape(-1, 3)), emb.w1), emb.b1))
-    rows = reshape(add(matmul(h, emb.w2), emb.b2), lead + (k, emb.dim))
-    cls_rows = broadcast_to(emb.cls_token, lead + (1, emb.dim))
-    return concat([rows, cls_rows], axis=-2)
+    lead, k, dim = t.shape[:-2], t.shape[-2], emb.dim
+    params = (emb.w1, emb.b1, emb.w2, emb.b2, emb.cls_token)
+    tape = _common_tape(*params)
+    w1, b1, w2, b2, cls = (p.data for p in params)
+    x = t.reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = x @ w1
+        h += b1
+        mask = np.greater(h, 0, order="C") if tape is not None else None
+        np.maximum(h, 0.0, out=h)
+        rows = h @ w2
+        rows += b2
+    out = np.empty(lead + (k + 1, dim))
+    out[..., :k, :] = rows.reshape(lead + (k, dim))
+    out[..., k, :] = cls
+    tokens = Tensor(out, tape)
+    if tape is not None:
+        def backward(g):
+            g_rows = g[..., :k, :].reshape(-1, dim)
+            g_h = (g_rows @ w2.T) * mask
+            return (x.T @ g_h, _unbroadcast(g_h, b1.shape), h.T @ g_rows,
+                    _unbroadcast(g_rows, b2.shape), _unbroadcast(g[..., k:, :], cls.shape))
+        _record_all(tape, tokens, params, backward)
+    return tokens

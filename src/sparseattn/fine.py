@@ -21,19 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    DimensionError,
-    Module,
-    Tensor,
-    add,
-    div,
-    matmul,
-    reduce_sum,
-    relu,
-    reshape,
-    take,
-    transpose,
-)
+from .tensor import DimensionError, Module, Tensor, _common_tape, _divisor_grad, _record_all
+
+
+def _add_across(parts: np.ndarray) -> np.ndarray:
+    """parts.sum(axis=-1) bit for bit, for a contiguous last axis. numpy adds
+    such an axis to 0.0 left to right while it is shorter than 8, and
+    pairwise from 8 up; a short one is added here slice by slice, in that
+    order, without the reduction's per-call overhead."""
+    if parts.shape[-1] >= 8:
+        return parts.sum(axis=-1)
+    total = 0.0 + parts[..., 0]
+    for i in range(1, parts.shape[-1]):
+        total = total + parts[..., i]
+    return total
 
 
 @dataclass
@@ -51,10 +52,13 @@ class FineOutput:
     def pixel_importance(self) -> Tensor:
         """(k+1,) attention each token gets in the CLS readout (constant): token
         j's weight in head h's readout is sum_c q_cls[c] * a[j, c] over the
-        head's columns; its magnitude is averaged over heads."""
+        head's columns; its magnitude is averaged over heads. Both sums are
+        numpy's over those axes, bit for bit: slice adds, left to right,
+        while head_dim and heads are both below 8."""
         b, n, _ = self.a.shape
-        flow = (self.a * self.q_cls[:, None, :]).reshape(b, n, self.heads, -1).sum(axis=-1)
-        return Tensor(np.abs(flow).mean(axis=-1).reshape(self.z_fine.data.shape[:-1] + (n,)))
+        flow = _add_across((self.a * self.q_cls[:, None, :]).reshape(b, n, self.heads, -1))
+        mean = _add_across(np.abs(flow)) / self.heads
+        return Tensor(mean.reshape(self.z_fine.data.shape[:-1] + (n,)))
 
     @property
     def head_attn(self) -> list[Tensor]:
@@ -87,7 +91,13 @@ class FineAttention(Module):
 
 def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     """Attend over a (k+1)×D token matrix whose last row is the CLS token,
-    or over each matrix of a B×(k+1)×D batch."""
+    or over each matrix of a B×(k+1)×D batch. One tape op.
+
+    The keys' ReLU, epsilon and, tape-free, their normalization run in place
+    on the key product. The backward is the unfused matmul, relu, add,
+    column-sum, div, transpose and take gradients on the same operands, in
+    the same order: the keys get the divide's term, then the column sum's,
+    and the tokens (g_k + g_q) + g_v from the three projections."""
     td = tokens.data
     if td.ndim not in (2, 3) or td.shape[-1] != fa.dim:
         raise DimensionError(
@@ -96,20 +106,39 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
     n_tokens = td.shape[-2]
     if n_tokens < 2:
         raise ValueError("need at least one pixel token besides CLS")
-    lead = td.shape[:-2]
-    x = reshape(tokens, (-1,) + td.shape[-2:])
-    b = x.data.shape[0]
-
-    values = matmul(x, fa.w_v)                                   # B × (k+1) × D
-    q = matmul(x, fa.w_q)                                        # B × (k+1) × H*d_h
-    keys = add(relu(matmul(x, fa.w_k)), fa.epsilon)
-    a = div(keys, reshape(reduce_sum(keys, axis=1), (b, 1, -1)))  # columns sum to 1
-    context = matmul(transpose(a), values)                       # B × H*d_h × D
-    # contracting over all H*d_h columns adds up the heads' q_h @ context_h
-    out = matmul(q, context)                                     # B × (k+1) × D
-    # the CLS row is the last D entries of each item's flattened output
-    cls_cols = np.broadcast_to((n_tokens - 1) * fa.dim + np.arange(fa.dim), (b, fa.dim))
-    z_fine = div(take(reshape(out, (b, n_tokens * fa.dim)), cls_cols), float(fa.heads))
-
-    return FineOutput(z_fine=reshape(z_fine, lead + (fa.dim,)), a=a.data,
-                      q_cls=q.data[:, -1, :].copy(), heads=fa.heads)
+    lead, dim, heads = td.shape[:-2], fa.dim, fa.heads
+    flat = td.reshape(-1, dim)
+    b = flat.shape[0] // n_tokens
+    parents = (tokens, fa.w_v, fa.w_q, fa.w_k)
+    tape = _common_tape(*parents)
+    wv, wq, wk = fa.w_v.data, fa.w_q.data, fa.w_k.data
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = (flat @ wv).reshape(b, n_tokens, -1)            # B × (k+1) × D
+        q = (flat @ wq).reshape(b, n_tokens, -1)                 # B × (k+1) × H*d_h
+        keys = (flat @ wk).reshape(b, n_tokens, -1)
+        mask = np.greater(keys, 0, order="C") if tape is not None else None
+        np.maximum(keys, 0.0, out=keys)
+        keys += fa.epsilon
+        col_sums = keys.sum(axis=1).reshape(b, 1, -1)
+        # columns sum to 1; taped, the keys stay for the divisor's gradient
+        a = np.divide(keys, col_sums, out=keys if tape is None else None)
+        context = a.swapaxes(-1, -2) @ values                   # B × H*d_h × D
+        # contracting over all H*d_h columns adds up the heads' q_h @ context_h
+        out = q @ context                                        # B × (k+1) × D
+        # the CLS row of each item's output, averaged over heads
+        z_fine = Tensor((out[:, -1, :] / float(heads)).reshape(lead + (dim,)), tape)
+    if tape is not None:
+        def backward(g):
+            g_out = np.zeros((b, n_tokens, dim))
+            g_out[:, -1, :] += g.reshape(b, dim) / float(heads)
+            g_q = g_out @ context.swapaxes(-1, -2)
+            g_context = q.swapaxes(-1, -2) @ g_out
+            g_values = a @ g_context
+            g_a = (g_context @ values.swapaxes(-1, -2)).swapaxes(-1, -2)
+            g_k = (g_a / col_sums + _divisor_grad(g_a, keys, col_sums)) * mask
+            g_x = (g_k @ wk.T + g_q @ wq.T) + g_values @ wv.T
+            hd = g_q.shape[-1]
+            return (g_x.reshape(td.shape), flat.T @ g_values.reshape(-1, dim),
+                    flat.T @ g_q.reshape(-1, hd), flat.T @ g_k.reshape(-1, hd))
+        _record_all(tape, z_fine, parents, backward)
+    return FineOutput(z_fine=z_fine, a=a, q_cls=q[:, -1, :].copy(), heads=heads)

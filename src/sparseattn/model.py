@@ -13,21 +13,28 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coarse import CoarseNet, CoarseOutput, affine_relu, coarse_forward
+from .coarse import (
+    CoarseNet,
+    CoarseOutput,
+    affine_relu_arrays,
+    affine_relu_grads,
+    coarse_forward,
+)
 from .data import SYNTHETIC_CLASSES, DatasetError, check_image, parse_checkpoint, read_file
 from .embedding import Embedder, embed_pixels
 from .fine import FineAttention, FineOutput, fine_forward
 from .selector import KController, Selection, select_top_k
 from .tensor import (
+    DimensionError,
     Module,
     Tensor,
-    add,
+    _common_tape,
+    _record_all,
+    _unbroadcast,
     assign_params,
     check_sizes,
     concat,
-    matmul,
     pack,
-    reshape,
     unpack,
 )
 
@@ -69,16 +76,57 @@ class Classifier(Module):
 
 def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
     """Map a fused feature vector to class logits of length C, or a B×in_dim
-    batch of them to B×C logits."""
-    lead = fused.data.shape[:-1]
-    x = reshape(fused, (-1, clf.in_dim))
-    h = add(matmul(x, clf.w_in), clf.b_in)
-    for blk in clf.block:
-        t = add(matmul(h, blk.w1), blk.b1)
-        r = affine_relu(t, blk.gamma, blk.beta)
-        h = add(h, add(matmul(r, blk.w2), blk.b2))
-    logits = add(matmul(h, clf.w_out), clf.b_out)
-    return reshape(logits, lead + (clf.classes,))
+    batch of them to B×C logits. One tape op.
+
+    The bias adds, the blocks' affine and ReLU (coarse.affine_relu's own
+    array code) and the skip adds run in place on the products they follow.
+    The backward is the unfused matmul, add and affine_relu gradients on the
+    same operands, in the same order: a block's input gets the skip term,
+    then the block path's."""
+    fd = fused.data
+    if fd.ndim == 0 or fd.shape[-1] != clf.in_dim:
+        raise DimensionError(
+            f"fused input {fd.shape} must be ({clf.in_dim},) or B×{clf.in_dim}"
+        )
+    block_params = [(blk.w1, blk.b1, blk.gamma, blk.beta, blk.w2, blk.b2) for blk in clf.block]
+    parents = (fused, clf.w_in, clf.b_in, *(t for p in block_params for t in p),
+               clf.w_out, clf.b_out)
+    tape = _common_tape(*parents)
+    w_in, b_in, w_out, b_out = clf.w_in.data, clf.b_in.data, clf.w_out.data, clf.b_out.data
+    blocks = [tuple(t.data for t in p) for p in block_params]
+    x = fd.reshape(-1, clf.in_dim)
+    kept = []   # per block: its input, w1 product, ReLU output and mask
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = x @ w_in
+        h += b_in
+        for w1, b1, gamma, beta, w2, b2 in blocks:
+            t = h @ w1
+            t += b1
+            r, mask = affine_relu_arrays(t, gamma, beta, keep_x=tape is not None)
+            u = r @ w2
+            u += b2
+            u += h
+            kept.append((h, t, r, mask))
+            h = u
+        logits = h @ w_out
+        logits += b_out
+    out = Tensor(logits.reshape(fd.shape[:-1] + (clf.classes,)), tape)
+    if tape is not None:
+        def backward(g):
+            g = g.reshape(logits.shape)
+            tail = [h.T @ g, _unbroadcast(g, b_out.shape)]
+            g_h = g @ w_out.T
+            per_block = []
+            for (w1, b1, gamma, _, w2, b2), (h_in, t, r, mask) in zip(blocks[::-1], kept[::-1]):
+                g_w2, g_b2 = r.T @ g_h, _unbroadcast(g_h, b2.shape)
+                g_t, g_gamma, g_beta = affine_relu_grads((g_h @ w2.T) * mask, t, gamma)
+                per_block[:0] = [h_in.T @ g_t, _unbroadcast(g_t, b1.shape), g_gamma, g_beta,
+                                 g_w2, g_b2]
+                g_h = g_h + g_t @ w1.T
+            return ((g_h @ w_in.T).reshape(fd.shape), x.T @ g_h, _unbroadcast(g_h, b_in.shape),
+                    *per_block, *tail)
+        _record_all(tape, out, parents, backward)
+    return out
 
 
 @dataclass

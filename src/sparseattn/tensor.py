@@ -187,6 +187,14 @@ def _record(tape: GradientTape, out: Tensor, pairs, pre=None) -> None:
     ))
 
 
+def _record_all(tape: GradientTape, out: Tensor, parents, backward) -> None:
+    """Tape out as one op whose backward(g) returns the gradients of all its
+    parents at once, in the order of parents: a stage whose intermediate
+    gradients feed several parents."""
+    _record(tape, out, tuple((p, lambda gs, i=i: gs[i]) for i, p in enumerate(parents)),
+            pre=backward)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum an upstream gradient over the axes that broadcasting added or
     stretched, back to the operand's shape, in one sum call."""
@@ -256,19 +264,23 @@ def div(a, b) -> Tensor:
         out = Tensor(_binary(np.divide, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
-        def back_b(g):
-            # negate after the sum: -g would be a fresh array whose layout
-            # changes the order in which the sum adds up g * ad
-            num = -_unbroadcast(g * ad, bd.shape)
-            with np.errstate(over="ignore"):
-                sq = bd * bd
-            finite = np.isfinite(sq)
-            if finite.all():
-                return num / sq
-            # where b*b overflows, num / (b*b) reads 0 but num / b / b need not
-            return np.where(finite, num / sq, num / bd / bd)
-        _record(tape, out, ((a, lambda g: _unbroadcast(g / bd, ad.shape)), (b, back_b)))
+        _record(tape, out, ((a, lambda g: _unbroadcast(g / bd, ad.shape)),
+                            (b, lambda g: _divisor_grad(g, ad, bd))))
     return out
+
+
+def _divisor_grad(g: np.ndarray, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """The gradient of ad / bd with respect to bd, for upstream g."""
+    # negate after the sum: -g would be a fresh array whose layout
+    # changes the order in which the sum adds up g * ad
+    num = -_unbroadcast(g * ad, bd.shape)
+    with np.errstate(over="ignore"):
+        sq = bd * bd
+    finite = np.isfinite(sq)
+    if finite.all():
+        return num / sq
+    # where b*b overflows, num / (b*b) reads 0 but num / b / b need not
+    return np.where(finite, num / sq, num / bd / bd)
 
 
 def relu(a) -> Tensor:
@@ -345,22 +357,6 @@ def clamp_min(a, floor: float) -> Tensor:
     if a.tape is not None:
         mask = a.data >= floor
         _record(a.tape, out, ((a, lambda g: g * mask),))
-    return out
-
-
-def broadcast_to(a, shape) -> Tensor:
-    """a repeated along new leading axes and along its size-1 axes (numpy
-    broadcasting rules); backward sums the copies."""
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    try:
-        data = np.broadcast_to(a.data, shape)
-    except ValueError as err:
-        raise DimensionError(f"broadcast_to: cannot broadcast {a.data.shape} to {shape}") from err
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        orig = a.data.shape
-        _record(a.tape, out, ((a, lambda g: _unbroadcast(g, orig)),))
     return out
 
 

@@ -122,13 +122,27 @@ def matmul_multiplies(a, b):
     return int(np.prod(a[:-1])) * a[-1] * b[-1]
 
 
-# (module that looks the op up, op, its multiply count, stage it runs in)
-EXECUTED_OPS = [
-    ("coarse", "conv2d", conv_multiplies, "coarse"),
-    ("embedding", "matmul", matmul_multiplies, "embedding"),
-    ("fine", "matmul", matmul_multiplies, "fine"),
-    ("model", "matmul", matmul_multiplies, "classifier"),
-]
+class CountedProducts(np.ndarray):
+    """A parameter's array that adds to `executed[stage]` the multiplies of
+    every matmul that it, or any array computed from it, takes part in, so a
+    stage's products are counted however its code spells them. Subclasses
+    set `stage` and `executed`."""
+
+    stage: str
+    executed: dict
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, np.ndarray) else a
+        args = [plain(a) for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*args, **kwargs)
+        if ufunc is np.matmul:
+            self.executed[self.stage] += matmul_multiplies(args[0].shape, args[1].shape)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(type(self)) if isinstance(result, np.ndarray) else result
 
 
 @pytest.mark.parametrize("size,k,dim,heads,hidden,channels", [
@@ -136,23 +150,29 @@ EXECUTED_OPS = [
 def test_count_cost_counts_the_executed_multiplies(monkeypatch, size, k, dim, heads,
                                                    hidden, channels):
     """Each stage of count_cost equals the multiplies one tape-free forward
-    runs in that stage's conv2d or matmul calls, per image; the fine stage
-    adds its (k+1)·D attention normalization divides. No stage counts its
-    per-channel affine."""
+    runs per image: in the coarse net's conv2d calls, and in every product
+    that the embedding's, fine attention's and classifier's parameters feed;
+    the fine stage adds its (k+1)·D attention normalization divides. No
+    stage counts its per-channel affine."""
     executed = dict.fromkeys(("coarse", "embedding", "fine", "classifier"), 0)
 
-    def counted(fn, multiplies, stage):
+    def counted_conv(fn):
         def wrapper(*args):
-            executed[stage] += multiplies(*[a.data.shape for a in args[:2]])
+            executed["coarse"] += conv_multiplies(*[a.data.shape for a in args[:2]])
             return fn(*args)
         return wrapper
 
-    for module_name, op, multiplies, stage in EXECUTED_OPS:
-        module = importlib.import_module(f"sparseattn.{module_name}")
-        monkeypatch.setattr(module, op, counted(getattr(module, op), multiplies, stage))
+    coarse = importlib.import_module("sparseattn.coarse")
+    monkeypatch.setattr(coarse, "conv2d", counted_conv(coarse.conv2d))
     m = sa.build_model(seed=3, image_shape=(size, size), class_count=3, dim=dim,
                        heads=heads, hidden=hidden, coarse_channels=channels,
                        k_init=k, k_min=1)
+    for stage, module in (("embedding", m.embedder), ("fine", m.fine),
+                          ("classifier", m.classifier)):
+        counted = type(f"{stage}_products", (CountedProducts,),
+                       {"stage": stage, "executed": executed})
+        for _, t in module.params():
+            t.data = t.data.view(counted)
     batch = 2
     images = Tensor(np.random.default_rng(3).uniform(0, 1, (batch, size, size)))
     logits, diag = sa.model_forward(m, images, k)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparseattn as sa
-from sparseattn.fine import FineAttention, FineOutput, fine_forward
+from sparseattn.fine import FineAttention, FineOutput, _add_across, fine_forward
 from sparseattn.tensor import (
     DimensionError,
     GradientTape,
@@ -204,6 +204,28 @@ class TestReadoutOnRead:
             for got, want in zip(out.head_attn, attn):
                 assert got.data.shape == shape[:-1] + (head_dim,)
                 assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("dim,heads", [(4, 2), (8, 4), (6, 3)])
+    def test_importance_equals_the_reduction_expressions(self, dim, heads):
+        """At B=32, k=512 and with signed zeros in the attention, the slice
+        adds give the bits of `.reshape(...).sum(axis=-1)` and
+        `np.abs(...).mean(axis=-1)` over the head and head-dim axes."""
+        rng = np.random.default_rng(dim)
+        b, n = 32, 513
+        a = rng.uniform(0, 1, (b, n, dim)) * rng.choice([1.0, -1.0, 0.0, -0.0], (b, n, dim))
+        q_cls = rng.normal(0, 1, (b, dim))
+        out = FineOutput(z_fine=Tensor(np.zeros((b, dim))), a=a, q_cls=q_cls, heads=heads)
+        flow = (a * q_cls[:, None, :]).reshape(b, n, heads, -1).sum(axis=-1)
+        want = np.abs(flow).mean(axis=-1)
+        assert out.pixel_importance.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_add_across_is_numpys_sum(self, n):
+        rng = np.random.default_rng(n)
+        parts = rng.normal(0, 1, (7, 5, n)) * 10.0 ** rng.integers(-12, 12, (7, 5, n))
+        parts[0] = -0.0
+        parts[1, :, 0] = 1e16
+        assert _add_across(parts).tobytes() == parts.sum(axis=-1).tobytes()
 
     @pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
     def test_kept_cls_query_owns_its_data(self, shape):

@@ -7,7 +7,7 @@ import pytest
 
 import sparseattn as sa
 import sparseattn.model as model_module
-from sparseattn.coarse import AFFINE_DIVISOR, affine_relu
+from sparseattn.coarse import AFFINE_DIVISOR, affine_relu, affine_relu_arrays
 from sparseattn.model import (
     Classifier,
     build_model,
@@ -19,6 +19,7 @@ from sparseattn.model import (
     restore_model,
 )
 from sparseattn.tensor import (
+    DimensionError,
     GradientTape,
     Tensor,
     add,
@@ -128,8 +129,9 @@ def varied_classifier(seed, hidden, in_dim=12, classes=3):
 
 
 class TestClassifierAffineRelu:
-    """Each classifier block calls the coarse net's affine_relu, which equals
-    the div → mul → add → relu chain bit for bit, forward and backward."""
+    """Each classifier block runs the array code of the coarse net's
+    affine_relu, and the classifier equals the div → mul → add → relu chain
+    bit for bit, forward and backward."""
 
     @staticmethod
     def fused_input(batch, in_dim=12):
@@ -198,32 +200,25 @@ class TestClassifierAffineRelu:
 
     def test_tape_free_call_overwrites_only_the_fresh_product(self, monkeypatch):
         """Tape-free, each block's ReLU output is its w1 product's own buffer,
-        and no parameter, block input or other matmul operand changes;
-        taped, the product stays as it was, for gamma's gradient."""
+        and neither a parameter nor the input changes; taped, the product
+        stays as it was, for gamma's gradient."""
         clf = varied_classifier(4, 8)
         x = Tensor(self.fused_input(8))
-        calls, operands = [], []
+        calls = []
 
-        def spy(t, gamma, beta):
-            before = t.data.copy()
-            out = affine_relu(t, gamma, beta)
-            calls.append((t.data, before, out.data))
-            return out
+        def spy(t, gamma, beta, keep_x):
+            before = t.copy()
+            out, mask = affine_relu_arrays(t, gamma, beta, keep_x)
+            calls.append((t, before, out))
+            return out, mask
 
-        def spy_matmul(a, b):
-            operands.append((a.data, a.data.copy()))
-            return matmul(a, b)
-
-        monkeypatch.setattr(model_module, "affine_relu", spy)
-        monkeypatch.setattr(model_module, "matmul", spy_matmul)
+        monkeypatch.setattr(model_module, "affine_relu_arrays", spy)
         params = {name: t.data.copy() for name, t in clf.params()}
         fused = x.data.copy()
         classifier_forward(clf, x)
         assert len(calls) == Classifier.block_count
         for product, _, out in calls:
             assert np.shares_memory(product, out)
-        for data, before in operands:
-            np.testing.assert_array_equal(data, before)
         np.testing.assert_array_equal(x.data, fused)
         for name, t in clf.params():
             np.testing.assert_array_equal(t.data, params[name], err_msg=name)
@@ -232,20 +227,29 @@ class TestClassifierAffineRelu:
         tape = GradientTape()
         tape.watch(*[t for _, t in clf.params()])
         classifier_forward(clf, x)
+        assert len(calls) == Classifier.block_count
         for product, before, out in calls:
             assert not np.shares_memory(product, out)
             np.testing.assert_array_equal(product, before)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
-    def test_each_block_records_six_tape_ops(self, blocks):
-        """matmul and bias add, affine_relu, matmul and bias add, and the skip
-        add; the input and output layers record two ops each."""
+    def test_a_call_records_one_tape_op(self, blocks):
+        """The whole classifier, its input and output layers and every
+        block, is one tape op."""
         clf = varied_classifier(5, 8)
         clf.block = (clf.block * 2)[:blocks]
         tape = GradientTape()
         tape.watch(*[t for _, t in clf.params()])
         classifier_forward(clf, Tensor(self.fused_input(8)))
-        assert len(tape._ops) == 4 + 6 * blocks
+        assert len(tape._ops) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 8), (4, 6), (8,), ()])
+    def test_input_of_another_width_is_rejected(self, shape):
+        """A fused input whose last axis is not in_dim is a DimensionError
+        naming both shapes, not a silent re-cut into in_dim-wide rows."""
+        clf = varied_classifier(6, 8)
+        with pytest.raises(DimensionError, match=re.escape(f"{shape}") + ".*12"):
+            classifier_forward(clf, Tensor(np.ones(shape)))
 
 
 class TestPredict:

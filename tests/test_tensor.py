@@ -310,7 +310,6 @@ SINGLE_OPERAND = {
     "log": (T.log, (np.ones(2),)),
     "power": (lambda a: T.power(a, 2.0), (np.ones(2),)),
     "clamp_min": (lambda a: T.clamp_min(a, 0.5), (np.ones(2),)),
-    "broadcast_to": (lambda a: T.broadcast_to(a, (3, 2)), (np.ones(2),)),
     "transpose": (T.transpose, (np.ones((2, 3)),)),
     "reshape": (lambda a: T.reshape(a, (6,)), (np.ones((2, 3)),)),
     "take": (lambda a: T.take(a, [[1, 0], [2, 2]]), (np.ones((2, 3)),)),
@@ -606,19 +605,6 @@ class TestBatchedOps:
                                   other) <= 1e-6
         with pytest.raises(DimensionError):
             T.add(m, Tensor(np.ones(4)))
-
-    def test_broadcast_to(self):
-        rng = np.random.default_rng(56)
-        v = Tensor(rng.normal(0, 1, 4))
-        out = T.broadcast_to(v, (3, 1, 4))
-        np.testing.assert_array_equal(out.data[2, 0], v.data)
-        assert grad_check(self.weighted(lambda t: T.broadcast_to(t, (3, 1, 4)),
-                                        (3, 1, 4)), v) <= 1e-6
-        col = Tensor(rng.normal(0, 1, (2, 1)))
-        assert grad_check(self.weighted(lambda t: T.broadcast_to(t, (5, 2, 3)),
-                                        (5, 2, 3)), col) <= 1e-6
-        with pytest.raises(DimensionError):
-            T.broadcast_to(v, (3, 5))
 
     def test_take_several_per_row(self):
         rng = np.random.default_rng(57)
