@@ -20,7 +20,6 @@ from .tensor import (
     Tensor,
     _common_tape,
     _record,
-    _record_all,
     _tiled,
     _unbroadcast,
     conv2d,
@@ -89,7 +88,7 @@ def affine_relu(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     a_data, mask = affine_relu_arrays(xd, gd, beta.data, keep_x=tape is not None)
     a = Tensor(a_data, tape)
     if tape is not None:
-        _record_all(tape, a, (x, gamma, beta), lambda g: affine_relu_grads(g * mask, xd, gd))
+        _record(tape, a, (x, gamma, beta), lambda g: affine_relu_grads(g * mask, xd, gd))
     return a
 
 
@@ -136,5 +135,6 @@ def _pooled_mean(a: Tensor) -> Tensor:
     pixels = np.ascontiguousarray(a.data.transpose(0, 2, 3, 1).reshape(b, n, c).swapaxes(0, 1))
     pooled = Tensor(pixels.reshape(n, b * c).mean(axis=0).reshape(b, c), a.tape)
     if a.tape is not None:
-        _record(a.tape, pooled, ((a, lambda g: np.broadcast_to((g / n)[:, :, None, None], shape)),))
+        _record(a.tape, pooled, (a,),
+                lambda g: (np.broadcast_to((g / n)[:, :, None, None], shape),))
     return pooled

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Module, Tensor, _common_tape, _record_all, _unbroadcast
+from .tensor import Module, Tensor, _common_tape, _record, _unbroadcast
 
 
 class Embedder(Module):
@@ -68,5 +68,5 @@ def embed_pixels(emb: Embedder, triplets) -> Tensor:
             g_h = (g_rows @ w2.T) * mask
             return (x.T @ g_h, _unbroadcast(g_h, b1.shape), h.T @ g_rows,
                     _unbroadcast(g_rows, b2.shape), _unbroadcast(g[..., k:, :], cls.shape))
-        _record_all(tape, tokens, params, backward)
+        _record(tape, tokens, params, backward)
     return tokens

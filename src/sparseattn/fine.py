@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionError, Module, Tensor, _common_tape, _divisor_grad, _record_all
+from .tensor import DimensionError, Module, Tensor, _common_tape, _divisor_grad, _record
 
 
 def _add_across(parts: np.ndarray) -> np.ndarray:
@@ -140,5 +140,5 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
             hd = g_q.shape[-1]
             return (g_x.reshape(td.shape), flat.T @ g_values.reshape(-1, dim),
                     flat.T @ g_q.reshape(-1, hd), flat.T @ g_k.reshape(-1, hd))
-        _record_all(tape, z_fine, parents, backward)
+        _record(tape, z_fine, parents, backward)
     return FineOutput(z_fine=z_fine, a=a, q_cls=q[:, -1, :].copy(), heads=heads)

@@ -29,7 +29,7 @@ from .tensor import (
     Module,
     Tensor,
     _common_tape,
-    _record_all,
+    _record,
     _unbroadcast,
     assign_params,
     check_sizes,
@@ -125,7 +125,7 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
                 g_h = g_h + g_t @ w1.T
             return ((g_h @ w_in.T).reshape(fd.shape), x.T @ g_h, _unbroadcast(g_h, b_in.shape),
                     *per_block, *tail)
-        _record_all(tape, out, parents, backward)
+        _record(tape, out, parents, backward)
     return out
 
 

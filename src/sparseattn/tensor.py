@@ -3,11 +3,14 @@
 A GradientTape records operations in execution order and replays them in
 exact reverse on backward(). Tapes are single-use. Tensors created without
 a tape are constants, so the same forward code runs tape-free for cheap
-inference. add, sub, mul and div broadcast their operands the way numpy
-does (a bias row, a per-channel scale, a per-row normalizer), and one
-rule, _unbroadcast, sums each gradient back to its operand's shape.
-The structural ops that a batched model needs (matmul, transpose, take)
-also accept a leading batch axis; conv2d and avg_pool2 take batches only.
+inference. Every op, a tensor op here or a fused stage of the model,
+tapes itself the same way: _record stores its parents and one backward
+that maps the output's gradient to one gradient per parent. add, sub, mul
+and div broadcast their operands the way numpy does (a bias row, a
+per-channel scale, a per-row normalizer), and one rule, _unbroadcast,
+sums each gradient back to its operand's shape. matmul, transpose and
+take also accept a leading batch axis; conv2d and avg_pool2 take batches
+only.
 """
 
 from __future__ import annotations
@@ -93,9 +96,13 @@ class Module:
 class GradientTape:
     """Append-only record of operations, replayed once in reverse.
 
-    watch() marks leaves whose gradients the caller wants; backward()
-    accumulates into their .grad and releases their tape reference so the
-    same parameter tensors can be watched by the next step's tape.
+    Each op is one (out_id, parent_ids, backward) entry, a parent off this
+    tape having id None. backward(g) returns one gradient per parent, which
+    the replay adds to that parent's in parent order; it may return None
+    for a parent off the tape. watch() marks leaves whose gradients the
+    caller wants; backward() accumulates into their .grad and releases
+    their tape reference so the same parameter tensors can be watched by
+    the next step's tape.
     """
 
     __slots__ = ("_ops", "_leaves", "_count", "_spent")
@@ -137,18 +144,15 @@ class GradientTape:
             raise NumericError("backward root is not finite")
 
         grads: dict[int, np.ndarray] = {root.tape_id: np.ones_like(root.data)}
-        for out_id, parent_ids, fns, pre in reversed(self._ops):
+        for out_id, parent_ids, backward in reversed(self._ops):
             g = grads.pop(out_id, None)
             if g is None:
                 continue
-            if pre is not None:
-                g = pre(g)
-            for pid, fn in zip(parent_ids, fns):
-                if pid is None:
-                    continue
-                contrib = fn(g)
-                acc = grads.get(pid)
-                grads[pid] = contrib if acc is None else acc + contrib
+            # strict: a backward that returns one gradient too few raises
+            for pid, contrib in zip(parent_ids, backward(g), strict=True):
+                if pid is not None:
+                    acc = grads.get(pid)
+                    grads[pid] = contrib if acc is None else acc + contrib
 
         for t in self._leaves:
             g = grads.get(t.tape_id)
@@ -176,23 +180,13 @@ def _common_tape(*ts: Tensor):
     return tape
 
 
-def _record(tape: GradientTape, out: Tensor, pairs, pre=None) -> None:
-    """Tape out's op as (parent, gradient closure) pairs; given pre, backward
-    passes pre(g), computed once, to every taped parent's closure for g."""
-    tape._ops.append((
-        out.tape_id,
-        tuple(p.tape_id if p.tape is tape else None for p, _ in pairs),
-        tuple(fn for _, fn in pairs),
-        pre,
-    ))
-
-
-def _record_all(tape: GradientTape, out: Tensor, parents, backward) -> None:
-    """Tape out as one op whose backward(g) returns the gradients of all its
-    parents at once, in the order of parents: a stage whose intermediate
-    gradients feed several parents."""
-    _record(tape, out, tuple((p, lambda gs, i=i: gs[i]) for i, p in enumerate(parents)),
-            pre=backward)
+def _record(tape: GradientTape, out: Tensor, parents, backward) -> None:
+    """Tape out as one op of parents: backward(g) maps out's gradient g to
+    one gradient per parent, in the order of parents. It captures arrays and
+    shapes only: a captured Tensor would tie its tape into a reference cycle
+    that outlives the step."""
+    tape._ops.append((out.tape_id, tuple(p.tape_id if p.tape is tape else None
+                                         for p in parents), backward))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -226,8 +220,7 @@ def add(a, b) -> Tensor:
     out = Tensor(_binary(np.add, a, b), tape)
     if tape is not None:
         ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, ((a, lambda g: _unbroadcast(g, ash)),
-                            (b, lambda g: _unbroadcast(g, bsh))))
+        _record(tape, out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
     return out
 
 
@@ -238,8 +231,7 @@ def sub(a, b) -> Tensor:
         out = Tensor(_binary(np.subtract, a, b), tape)
     if tape is not None:
         ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, ((a, lambda g: _unbroadcast(g, ash)),
-                            (b, lambda g: _unbroadcast(-g, bsh))))
+        _record(tape, out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
     return out
 
 
@@ -250,10 +242,8 @@ def mul(a, b) -> Tensor:
         out = Tensor(_binary(np.multiply, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
-        _record(tape, out, (
-            (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-            (b, lambda g: _unbroadcast(g * ad, bd.shape)),
-        ))
+        _record(tape, out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
+                                              _unbroadcast(g * ad, bd.shape)))
     return out
 
 
@@ -264,8 +254,8 @@ def div(a, b) -> Tensor:
         out = Tensor(_binary(np.divide, a, b), tape)
     if tape is not None:
         ad, bd = a.data, b.data
-        _record(tape, out, ((a, lambda g: _unbroadcast(g / bd, ad.shape)),
-                            (b, lambda g: _divisor_grad(g, ad, bd))))
+        _record(tape, out, (a, b), lambda g: (_unbroadcast(g / bd, ad.shape),
+                                              _divisor_grad(g, ad, bd)))
     return out
 
 
@@ -291,7 +281,7 @@ def relu(a) -> Tensor:
         # and a bool mask in another layout sends g * mask through numpy's
         # slow buffered path (the baseline's conv outputs are channel-minor)
         mask = np.greater(a.data, 0, order="C")
-        _record(a.tape, out, ((a, lambda g: g * mask),))
+        _record(a.tape, out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -302,7 +292,7 @@ def sigmoid(a) -> Tensor:
     s = np.where(x >= 0, 1.0, e) / (1.0 + e)   # 1/(1+e) or e/(1+e): one quotient
     out = Tensor(s, a.tape)
     if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: g * s * (1.0 - s)),))
+        _record(a.tape, out, (a,), lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -312,7 +302,7 @@ def exp(a) -> Tensor:
         e = np.exp(a.data)
     out = Tensor(e, a.tape)
     if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: g * e),))
+        _record(a.tape, out, (a,), lambda g: (g * e,))
     return out
 
 
@@ -323,7 +313,7 @@ def log(a) -> Tensor:
     out = Tensor(np.log(a.data), a.tape)
     if a.tape is not None:
         ad = a.data
-        _record(a.tape, out, ((a, lambda g: g / ad),))
+        _record(a.tape, out, (a,), lambda g: (g / ad,))
     return out
 
 
@@ -335,7 +325,7 @@ def power(a, exponent: float) -> Tensor:
         out = Tensor(np.ones_like(a.data), a.tape)
         if a.tape is not None:
             zeros = np.zeros_like(a.data)
-            _record(a.tape, out, ((a, lambda g: zeros),))
+            _record(a.tape, out, (a,), lambda g: (zeros,))
         return out
     with np.errstate(invalid="ignore", divide="ignore"):
         out = Tensor(a.data ** p, a.tape)
@@ -345,8 +335,8 @@ def power(a, exponent: float) -> Tensor:
             with np.errstate(invalid="ignore", divide="ignore"):
                 d = g * p * ad ** (p - 1.0)
             # a zero gradient times an infinite slope (a below-1 power at 0) stays 0
-            return np.where((g == 0) & np.isnan(d), 0.0, d)
-        _record(a.tape, out, ((a, back),))
+            return (np.where((g == 0) & np.isnan(d), 0.0, d),)
+        _record(a.tape, out, (a,), back)
     return out
 
 
@@ -356,7 +346,7 @@ def clamp_min(a, floor: float) -> Tensor:
     out = Tensor(np.maximum(a.data, floor), a.tape)
     if a.tape is not None:
         mask = a.data >= floor
-        _record(a.tape, out, ((a, lambda g: g * mask),))
+        _record(a.tape, out, (a,), lambda g: (g * mask,))
     return out
 
 
@@ -381,15 +371,10 @@ def matmul(a, b) -> Tensor:
             data = ad @ bd
     out = Tensor(data, tape)
     if tape is not None:
-        if shared:
-            n, p = bd.shape
-            back_b = lambda g: ad.reshape(-1, n).T @ g.reshape(-1, p)
-        else:
-            back_b = lambda g: ad.swapaxes(-1, -2) @ g
-        _record(tape, out, (
-            (a, lambda g: g @ bd.swapaxes(-1, -2)),
-            (b, back_b),
-        ))
+        n, p = bd.shape[-2:]
+        _record(tape, out, (a, b), lambda g: (
+            g @ bd.swapaxes(-1, -2),
+            ad.reshape(-1, n).T @ g.reshape(-1, p) if shared else ad.swapaxes(-1, -2) @ g))
     return out
 
 
@@ -400,7 +385,7 @@ def transpose(a) -> Tensor:
         raise DimensionError(f"transpose expects a 2-D or 3-D tensor, got shape {a.data.shape}")
     out = Tensor(a.data.swapaxes(-1, -2), a.tape)
     if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: g.swapaxes(-1, -2)),))
+        _record(a.tape, out, (a,), lambda g: (g.swapaxes(-1, -2),))
     return out
 
 
@@ -414,7 +399,7 @@ def reshape(a, shape) -> Tensor:
     out = Tensor(data, a.tape)
     if a.tape is not None:
         orig = a.data.shape
-        _record(a.tape, out, ((a, lambda g: g.reshape(orig)),))
+        _record(a.tape, out, (a,), lambda g: (g.reshape(orig),))
     return out
 
 
@@ -425,17 +410,8 @@ def concat(parts, axis: int = 0) -> Tensor:
     tape = _common_tape(*parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tape)
     if tape is not None:
-        sizes = [p.data.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-        pairs = []
-        for i, p in enumerate(parts):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            def back(g, lo=lo, hi=hi):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                return g[tuple(sl)]
-            pairs.append((p, back))
-        _record(tape, out, tuple(pairs))
+        cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
+        _record(tape, out, parts, lambda g: np.split(g, cuts, axis=axis))
     return out
 
 
@@ -466,10 +442,8 @@ def take(a, indices) -> Tensor:
     if a.tape is not None:
         shape, size = a.data.shape, a.data.size
 
-        def back(g):
-            return np.bincount(flat.ravel(), weights=np.ravel(g),
-                               minlength=size).reshape(shape)
-        _record(a.tape, out, ((a, back),))
+        _record(a.tape, out, (a,), lambda g: (np.bincount(
+            flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape),))
     return out
 
 
@@ -484,7 +458,7 @@ def softmax(a) -> Tensor:
     p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p, a.tape)
     if a.tape is not None:
-        _record(a.tape, out, ((a, lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))),))
+        _record(a.tape, out, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
     return out
 
 
@@ -505,9 +479,9 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
         shape = a.data.shape
         def back(g):
             if axis is None:
-                return np.broadcast_to(g, shape)
-            return np.broadcast_to(np.expand_dims(g, axis), shape)
-        _record(a.tape, out, ((a, back),))
+                return (np.broadcast_to(g, shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+        _record(a.tape, out, (a,), back)
     return out
 
 
@@ -520,9 +494,9 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
         n = a.data.size if axis is None else shape[axis]
         def back(g):
             if axis is None:
-                return np.broadcast_to(g / n, shape)
-            return np.broadcast_to(np.expand_dims(g, axis) / n, shape)
-        _record(a.tape, out, ((a, back),))
+                return (np.broadcast_to(g / n, shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
+        _record(a.tape, out, (a,), back)
     return out
 
 
@@ -585,36 +559,30 @@ def conv2d(x, kernel, bias) -> Tensor:
     tape = _common_tape(x, kernel, bias)
     out = Tensor(data, tape)
     if tape is not None:
-        # closures capture arrays and shapes only: a captured Tensor would
-        # tie its tape into a reference cycle that outlives the step
-        pre = None
+        # the input gradient only for an input on the tape: the image that
+        # conv1 reads is not
+        x_taped = x.tape is tape
         if c_in <= c_out:
-            def back_x(g):
-                dcols = wmat.T @ g.reshape(b, c_out, h * w)       # B, C_in*K*K, H*W
-                return _shifted_sum(dcols.reshape(-1, k, k, 1, h, w), -1).reshape(b, c_in, h, w)
-
-            def back_w(g):
-                # pixel-major rows, copied only when the kernel is watched:
-                # with the planes' transposed view as its operand, BLAS adds
-                # this sum over every output pixel in another order
-                rows = np.ascontiguousarray(cols.swapaxes(1, 2))
+            def backward(g):
                 g = g.reshape(b, c_out, h * w)
-                return (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k)
-
-            back_b = lambda g: g.reshape(b, c_out, h * w).sum(axis=(0, 2))
+                # the window gradients wmat.T @ g (B×C_in*K*K×H*W) are freed
+                # before the kernel gradient copies the rows: held through
+                # it, they made the baseline conv2's copy over twice as slow
+                dx = _shifted_sum((wmat.T @ g).reshape(-1, k, k, 1, h, w),
+                                  -1).reshape(b, c_in, h, w) if x_taped else None
+                # pixel-major rows: with the planes' transposed view as its
+                # operand, BLAS adds this sum over every output pixel in
+                # another order
+                rows = np.ascontiguousarray(cols.swapaxes(1, 2))
+                return dx, (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k), g.sum(axis=(0, 2))
         else:
-            def pre(g):   # g, and its spread onto the input for the input and kernel gradients
-                return g, _tap_gather(g, k, -1).reshape(b, c_out * k * k, h * w)
-
-            def back_x(gs):
-                return (wmat.T @ gs[1]).reshape(b, c_in, h, w)
-
-            def back_w(gs):
-                dw = (gs[1] @ flat_x.swapaxes(1, 2)).sum(axis=0)
-                return dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
-
-            back_b = lambda gs: gs[0].reshape(b, c_out, h * w).sum(axis=(0, 2))
-        _record(tape, out, ((x, back_x), (kernel, back_w), (bias, back_b)), pre)
+            def backward(g):
+                spread = _tap_gather(g, k, -1).reshape(b, c_out * k * k, h * w)
+                dw = (spread @ flat_x.swapaxes(1, 2)).sum(axis=0)
+                return ((wmat.T @ spread).reshape(b, c_in, h, w) if x_taped else None,
+                        dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
+                        g.reshape(b, c_out, h * w).sum(axis=(0, 2)))
+        _record(tape, out, (x, kernel, bias), backward)
     return out
 
 
@@ -703,8 +671,8 @@ def avg_pool2(x) -> Tensor:
             dx = np.empty(shape)
             dx[:, :, 0::2, 0::2] = dx[:, :, 0::2, 1::2] = dx[:, :, 1::2, 0::2] \
                 = dx[:, :, 1::2, 1::2] = g / 2 / 2
-            return dx
-        _record(x.tape, out, ((x, back),))
+            return (dx,)
+        _record(x.tape, out, (x,), back)
     return out
 
 

@@ -25,3 +25,11 @@ def test_select_timing_agrees_and_reports_every_setting():
                         for b in (1, 8, 32) for k in (160, 512)}
     assert all(0 <= t["tie_share"] <= 1 and t["stable_us"] > 0 and t["select_top_k_us"] > 0
                for t in report["timings"])
+
+
+def test_differing_keys_names_the_one_key_that_differs():
+    tool = load_tool("fingerprint")
+    first = {"sparse": {"k": 165, "logs_sha": "a"}, "baseline": {"logs_sha": "b"}}
+    second = {"sparse": {"k": 166, "logs_sha": "a"}, "baseline": {"logs_sha": "b"}}
+    assert tool.differing_keys(first, first) == []
+    assert tool.differing_keys(first, second) == ["sparse.k"]

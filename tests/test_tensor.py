@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 import sparseattn.tensor as T
+from sparseattn.coarse import affine_relu
+from sparseattn.embedding import Embedder, embed_pixels
+from sparseattn.fine import FineAttention, fine_forward
+from sparseattn.model import Classifier, classifier_forward
 from sparseattn.selector import KController
 from sparseattn.tensor import (
     DimensionError,
@@ -405,45 +409,53 @@ class TestTape:
         assert len(ALL_OPS) == len(MULTI_OPERAND) + len(SINGLE_OPERAND)
 
 
-class TestSharedStep:
-    """_record's pre: a step computed once from an op's output gradient and
-    handed to the gradient closure of each of its taped parents."""
+def _fused_stages():
+    """The model's fused stages, name -> (the stage as a function of nothing,
+    its parents in the order it records them)."""
+    rng = np.random.default_rng(12)
+    emb, fa = Embedder(rng), FineAttention(rng)
+    clf = Classifier(rng, in_dim=6, hidden=5, classes=3)
+    x, gamma, beta = (Tensor(rng.normal(0, 1, shape)) for shape in ((3, 4), (4,), (4,)))
+    tokens, fused = Tensor(rng.normal(0, 1, (2, 5, 4))), Tensor(rng.normal(0, 1, (2, 6)))
+    triplets = rng.uniform(0, 1, (2, 4, 3))
+    params = lambda m: [t for _, t in m.params()]
+    return {
+        "affine_relu": (lambda: affine_relu(x, gamma, beta), [x, gamma, beta]),
+        "embed_pixels": (lambda: embed_pixels(emb, triplets), params(emb)),
+        "fine_forward": (lambda: fine_forward(fa, tokens).z_fine, [tokens] + params(fa)),
+        "classifier_forward": (lambda: classifier_forward(clf, fused), [fused] + params(clf)),
+    }
+
+
+class TestOneBackward:
+    """_record's one rule: an op's backward maps its output gradient to one
+    gradient per parent, and the tape adds each to its parent in order."""
 
     @staticmethod
     def product(a, b, log):
-        """a * b as a toy op whose pre logs each call and whose closures log
-        the object they receive."""
+        """a * b as a toy op whose backward logs the gradient it receives."""
         tape = T._common_tape(a, b)
         out = Tensor(a.data * b.data, tape)
         ad, bd = a.data, b.data
 
-        def pre(g):
-            shared = {"g": g}
-            log.append(("pre", shared))
-            return shared
-
-        def closure(name, other):
-            def back(shared):
-                log.append((name, shared))
-                return shared["g"] * other
-            return back
-
-        T._record(tape, out, ((a, closure("a", bd)), (b, closure("b", ad))), pre)
+        def backward(g):
+            log.append(g)
+            return g * bd, g * ad
+        T._record(tape, out, (a, b), backward)
         return out
 
-    def test_pre_runs_once_and_every_parent_receives_its_result(self):
+    def test_backward_runs_once_on_the_output_gradient(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 5.0])
         tape = GradientTape()
         tape.watch(a, b)
         log = []
         tape.backward(T.reduce_sum(T.mul(self.product(a, b, log), [7.0, 11.0])))
-        assert [name for name, _ in log] == ["pre", "a", "b"]
-        assert all(shared is log[0][1] for _, shared in log)
-        np.testing.assert_array_equal(log[0][1]["g"], [7.0, 11.0])
+        assert len(log) == 1
+        np.testing.assert_array_equal(log[0], [7.0, 11.0])
         np.testing.assert_array_equal(a.grad, [21.0, 55.0])
         np.testing.assert_array_equal(b.grad, [7.0, 22.0])
 
-    def test_pre_skipped_when_the_output_gets_no_gradient(self):
+    def test_backward_skipped_when_the_output_gets_no_gradient(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 5.0])
         tape = GradientTape()
         tape.watch(a, b)
@@ -452,6 +464,87 @@ class TestSharedStep:
         tape.backward(T.reduce_sum(T.mul(a, b)))
         assert log == []
         np.testing.assert_array_equal(a.grad, [3.0, 5.0])
+
+    def test_a_parent_listed_twice_gets_both_gradients(self):
+        x = Tensor([3.0, 5.0])
+        tape = GradientTape()
+        tape.watch(x)
+        tape.backward(T.reduce_sum(T.mul(T.mul(x, x), [1.0, 2.0])))
+        np.testing.assert_array_equal(x.grad, [6.0, 20.0])
+
+    def test_a_backward_one_gradient_short_raises(self):
+        a, b = Tensor([1.0]), Tensor([2.0])
+        tape = GradientTape()
+        tape.watch(a, b)
+        out = Tensor(a.data * b.data, tape)
+        bd = b.data
+        T._record(tape, out, (a, b), lambda g: (g * bd,))
+        with pytest.raises(ValueError, match="shorter"):
+            tape.backward(T.reduce_sum(out))
+
+    @pytest.mark.parametrize("name", sorted(ALL_OPS) + sorted(_fused_stages()))
+    def test_an_op_records_one_backward_with_a_gradient_per_parent(self, name):
+        """Every operand watched: one tape entry (out_id, parent_ids,
+        backward), and backward returns one array per parent, parent order,
+        each shaped like its parent."""
+        if name in ALL_OPS:
+            op, arrays = ALL_OPS[name]
+            parents = [Tensor(a) for a in arrays]
+            run = lambda: op(*parents)
+        else:
+            run, parents = _fused_stages()[name]
+        tape = GradientTape()
+        tape.watch(*parents)
+        out = run()
+        assert len(tape._ops) == 1
+        out_id, parent_ids, backward = tape._ops[0]
+        assert out_id == out.tape_id
+        assert parent_ids == tuple(p.tape_id for p in parents)
+        grads = backward(np.random.default_rng(4).normal(0, 1, out.data.shape))
+        assert len(grads) == len(parents)
+        for g, p in zip(grads, parents):
+            assert isinstance(g, np.ndarray) and g.shape == p.data.shape
+
+
+@pytest.mark.parametrize("c_in,c_out", [(2, 3), (3, 2)], ids=["im2col", "tap"])
+class TestConvInputGradient:
+    """conv2d computes its input's gradient only when the input is on the
+    tape: the image that the coarse and the baseline conv1 read is not."""
+
+    @staticmethod
+    def backward_of(c_in, c_out, watch_input, monkeypatch):
+        """conv2d's recorded backward, on a 2×C_in×5×6 batch with the kernel
+        and bias watched and the input too if watch_input, applied to an
+        upstream gradient g. Returns its gradients, the signs at which it
+        called _shifted_sum, and the arrays x, kernel, bias and g."""
+        rng = np.random.default_rng(10 * c_in + c_out)
+        arrays = (rng.normal(0, 1, (2, c_in, 5, 6)), rng.normal(0, 1, (c_out, c_in, 3, 3)),
+                  rng.normal(0, 1, c_out))
+        x, kernel, bias = (Tensor(a) for a in arrays)
+        tape = GradientTape()
+        tape.watch(kernel, bias, *([x] if watch_input else []))
+        T.conv2d(x, kernel, bias)
+        _, parent_ids, backward = tape._ops[-1]
+        assert (parent_ids[0] is not None) == watch_input
+        signs, shifted_sum = [], T._shifted_sum
+        monkeypatch.setattr(T, "_shifted_sum",
+                            lambda taps, sign: signs.append(sign) or shifted_sum(taps, sign))
+        g = rng.normal(0, 1, (2, c_out, 5, 6))
+        return backward(g), signs, arrays + (g,)
+
+    def test_a_constant_input_gets_none(self, c_in, c_out, monkeypatch):
+        (dx, dw, db), signs, _ = self.backward_of(c_in, c_out, False, monkeypatch)
+        assert dx is None and dw.shape == (c_out, c_in, 3, 3) and db.shape == (c_out,)
+        assert -1 not in signs
+
+    def test_a_watched_input_gets_its_gradient(self, c_in, c_out, monkeypatch):
+        (dx, _, _), signs, (x0, w0, b0, g) = self.backward_of(c_in, c_out, True, monkeypatch)
+        assert (-1 in signs) == (c_in <= c_out)   # the im2col path's col2im
+        x = Tensor(x0)
+        tape = GradientTape()
+        tape.watch(x)
+        tape.backward(T.reduce_sum(T.mul(T.conv2d(x, Tensor(w0), Tensor(b0)), g)))
+        assert dx.tobytes() == x.grad.tobytes()
 
 
 class TestSerialization:

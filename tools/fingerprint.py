@@ -9,14 +9,16 @@ For each trained model it also hashes the raw logits of the tape-free
 forward: over the test set in chunks of train.EVAL_CHUNK images, as
 evaluate() runs it, and over the first 10 test images one at a time, as
 predict() does. The reports see those logits only through their argmax.
-Two trees whose arithmetic is the same print the same output, so a change
-meant to be bit-exact is checked by running this in both and comparing,
-at one and at two BLAS threads:
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/fingerprint.py
-    OPENBLAS_NUM_THREADS=2 python3 tools/fingerprint.py
+    python3 tools/fingerprint.py
 
-Each run takes about 16 s on a 2-CPU Xeon host.
+runs the fingerprint in two child processes at the same time, one with
+OPENBLAS_NUM_THREADS=1 and one with =2, and prints the JSON once. If the
+two disagree it prints the one-thread JSON, names the keys that differ on
+stderr and exits 1. Two trees whose arithmetic is the same print the same
+output, so a change meant to be bit-exact is checked by running this in
+both and comparing, for instance with md5sum. It takes about 17 s on a
+2-CPU Xeon host.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,5 +106,31 @@ def fingerprint(seed: int = 42, image_size: int = 32, samples_per_class: int = 3
     }
 
 
+def differing_keys(first: dict, second: dict) -> list[str]:
+    """The "<run>.<key>" names of the entries in which two fingerprints
+    differ, a key that only one of them has included."""
+    return [f"{run}.{key}" for run in sorted(first.keys() | second.keys())
+            for key in sorted(first.get(run, {}).keys() | second.get(run, {}).keys())
+            if first.get(run, {}).get(key) != second.get(run, {}).get(key)]
+
+
+def _at_threads(threads: int) -> subprocess.Popen:
+    """A child process that prints fingerprint() as JSON at that many BLAS
+    threads, read from the environment when the child loads numpy."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import fingerprint; "
+            "print(json.dumps(fingerprint.fingerprint(), indent=1))")
+    return subprocess.Popen([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+                            stdout=subprocess.PIPE, text=True)
+
+
 if __name__ == "__main__":
-    print(json.dumps(fingerprint(), indent=1))
+    children = [_at_threads(1), _at_threads(2)]
+    outputs = [child.communicate()[0] for child in children]
+    for child in children:
+        if child.returncode:
+            sys.exit(child.returncode)
+    sys.stdout.write(outputs[0])
+    differ = differing_keys(*(json.loads(out) for out in outputs))
+    if differ:
+        sys.exit(f"1 and 2 BLAS threads disagree on: {', '.join(differ)}")
