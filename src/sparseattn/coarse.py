@@ -85,11 +85,8 @@ def affine_relu(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     affine and div gradients on the same operands, in the same order."""
     xd, gd = x.data, gamma.data
     tape = _common_tape(x, gamma, beta)
-    a_data, mask = affine_relu_arrays(xd, gd, beta.data, keep_x=tape is not None)
-    a = Tensor(a_data, tape)
-    if tape is not None:
-        _record(tape, a, (x, gamma, beta), lambda g: affine_relu_grads(g * mask, xd, gd))
-    return a
+    a, mask = affine_relu_arrays(xd, gd, beta.data, keep_x=tape is not None)
+    return _record(tape, a, (x, gamma, beta), lambda g: affine_relu_grads(g * mask, xd, gd))
 
 
 def affine_relu_arrays(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -133,8 +130,5 @@ def _pooled_mean(a: Tensor) -> Tensor:
     b, c, height, width = shape = a.data.shape
     n = height * width
     pixels = np.ascontiguousarray(a.data.transpose(0, 2, 3, 1).reshape(b, n, c).swapaxes(0, 1))
-    pooled = Tensor(pixels.reshape(n, b * c).mean(axis=0).reshape(b, c), a.tape)
-    if a.tape is not None:
-        _record(a.tape, pooled, (a,),
-                lambda g: (np.broadcast_to((g / n)[:, :, None, None], shape),))
-    return pooled
+    return _record(a.tape, pixels.reshape(n, b * c).mean(axis=0).reshape(b, c), (a,),
+                   lambda g: (np.broadcast_to((g / n)[:, :, None, None], shape),))

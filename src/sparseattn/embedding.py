@@ -61,12 +61,9 @@ def embed_pixels(emb: Embedder, triplets) -> Tensor:
     out = np.empty(lead + (k + 1, dim))
     out[..., :k, :] = rows.reshape(lead + (k, dim))
     out[..., k, :] = cls
-    tokens = Tensor(out, tape)
-    if tape is not None:
-        def backward(g):
-            g_rows = g[..., :k, :].reshape(-1, dim)
-            g_h = (g_rows @ w2.T) * mask
-            return (x.T @ g_h, _unbroadcast(g_h, b1.shape), h.T @ g_rows,
-                    _unbroadcast(g_rows, b2.shape), _unbroadcast(g[..., k:, :], cls.shape))
-        _record(tape, tokens, params, backward)
-    return tokens
+    def backward(g):
+        g_rows = g[..., :k, :].reshape(-1, dim)
+        g_h = (g_rows @ w2.T) * mask
+        return (x.T @ g_h, _unbroadcast(g_h, b1.shape), h.T @ g_rows,
+                _unbroadcast(g_rows, b2.shape), _unbroadcast(g[..., k:, :], cls.shape))
+    return _record(tape, out, params, backward)

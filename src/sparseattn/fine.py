@@ -126,19 +126,18 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
         # contracting over all H*d_h columns adds up the heads' q_h @ context_h
         out = q @ context                                        # B × (k+1) × D
         # the CLS row of each item's output, averaged over heads
-        z_fine = Tensor((out[:, -1, :] / float(heads)).reshape(lead + (dim,)), tape)
-    if tape is not None:
-        def backward(g):
-            g_out = np.zeros((b, n_tokens, dim))
-            g_out[:, -1, :] += g.reshape(b, dim) / float(heads)
-            g_q = g_out @ context.swapaxes(-1, -2)
-            g_context = q.swapaxes(-1, -2) @ g_out
-            g_values = a @ g_context
-            g_a = (g_context @ values.swapaxes(-1, -2)).swapaxes(-1, -2)
-            g_k = (g_a / col_sums + _divisor_grad(g_a, keys, col_sums)) * mask
-            g_x = (g_k @ wk.T + g_q @ wq.T) + g_values @ wv.T
-            hd = g_q.shape[-1]
-            return (g_x.reshape(td.shape), flat.T @ g_values.reshape(-1, dim),
-                    flat.T @ g_q.reshape(-1, hd), flat.T @ g_k.reshape(-1, hd))
-        _record(tape, z_fine, parents, backward)
-    return FineOutput(z_fine=z_fine, a=a, q_cls=q[:, -1, :].copy(), heads=heads)
+        z_fine = (out[:, -1, :] / float(heads)).reshape(lead + (dim,))
+    def backward(g):
+        g_out = np.zeros((b, n_tokens, dim))
+        g_out[:, -1, :] += g.reshape(b, dim) / float(heads)
+        g_q = g_out @ context.swapaxes(-1, -2)
+        g_context = q.swapaxes(-1, -2) @ g_out
+        g_values = a @ g_context
+        g_a = (g_context @ values.swapaxes(-1, -2)).swapaxes(-1, -2)
+        g_k = (g_a / col_sums + _divisor_grad(g_a, keys, col_sums)) * mask
+        g_x = (g_k @ wk.T + g_q @ wq.T) + g_values @ wv.T
+        hd = g_q.shape[-1]
+        return (g_x.reshape(td.shape), flat.T @ g_values.reshape(-1, dim),
+                flat.T @ g_q.reshape(-1, hd), flat.T @ g_k.reshape(-1, hd))
+    return FineOutput(z_fine=_record(tape, z_fine, parents, backward), a=a,
+                      q_cls=q[:, -1, :].copy(), heads=heads)

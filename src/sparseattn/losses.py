@@ -91,6 +91,8 @@ def focal_loss(logits: Tensor, labels, cfg: LossConfig) -> Tensor:
     y = _labels(labels, c)
     if y.shape != (b,):
         raise ValueError(f"{y.size} labels for {b} rows of logits")
+    if cfg.alpha_per_class is not None and len(cfg.alpha_per_class) != c:
+        raise ValueError(f"{len(cfg.alpha_per_class)} class weights for {c} classes")
     p_y = clamp_min(take(softmax(logits), y), PROB_FLOOR)
     modulator = power(sub(1.0, p_y), cfg.gamma)
     alpha = np.ones(b) if cfg.alpha_per_class is None else np.asarray(cfg.alpha_per_class)[y]
@@ -109,6 +111,8 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig) -> Tensor:
         raise ValueError(f"embeddings must be B×D, got shape {embeddings.data.shape}")
     b = embeddings.data.shape[0]
     y = np.asarray([int(l) for l in labels])
+    if y.shape != (b,):
+        raise ValueError(f"{y.size} labels for {b} rows of embeddings")
     same = y[:, None] == y[None, :]
     np.fill_diagonal(same, False)
     anchors = np.flatnonzero(same.any(axis=1))

@@ -110,23 +110,20 @@ def classifier_forward(clf: Classifier, fused: Tensor) -> Tensor:
             h = u
         logits = h @ w_out
         logits += b_out
-    out = Tensor(logits.reshape(fd.shape[:-1] + (clf.classes,)), tape)
-    if tape is not None:
-        def backward(g):
-            g = g.reshape(logits.shape)
-            tail = [h.T @ g, _unbroadcast(g, b_out.shape)]
-            g_h = g @ w_out.T
-            per_block = []
-            for (w1, b1, gamma, _, w2, b2), (h_in, t, r, mask) in zip(blocks[::-1], kept[::-1]):
-                g_w2, g_b2 = r.T @ g_h, _unbroadcast(g_h, b2.shape)
-                g_t, g_gamma, g_beta = affine_relu_grads((g_h @ w2.T) * mask, t, gamma)
-                per_block[:0] = [h_in.T @ g_t, _unbroadcast(g_t, b1.shape), g_gamma, g_beta,
-                                 g_w2, g_b2]
-                g_h = g_h + g_t @ w1.T
-            return ((g_h @ w_in.T).reshape(fd.shape), x.T @ g_h, _unbroadcast(g_h, b_in.shape),
-                    *per_block, *tail)
-        _record(tape, out, parents, backward)
-    return out
+    def backward(g):
+        g = g.reshape(logits.shape)
+        tail = [h.T @ g, _unbroadcast(g, b_out.shape)]
+        g_h = g @ w_out.T
+        per_block = []
+        for (w1, b1, gamma, _, w2, b2), (h_in, t, r, mask) in zip(blocks[::-1], kept[::-1]):
+            g_w2, g_b2 = r.T @ g_h, _unbroadcast(g_h, b2.shape)
+            g_t, g_gamma, g_beta = affine_relu_grads((g_h @ w2.T) * mask, t, gamma)
+            per_block[:0] = [h_in.T @ g_t, _unbroadcast(g_t, b1.shape), g_gamma, g_beta,
+                             g_w2, g_b2]
+            g_h = g_h + g_t @ w1.T
+        return ((g_h @ w_in.T).reshape(fd.shape), x.T @ g_h, _unbroadcast(g_h, b_in.shape),
+                *per_block, *tail)
+    return _record(tape, logits.reshape(fd.shape[:-1] + (clf.classes,)), parents, backward)
 
 
 @dataclass

@@ -4,8 +4,9 @@ A GradientTape records operations in execution order and replays them in
 exact reverse on backward(). Tapes are single-use. Tensors created without
 a tape are constants, so the same forward code runs tape-free for cheap
 inference. Every op, a tensor op here or a fused stage of the model,
-tapes itself the same way: _record stores its parents and one backward
-that maps the output's gradient to one gradient per parent. add, sub, mul
+makes its output with _record, the one code that tells taped from
+constant: on a tape it stores the parents and one backward that maps
+the output's gradient to one gradient per parent. add, sub, mul
 and div broadcast their operands the way numpy does (a bias row, a
 per-channel scale, a per-row normalizer), and one rule, _unbroadcast,
 sums each gradient back to its operand's shape. matmul, transpose and
@@ -172,21 +173,24 @@ def _as_tensor(x) -> Tensor:
 def _common_tape(*ts: Tensor):
     tape = None
     for t in ts:
-        if t.tape is not None:
-            if tape is None:
-                tape = t.tape
-            elif tape is not t.tape:
-                raise TapeError("operands were recorded on different tapes")
+        if tape is None:
+            tape = t.tape
+        elif t.tape is not tape and t.tape is not None:
+            raise TapeError("operands were recorded on different tapes")
     return tape
 
 
-def _record(tape: GradientTape, out: Tensor, parents, backward) -> None:
-    """Tape out as one op of parents: backward(g) maps out's gradient g to
-    one gradient per parent, in the order of parents. It captures arrays and
-    shapes only: a captured Tensor would tie its tape into a reference cycle
-    that outlives the step."""
-    tape._ops.append((out.tape_id, tuple(p.tape_id if p.tape is tape else None
-                                         for p in parents), backward))
+def _record(tape: GradientTape | None, data, parents, backward) -> Tensor:
+    """The output data of an op of parents, as a Tensor on tape. On a tape
+    the op is recorded too: backward(g) maps the output's gradient g to one
+    gradient per parent, in parent order, and captures arrays and shapes
+    only, since a captured Tensor would tie its tape into a reference cycle
+    that outlives the step. Tape-free, backward is dropped."""
+    out = Tensor(data, tape)
+    if tape is not None:
+        tape._ops.append((out.tape_id, tuple(p.tape_id if p.tape is tape else None
+                                             for p in parents), backward))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -217,46 +221,38 @@ def _binary(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     tape = _common_tape(a, b)
-    out = Tensor(_binary(np.add, a, b), tape)
-    if tape is not None:
-        ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
-    return out
+    ash, bsh = a.data.shape, b.data.shape
+    return _record(tape, _binary(np.add, a, b), (a, b),
+                   lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     tape = _common_tape(a, b)
+    ash, bsh = a.data.shape, b.data.shape
     with np.errstate(invalid="ignore", over="ignore"):
-        out = Tensor(_binary(np.subtract, a, b), tape)
-    if tape is not None:
-        ash, bsh = a.data.shape, b.data.shape
-        _record(tape, out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
-    return out
+        return _record(tape, _binary(np.subtract, a, b), (a, b),
+                       lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     tape = _common_tape(a, b)
+    ad, bd = a.data, b.data
     with np.errstate(over="ignore"):
-        out = Tensor(_binary(np.multiply, a, b), tape)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        _record(tape, out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
-                                              _unbroadcast(g * ad, bd.shape)))
-    return out
+        return _record(tape, _binary(np.multiply, a, b), (a, b),
+                       lambda g: (_unbroadcast(g * bd, ad.shape),
+                                  _unbroadcast(g * ad, bd.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     tape = _common_tape(a, b)
+    ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(_binary(np.divide, a, b), tape)
-    if tape is not None:
-        ad, bd = a.data, b.data
-        _record(tape, out, (a, b), lambda g: (_unbroadcast(g / bd, ad.shape),
-                                              _divisor_grad(g, ad, bd)))
-    return out
+        return _record(tape, _binary(np.divide, a, b), (a, b),
+                       lambda g: (_unbroadcast(g / bd, ad.shape),
+                                  _divisor_grad(g, ad, bd)))
 
 
 def _divisor_grad(g: np.ndarray, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -275,14 +271,11 @@ def _divisor_grad(g: np.ndarray, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), a.tape)
-    if a.tape is not None:
-        # a C-order mask whatever a's layout: the gradient arrives C-ordered,
-        # and a bool mask in another layout sends g * mask through numpy's
-        # slow buffered path (the baseline's conv outputs are channel-minor)
-        mask = np.greater(a.data, 0, order="C")
-        _record(a.tape, out, (a,), lambda g: (g * mask,))
-    return out
+    # a C-order mask whatever a's layout: the gradient arrives C-ordered,
+    # and a bool mask in another layout sends g * mask through numpy's
+    # slow buffered path (the baseline's conv outputs are channel-minor)
+    mask = np.greater(a.data, 0, order="C") if a.tape is not None else None
+    return _record(a.tape, np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a) -> Tensor:
@@ -290,64 +283,45 @@ def sigmoid(a) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))             # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
     s = np.where(x >= 0, 1.0, e) / (1.0 + e)   # 1/(1+e) or e/(1+e): one quotient
-    out = Tensor(s, a.tape)
-    if a.tape is not None:
-        _record(a.tape, out, (a,), lambda g: (g * s * (1.0 - s),))
-    return out
+    return _record(a.tape, s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         e = np.exp(a.data)
-    out = Tensor(e, a.tape)
-    if a.tape is not None:
-        _record(a.tape, out, (a,), lambda g: (g * e,))
-    return out
+    return _record(a.tape, e, (a,), lambda g: (g * e,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    if np.any(a.data <= 0):
+    ad = a.data
+    if np.any(ad <= 0):
         raise DomainError("log of a non-positive value")
-    out = Tensor(np.log(a.data), a.tape)
-    if a.tape is not None:
-        ad = a.data
-        _record(a.tape, out, (a,), lambda g: (g / ad,))
-    return out
+    return _record(a.tape, np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def power(a, exponent: float) -> Tensor:
     """a**exponent for a fixed float exponent; exponent 0 gives exact ones."""
     a = _as_tensor(a)
-    p = float(exponent)
+    ad, p = a.data, float(exponent)
     if p == 0.0:
-        out = Tensor(np.ones_like(a.data), a.tape)
-        if a.tape is not None:
-            zeros = np.zeros_like(a.data)
-            _record(a.tape, out, (a,), lambda g: (zeros,))
-        return out
+        return _record(a.tape, np.ones_like(ad), (a,), lambda g: (np.zeros_like(ad),))
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = Tensor(a.data ** p, a.tape)
-    if a.tape is not None:
-        ad = a.data
-        def back(g):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                d = g * p * ad ** (p - 1.0)
-            # a zero gradient times an infinite slope (a below-1 power at 0) stays 0
-            return (np.where((g == 0) & np.isnan(d), 0.0, d),)
-        _record(a.tape, out, (a,), back)
-    return out
+        data = ad ** p
+    def back(g):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = g * p * ad ** (p - 1.0)
+        # a zero gradient times an infinite slope (a below-1 power at 0) stays 0
+        return (np.where((g == 0) & np.isnan(d), 0.0, d),)
+    return _record(a.tape, data, (a,), back)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient passes where a was not clamped."""
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, floor), a.tape)
-    if a.tape is not None:
-        mask = a.data >= floor
-        _record(a.tape, out, (a,), lambda g: (g * mask,))
-    return out
+    mask = a.data >= floor if a.tape is not None else None
+    return _record(a.tape, np.maximum(a.data, floor), (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +343,10 @@ def matmul(a, b) -> Tensor:
             data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
         else:
             data = ad @ bd
-    out = Tensor(data, tape)
-    if tape is not None:
-        n, p = bd.shape[-2:]
-        _record(tape, out, (a, b), lambda g: (
-            g @ bd.swapaxes(-1, -2),
-            ad.reshape(-1, n).T @ g.reshape(-1, p) if shared else ad.swapaxes(-1, -2) @ g))
-    return out
+    n, p = bd.shape[-2:]
+    return _record(tape, data, (a, b), lambda g: (
+        g @ bd.swapaxes(-1, -2),
+        ad.reshape(-1, n).T @ g.reshape(-1, p) if shared else ad.swapaxes(-1, -2) @ g))
 
 
 def transpose(a) -> Tensor:
@@ -383,10 +354,7 @@ def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim not in (2, 3):
         raise DimensionError(f"transpose expects a 2-D or 3-D tensor, got shape {a.data.shape}")
-    out = Tensor(a.data.swapaxes(-1, -2), a.tape)
-    if a.tape is not None:
-        _record(a.tape, out, (a,), lambda g: (g.swapaxes(-1, -2),))
-    return out
+    return _record(a.tape, a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -396,11 +364,8 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
     if data.shape == a.data.shape:
         return a
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        orig = a.data.shape
-        _record(a.tape, out, (a,), lambda g: (g.reshape(orig),))
-    return out
+    orig = a.data.shape
+    return _record(a.tape, data, (a,), lambda g: (g.reshape(orig),))
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -408,11 +373,9 @@ def concat(parts, axis: int = 0) -> Tensor:
     if not parts:
         raise DimensionError("concat of an empty sequence")
     tape = _common_tape(*parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tape)
-    if tape is not None:
-        cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
-        _record(tape, out, parts, lambda g: np.split(g, cuts, axis=axis))
-    return out
+    cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]]) if tape is not None else None
+    return _record(tape, np.concatenate([p.data for p in parts], axis=axis), parts,
+                   lambda g: np.split(g, cuts, axis=axis))
 
 
 def take(a, indices) -> Tensor:
@@ -426,25 +389,21 @@ def take(a, indices) -> Tensor:
     if a.data.ndim < 1:
         raise DimensionError("take needs at least a 1-D tensor")
     idx = np.asarray(indices, dtype=np.intp)
-    lead, n = a.data.shape[:-1], a.data.shape[-1]
+    shape, size = a.data.shape, a.data.size
+    lead, n = shape[:-1], shape[-1]
     one = idx.shape == lead
     picks = idx[..., None] if one else idx
     if picks.shape[:-1] != lead:
         raise DimensionError(
-            f"take: indices {idx.shape} do not match the leading shape of {a.data.shape}"
+            f"take: indices {idx.shape} do not match the leading shape of {shape}"
         )
     if picks.size and (picks.min() < 0 or picks.max() >= n):
         raise DimensionError(f"take index out of range for last extent {n}")
     # a flat gather from the raveled array: each pick plus its row's start
     flat = picks + np.arange(math.prod(lead)).reshape(lead + (1,)) * n
     data = a.data.ravel()[flat]
-    out = Tensor(data[..., 0] if one else data, a.tape)
-    if a.tape is not None:
-        shape, size = a.data.shape, a.data.size
-
-        _record(a.tape, out, (a,), lambda g: (np.bincount(
-            flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape),))
-    return out
+    return _record(a.tape, data[..., 0] if one else data, (a,), lambda g: (np.bincount(
+        flat.ravel(), weights=np.ravel(g), minlength=size).reshape(shape),))
 
 
 def softmax(a) -> Tensor:
@@ -456,10 +415,7 @@ def softmax(a) -> Tensor:
     with np.errstate(invalid="ignore", over="ignore"):
         e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, a.tape)
-    if a.tape is not None:
-        _record(a.tape, out, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
-    return out
+    return _record(a.tape, p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +430,24 @@ def _check_axis(a: Tensor, axis) -> None:
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
     _check_axis(a, axis)
-    out = Tensor(a.data.sum(axis=axis), a.tape)
-    if a.tape is not None:
-        shape = a.data.shape
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
-        _record(a.tape, out, (a,), back)
-    return out
+    shape = a.data.shape
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+    return _record(a.tape, a.data.sum(axis=axis), (a,), back)
 
 
 def reduce_mean(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
     _check_axis(a, axis)
-    out = Tensor(a.data.mean(axis=axis), a.tape)
-    if a.tape is not None:
-        shape = a.data.shape
-        n = a.data.size if axis is None else shape[axis]
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g / n, shape),)
-            return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
-        _record(a.tape, out, (a,), back)
-    return out
+    shape = a.data.shape
+    n = a.data.size if axis is None else shape[axis]
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g / n, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
+    return _record(a.tape, a.data.mean(axis=axis), (a,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +488,10 @@ def conv2d(x, kernel, bias) -> Tensor:
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.data.shape} must be ({c_out},)")
+    tape = _common_tape(x, kernel, bias)
+    # the input gradient only for an input on the tape: the image that
+    # conv1 reads is not
+    x_taped = x.tape is tape
 
     if c_in <= c_out:
         wmat = kernel.data.reshape(c_out, c_in * k * k)
@@ -547,6 +501,18 @@ def conv2d(x, kernel, bias) -> Tensor:
         rows += _tiled(bias.data, w)              # so the bias goes in place, row by row
         flat = prod.swapaxes(1, 2)                                 # channel-minor view
         data = flat.reshape(b, c_out, h, w)
+        def backward(g):
+            g = g.reshape(b, c_out, h * w)
+            # the window gradients wmat.T @ g (B×C_in*K*K×H*W) are freed
+            # before the kernel gradient copies the rows: held through
+            # it, they made the baseline conv2's copy over twice as slow
+            dx = _shifted_sum((wmat.T @ g).reshape(-1, k, k, 1, h, w),
+                              -1).reshape(b, c_in, h, w) if x_taped else None
+            # pixel-major rows: with the planes' transposed view as its
+            # operand, BLAS adds this sum over every output pixel in
+            # another order
+            rows = np.ascontiguousarray(cols.swapaxes(1, 2))
+            return dx, (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k), g.sum(axis=(0, 2))
     else:
         wmat = kernel.data.transpose(0, 2, 3, 1).reshape(c_out * k * k, c_in)
         flat_x = x.data.reshape(b, c_in, h * w)
@@ -556,34 +522,13 @@ def conv2d(x, kernel, bias) -> Tensor:
         sums = _shifted_sum((wmat @ x.data.swapaxes(0, 1).reshape(c_in, b * h * w))
                             .reshape(c_out, k, k, b, h, w), 1)
         data = sums.swapaxes(0, 1) + bias.data[:, None, None]
-    tape = _common_tape(x, kernel, bias)
-    out = Tensor(data, tape)
-    if tape is not None:
-        # the input gradient only for an input on the tape: the image that
-        # conv1 reads is not
-        x_taped = x.tape is tape
-        if c_in <= c_out:
-            def backward(g):
-                g = g.reshape(b, c_out, h * w)
-                # the window gradients wmat.T @ g (B×C_in*K*K×H*W) are freed
-                # before the kernel gradient copies the rows: held through
-                # it, they made the baseline conv2's copy over twice as slow
-                dx = _shifted_sum((wmat.T @ g).reshape(-1, k, k, 1, h, w),
-                                  -1).reshape(b, c_in, h, w) if x_taped else None
-                # pixel-major rows: with the planes' transposed view as its
-                # operand, BLAS adds this sum over every output pixel in
-                # another order
-                rows = np.ascontiguousarray(cols.swapaxes(1, 2))
-                return dx, (g @ rows).sum(axis=0).reshape(c_out, c_in, k, k), g.sum(axis=(0, 2))
-        else:
-            def backward(g):
-                spread = _tap_gather(g, k, -1).reshape(b, c_out * k * k, h * w)
-                dw = (spread @ flat_x.swapaxes(1, 2)).sum(axis=0)
-                return ((wmat.T @ spread).reshape(b, c_in, h, w) if x_taped else None,
-                        dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
-                        g.reshape(b, c_out, h * w).sum(axis=(0, 2)))
-        _record(tape, out, (x, kernel, bias), backward)
-    return out
+        def backward(g):
+            spread = _tap_gather(g, k, -1).reshape(b, c_out * k * k, h * w)
+            dw = (spread @ flat_x.swapaxes(1, 2)).sum(axis=0)
+            return ((wmat.T @ spread).reshape(b, c_in, h, w) if x_taped else None,
+                    dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
+                    g.reshape(b, c_out, h * w).sum(axis=(0, 2)))
+    return _record(tape, data, (x, kernel, bias), backward)
 
 
 def _tiled(vec: np.ndarray, n: int) -> np.ndarray:
@@ -664,16 +609,13 @@ def avg_pool2(x) -> Tensor:
     xd = x.data
     if xd.ndim != 4 or xd.shape[2] % 2 or xd.shape[3] % 2:
         raise DimensionError(f"avg_pool2 needs B×C×H×W with even H and W, got {xd.shape}")
-    out = Tensor(((xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2]) / 2
-                  + (xd[:, :, 1::2, 0::2] + xd[:, :, 1::2, 1::2]) / 2) / 2, x.tape)
-    if x.tape is not None:
-        def back(g, shape=xd.shape):
-            dx = np.empty(shape)
-            dx[:, :, 0::2, 0::2] = dx[:, :, 0::2, 1::2] = dx[:, :, 1::2, 0::2] \
-                = dx[:, :, 1::2, 1::2] = g / 2 / 2
-            return (dx,)
-        _record(x.tape, out, (x,), back)
-    return out
+    def back(g, shape=xd.shape):
+        dx = np.empty(shape)
+        dx[:, :, 0::2, 0::2] = dx[:, :, 0::2, 1::2] = dx[:, :, 1::2, 0::2] \
+            = dx[:, :, 1::2, 1::2] = g / 2 / 2
+        return (dx,)
+    return _record(x.tape, ((xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2]) / 2
+                            + (xd[:, :, 1::2, 0::2] + xd[:, :, 1::2, 1::2]) / 2) / 2, (x,), back)
 
 
 # ---------------------------------------------------------------------------

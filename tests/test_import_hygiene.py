@@ -15,7 +15,9 @@ whose own line carries `# noqa` is exempt: such a name is kept for code
 elsewhere that looks it up there.
 
 File I/O stays in the modules that own a file format: no module but cli,
-data and model calls open(), as a function or as a method.
+data and model calls open(), as a function or as a method. An op's output
+has one maker: no code but tensor._record builds a Tensor with a tape
+argument, appends to a tape's _ops or branches on `tape is not None`.
 """
 
 import ast
@@ -164,3 +166,58 @@ def test_open_checker_flags_both_spellings():
               "fh = path.open('w')\n"
               "opened = reopen(p)\n")
     assert open_calls(source) == [1, 3]
+
+
+def _is_tape(node) -> bool:
+    return "tape" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def taped_constructions(source: str) -> list[int]:
+    """Lines, outside a function named _record, of a Tensor built with a
+    tape argument, an append to some object's _ops, or an `if` statement
+    on `<tape> is not None`."""
+    tree = ast.parse(source)
+    exempt = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_record" for node in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            tensor = getattr(f, "id", getattr(f, "attr", None)) == "Tensor" and (
+                len(node.args) > 1 or any(kw.arg == "tape" for kw in node.keywords))
+            append = getattr(f, "attr", None) == "append" and getattr(f.value, "attr", None) == "_ops"
+            if tensor or append:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+            test = node.test
+            if (_is_tape(test.left) and isinstance(test.ops[0], ast.IsNot)
+                    and getattr(test.comparators[0], "value", 0) is None):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_record_makes_a_taped_output():
+    found = {p.stem: taped_constructions(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert "def _record(" in (PACKAGE / "tensor.py").read_text()
+
+
+def test_taped_construction_checker_flags_an_op_that_tapes_itself():
+    source = ("def _record(tape, data, parents, backward):\n"
+              "    out = Tensor(data, tape)\n"
+              "    if tape is not None:\n"
+              "        tape._ops.append((out.tape_id, (), backward))\n"
+              "    return out\n"
+              "def relu(a):\n"
+              "    out = Tensor(np.maximum(a.data, 0.0), a.tape)\n"
+              "    if a.tape is not None:\n"
+              "        a.tape._ops.append((out.tape_id, (a.tape_id,), None))\n"
+              "    return out\n"
+              "const = T.Tensor(np.zeros(2))\n"
+              "taped = T.Tensor(np.zeros(2), tape=tape)\n"
+              "mask = a > 0 if tape is not None else None\n"
+              "if tape is None:\n"
+              "    pass\n")
+    assert taped_constructions(source) == [7, 8, 9, 12]

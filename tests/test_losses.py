@@ -79,6 +79,11 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             focal_loss(Tensor([[0.0, 0.0]]), [2], LossConfig())
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0, 1.0]], ids=["short", "long"])
+    def test_class_weight_count_must_match_the_classes(self, weights):
+        with pytest.raises(ValueError, match=f"^{len(weights)} class weights for 3 classes$"):
+            focal_loss(Tensor(np.zeros((2, 3))), [0, 2], LossConfig(alpha_per_class=weights))
+
     def test_grad_check(self):
         rng = np.random.default_rng(1)
         cfg = LossConfig(gamma=2.0, alpha_per_class=[1.5, 0.75, 1.0])
@@ -89,6 +94,11 @@ class TestFocalLoss:
 
 
 class TestContrastiveLoss:
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
+    def test_label_count_must_match_the_rows(self, labels):
+        with pytest.raises(ValueError, match=f"^{len(labels)} labels for 3 rows"):
+            contrastive_loss(Tensor(np.eye(3)), labels, LossConfig())
+
     def test_identical_same_class_pair_is_zero(self):
         cfg = LossConfig(tau=1.0)
         z = Tensor([[1.0, 0.0], [1.0, 0.0]])

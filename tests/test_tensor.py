@@ -3,12 +3,13 @@ tape discipline, and the binary serialization round trip.
 """
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
 
 import sparseattn.tensor as T
-from sparseattn.coarse import affine_relu
+from sparseattn.coarse import _pooled_mean, affine_relu
 from sparseattn.embedding import Embedder, embed_pixels
 from sparseattn.fine import FineAttention, fine_forward
 from sparseattn.model import Classifier, classifier_forward
@@ -325,6 +326,26 @@ SINGLE_OPERAND = {
 ALL_OPS = {**MULTI_OPERAND, **SINGLE_OPERAND}
 
 
+def _fused_stages():
+    """The model's fused stages, name -> (the stage as a function of nothing,
+    its parents in the order it records them)."""
+    rng = np.random.default_rng(12)
+    emb, fa = Embedder(rng), FineAttention(rng)
+    clf = Classifier(rng, in_dim=6, hidden=5, classes=3)
+    x, gamma, beta = (Tensor(rng.normal(0, 1, shape)) for shape in ((3, 4), (4,), (4,)))
+    tokens, fused = Tensor(rng.normal(0, 1, (2, 5, 4))), Tensor(rng.normal(0, 1, (2, 6)))
+    fmap = Tensor(rng.normal(0, 1, (2, 3, 4, 4)))
+    triplets = rng.uniform(0, 1, (2, 4, 3))
+    params = lambda m: [t for _, t in m.params()]
+    return {
+        "affine_relu": (lambda: affine_relu(x, gamma, beta), [x, gamma, beta]),
+        "embed_pixels": (lambda: embed_pixels(emb, triplets), params(emb)),
+        "fine_forward": (lambda: fine_forward(fa, tokens).z_fine, [tokens] + params(fa)),
+        "classifier_forward": (lambda: classifier_forward(clf, fused), [fused] + params(clf)),
+        "_pooled_mean": (lambda: _pooled_mean(fmap), [fmap]),
+    }
+
+
 class TestTape:
     def test_disconnected_parameter_grad_is_exactly_zero(self):
         tape = GradientTape()
@@ -393,12 +414,16 @@ class TestTape:
             with pytest.raises(TapeError, match="different tapes"):
                 op(*operands)
 
-    @pytest.mark.parametrize("name", sorted(ALL_OPS))
+    @pytest.mark.parametrize("name", sorted(ALL_OPS) + sorted(_fused_stages()))
     def test_op_on_constants_returns_a_constant_and_records_nothing(self, name):
-        op, arrays = ALL_OPS[name]
+        if name in ALL_OPS:
+            op, arrays = ALL_OPS[name]
+            run = lambda: op(*[Tensor(a) for a in arrays])
+        else:
+            run = _fused_stages()[name][0]
         tape = GradientTape()
         tape.watch(Tensor([1.0]))
-        out = op(*[Tensor(a) for a in arrays])
+        out = run()
         assert out.tape is None and out.tape_id is None
         assert tape._ops == []
 
@@ -409,40 +434,21 @@ class TestTape:
         assert len(ALL_OPS) == len(MULTI_OPERAND) + len(SINGLE_OPERAND)
 
 
-def _fused_stages():
-    """The model's fused stages, name -> (the stage as a function of nothing,
-    its parents in the order it records them)."""
-    rng = np.random.default_rng(12)
-    emb, fa = Embedder(rng), FineAttention(rng)
-    clf = Classifier(rng, in_dim=6, hidden=5, classes=3)
-    x, gamma, beta = (Tensor(rng.normal(0, 1, shape)) for shape in ((3, 4), (4,), (4,)))
-    tokens, fused = Tensor(rng.normal(0, 1, (2, 5, 4))), Tensor(rng.normal(0, 1, (2, 6)))
-    triplets = rng.uniform(0, 1, (2, 4, 3))
-    params = lambda m: [t for _, t in m.params()]
-    return {
-        "affine_relu": (lambda: affine_relu(x, gamma, beta), [x, gamma, beta]),
-        "embed_pixels": (lambda: embed_pixels(emb, triplets), params(emb)),
-        "fine_forward": (lambda: fine_forward(fa, tokens).z_fine, [tokens] + params(fa)),
-        "classifier_forward": (lambda: classifier_forward(clf, fused), [fused] + params(clf)),
-    }
-
-
 class TestOneBackward:
-    """_record's one rule: an op's backward maps its output gradient to one
-    gradient per parent, and the tape adds each to its parent in order."""
+    """_record's one rule: an op makes its output with one
+    _record(tape, data, parents, backward) call; on a tape, the backward
+    maps the output gradient to one gradient per parent, and the tape adds
+    each to its parent in order."""
 
     @staticmethod
     def product(a, b, log):
         """a * b as a toy op whose backward logs the gradient it receives."""
-        tape = T._common_tape(a, b)
-        out = Tensor(a.data * b.data, tape)
         ad, bd = a.data, b.data
 
         def backward(g):
             log.append(g)
             return g * bd, g * ad
-        T._record(tape, out, (a, b), backward)
-        return out
+        return T._record(T._common_tape(a, b), ad * bd, (a, b), backward)
 
     def test_backward_runs_once_on_the_output_gradient(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 5.0])
@@ -476,11 +482,21 @@ class TestOneBackward:
         a, b = Tensor([1.0]), Tensor([2.0])
         tape = GradientTape()
         tape.watch(a, b)
-        out = Tensor(a.data * b.data, tape)
         bd = b.data
-        T._record(tape, out, (a, b), lambda g: (g * bd,))
+        out = T._record(tape, a.data * bd, (a, b), lambda g: (g * bd,))
         with pytest.raises(ValueError, match="shorter"):
             tape.backward(T.reduce_sum(out))
+
+    def test_a_tape_free_record_is_a_constant_that_keeps_no_backward(self):
+        """Tape-free, _record drops the backward, and with it every array
+        the backward captured."""
+        backward = lambda g: (g,)
+        ref = weakref.ref(backward)
+        out = T._record(None, np.ones(2), (Tensor(np.ones(2)),), backward)
+        assert out.tape is None and out.tape_id is None
+        np.testing.assert_array_equal(out.data, np.ones(2))
+        del backward
+        assert ref() is None
 
     @pytest.mark.parametrize("name", sorted(ALL_OPS) + sorted(_fused_stages()))
     def test_an_op_records_one_backward_with_a_gradient_per_parent(self, name):

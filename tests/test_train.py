@@ -205,6 +205,11 @@ class TestTrain:
         for name, t in model.params():
             np.testing.assert_array_equal(t.data, first[name], err_msg=name)
 
+    def test_class_weights_for_too_few_classes_are_rejected(self):
+        with pytest.raises(ValueError, match="^1 class weights for 3 classes$"):
+            train(tiny_model(), tiny_dataset(), TrainConfig(
+                epochs=1, batch_size=4, loss=sa.LossConfig(alpha_per_class=[1.0])))
+
     def test_log_records_epoch_fields(self):
         model = tiny_model(seed=7)
         _, logs = train(model, tiny_dataset(seed=7),
