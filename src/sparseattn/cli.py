@@ -90,10 +90,9 @@ _FEEDS: dict[str, tuple] = {
     "k-init": (build_model, "k_init", "initial pixel budget"),
     "k-min": (build_model, "k_min", "minimum pixel budget"),
     "k-max": (build_model, "k_max", "maximum pixel budget (0 = full image)"),
-    "k-step-up": (build_model, "k_step_up", "budget increase step"),
-    "k-step-down": (build_model, "k_step_down", "budget decrease step"),
+    "k-step": (build_model, "k_step", "budget step per epoch, before the alpha mix"),
     "ema-beta": (build_model, "ema_beta", "loss EMA coefficient"),
-    "k-alpha": (build_model, "k_alpha", "budget momentum coefficient"),
+    "k-alpha": (build_model, "k_alpha", "budget damping: k moves (1 - alpha) of each step"),
     "dim": (build_model, "dim", "token embedding dimension"),
     "heads": (build_model, "heads", "fine attention heads"),
     "hidden": (build_model, "hidden", "classifier hidden width"),

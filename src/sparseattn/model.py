@@ -153,8 +153,7 @@ def build_model(seed: int, image_shape: tuple[int, int],
                 k_init: int = KController.k, k_min: int = KController.k_min,
                 k_max: int = 0,
                 ema_beta: float = KController.beta, k_alpha: float = KController.alpha,
-                k_step_up: int = KController.step_up,
-                k_step_down: int = KController.step_down) -> ModelState:
+                k_step: int = KController.step) -> ModelState:
     """Initialize all modules from one seed; controller bounds are clamped
     to the pixel count so paper-scale defaults stay valid on small images,
     and k_max 0 is the whole image."""
@@ -168,7 +167,7 @@ def build_model(seed: int, image_shape: tuple[int, int],
     k_max = min(int(k_max), n) if k_max else n
     k_min = min(int(k_min), k_max)
     ctrl = KController(k=k_init, k_min=k_min, k_max=k_max, beta=ema_beta,
-                       alpha=k_alpha, step_up=k_step_up, step_down=k_step_down)
+                       alpha=k_alpha, step=k_step)
     return ModelState(
         coarse=CoarseNet(rng, channels=coarse_channels),
         embedder=Embedder(rng, dim=dim),
@@ -215,7 +214,7 @@ def predict(m: ModelState, image: Tensor) -> int:
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"SATM"
-_CKPT_VERSION = 4
+_CKPT_VERSION = 5
 
 
 def checkpoint_bytes(m: ModelState) -> bytes:

@@ -96,8 +96,11 @@ class KController:
     """Integer pixel budget adapted from the training-loss trend.
 
     Keeps an exponential moving average of the loss; a non-decreasing
-    trend raises k by step_up, a decreasing trend lowers it by step_down,
-    and momentum alpha smooths the move. The first observation only
+    trend moves the raw budget up by `step`, a decreasing one down by
+    `step`, each clamped to [k_min, k_max]. The new k is the mix alpha·k +
+    (1 − alpha)·raw, rounded. alpha is a damping, not momentum: no velocity
+    is kept, so inside the bounds each move is (1 − alpha)·step, and near a
+    bound k approaches it geometrically. The first observation only
     initializes the average, so the first actual adjustment reflects the
     trend of epoch two versus epoch one. k stays integral inside [k_min,
     k_max]. The fields are the checkpointed state: asdict() round-trips.
@@ -108,18 +111,16 @@ class KController:
     k_max: int = 65536
     beta: float = 0.2
     alpha: float = 0.2
-    step_up: int = 80
-    step_down: int = 50
+    step: int = 50
     ema: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.k_min <= self.k_max:
             raise ValueError(f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
-        # NaN fails these too; steps >= 0 keep every update inside the bounds
-        if not (0 <= self.beta <= 1 and 0 <= self.alpha <= 1
-                and self.step_up >= 0 and self.step_down >= 0):
-            raise ValueError("need beta and alpha in [0, 1] and steps >= 0, got "
-                             f"{self.beta}, {self.alpha}, {self.step_up}, {self.step_down}")
+        # NaN fails these too; step >= 0 keeps every update inside the bounds
+        if not (0 <= self.beta <= 1 and 0 <= self.alpha <= 1 and self.step >= 0):
+            raise ValueError("need beta and alpha in [0, 1] and step >= 0, got "
+                             f"{self.beta}, {self.alpha}, {self.step}")
         self.k_min, self.k_max = int(self.k_min), int(self.k_max)
         self.k = min(max(int(self.k), self.k_min), self.k_max)
 
@@ -135,9 +136,9 @@ def update_k(ctrl: KController, current_loss: float) -> int:
     prev = ctrl.ema
     ctrl.ema = ctrl.beta * prev + (1.0 - ctrl.beta) * loss
     if ctrl.ema >= prev:
-        raw = min(ctrl.k + ctrl.step_up, ctrl.k_max)
+        raw = min(ctrl.k + ctrl.step, ctrl.k_max)
     else:
-        raw = max(ctrl.k - ctrl.step_down, ctrl.k_min)
+        raw = max(ctrl.k - ctrl.step, ctrl.k_min)
     # a convex mix of two budgets in [k_min, k_max] rounds back into it
     ctrl.k = round(ctrl.alpha * ctrl.k + (1.0 - ctrl.alpha) * raw)
     return ctrl.k

@@ -279,14 +279,14 @@ class TestCriterion8:
     def test_controller_clamps_and_monotonicity(self):
         down = KController(k=8000, k_min=1500, k_max=18225)
         update_k(down, 50.0)
-        ks = [update_k(down, 50.0 - 0.2 * i) for i in range(1, 200)]
+        ks = [update_k(down, 50.0 - 0.2 * i) for i in range(1, 300)]
         down_ok = (all(a >= b for a, b in zip(ks, ks[1:]))
                    and ks[-1] == 1500
                    and all(isinstance(k, int) and 1500 <= k <= 18225 for k in ks))
 
         up = KController(k=8000, k_min=1500, k_max=18225)
         update_k(up, 1.0)
-        ks_up = [update_k(up, 1.0 + 0.2 * i) for i in range(1, 200)]
+        ks_up = [update_k(up, 1.0 + 0.2 * i) for i in range(1, 300)]
         up_ok = (all(a <= b for a, b in zip(ks_up, ks_up[1:]))
                  and ks_up[-1] == 18225
                  and all(isinstance(k, int) and 1500 <= k <= 18225 for k in ks_up))

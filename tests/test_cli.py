@@ -522,7 +522,7 @@ class TestTruncatedCheckpoints:
                     path.write_bytes(variant)
                     code = main(["eval", "--checkpoint", str(path), "--dataset", str(tmp_path)])
                     assert code in (0, 3), (i, byte)
-        assert swept == 13682 and 0 < loaded < swept
+        assert swept == 13487 and 0 < loaded < swept
 
     def test_cli_exits_3_on_a_truncated_file(self, tmp_path):
         path = tmp_path / "cut.ckpt"
@@ -540,12 +540,12 @@ class TestTruncatedCheckpoints:
     def damaged_files():
         """(label, bytes) of one SATM and one SATB with each container fault:
         an unknown, a missing or a wrong-shaped tensor, trailing bytes and
-        another version (3, the format before this one, for SATM; 2 for SATB)."""
+        another version (4, the format before this one, for SATM; 2 for SATB)."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
         cases = []
         for data, magic, version, other, reshaped in (
-                (checkpoint_bytes(model), b"SATM", 4, 3, "classifier.w_out"),
+                (checkpoint_bytes(model), b"SATM", 5, 4, "classifier.w_out"),
                 (baseline_checkpoint_bytes(build_baseline(0, (16, 16), 3)), b"SATB", 1, 2,
                  "head_w")):
             meta, arrays = unpack(data, magic, version)
@@ -575,6 +575,21 @@ class TestTruncatedCheckpoints:
             assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3, label
             assert main(["cost", "--checkpoint", str(path)]) == 3, label
 
+    def test_a_version_4_checkpoint_is_a_data_error(self, tmp_path, capsys):
+        """SATM 4 held the controller's two steps, step_up and step_down:
+        eval exits 3 naming the version, and load_model raises DatasetError."""
+        model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
+                            hidden=2, coarse_channels=1, k_init=4, k_min=2)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 5)
+        step = meta["controller"].pop("step")
+        meta["controller"].update(step_up=80, step_down=step)
+        path = tmp_path / "old.satm"
+        path.write_bytes(pack(b"SATM", 4, meta, [(n, Tensor(a)) for n, a in arrays.items()]))
+        assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3
+        assert "unsupported SATM checkpoint version 4" in capsys.readouterr().err
+        with pytest.raises(DatasetError, match="unsupported SATM checkpoint version 4"):
+            model_module.load_model(path)
+
     def test_non_finite_weights_are_a_data_error(self, tmp_path, capsys):
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
@@ -593,10 +608,10 @@ class TestTruncatedCheckpoints:
         allocate four 2000×2000 matrices before the records are checked."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
-        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 4)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 5)
         meta["hidden"] = 2000
         arrays["classifier.w_in"] = np.zeros((3, 2000))
-        data = pack(b"SATM", 4, meta, [(n, Tensor(a)) for n, a in arrays.items()])
+        data = pack(b"SATM", 5, meta, [(n, Tensor(a)) for n, a in arrays.items()])
 
         def build_model_called(*args, **kwargs):
             raise AssertionError("build_model ran on unchecked sizes")
@@ -607,18 +622,19 @@ class TestTruncatedCheckpoints:
 
     @pytest.mark.parametrize("fault", [
         {"k": 5000, "k_max": 9000}, {"k": float("inf")}, {"beta": float("nan")},
-        {"ema_prev": 0.5},
-    ], ids=["budget-beyond-the-image", "infinite-k", "nan-beta", "version-3-key"])
+        {"ema_prev": 0.5}, {"step_up": 80, "step_down": 50},
+    ], ids=["budget-beyond-the-image", "infinite-k", "nan-beta", "version-3-key",
+            "version-4-keys"])
     def test_controller_faults_are_data_errors(self, tmp_path, capsys, fault):
-        """Controller metadata out of range, or of the version-3 format, is a
-        data error in eval, viz and cost: a 16×16 model whose k = 5000 and
-        k_max = 9000 never runs a k its image cannot hold."""
+        """Controller metadata out of range, or of the version-3 or version-4
+        format, is a data error in eval, viz and cost: a 16×16 model whose
+        k = 5000 and k_max = 9000 never runs a k its image cannot hold."""
         model = build_model(seed=0, image_shape=(16, 16), class_count=3, dim=2, heads=1,
                             hidden=2, coarse_channels=1, k_init=4, k_min=2)
-        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 4)
+        meta, arrays = unpack(checkpoint_bytes(model), b"SATM", 5)
         meta["controller"].update(fault)
         path = tmp_path / "controller.satm"
-        path.write_bytes(pack(b"SATM", 4, meta, [(n, Tensor(a)) for n, a in arrays.items()]))
+        path.write_bytes(pack(b"SATM", 5, meta, [(n, Tensor(a)) for n, a in arrays.items()]))
         image = tmp_path / "img.pgm"
         write_pgm(image, np.zeros((16, 16)))
         assert main(["eval", "--checkpoint", str(path)] + self.EVAL_16) == 3
@@ -631,16 +647,16 @@ class TestTruncatedCheckpoints:
     # beyond any host's memory: each must fail against the shapes of the
     # tensor records before anything is allocated
     @pytest.mark.parametrize("magic, version, key, value", [
-        (b"SATM", 4, "heads", "2"),
-        (b"SATM", 4, "heads", 0),
-        (b"SATM", 4, "image_shape", None),
-        (b"SATM", 4, "controller", [1]),
+        (b"SATM", 5, "heads", "2"),
+        (b"SATM", 5, "heads", 0),
+        (b"SATM", 5, "image_shape", None),
+        (b"SATM", 5, "controller", [1]),
         (b"SATB", 1, "classes", "3"),
-        (b"SATM", 4, "hidden", 10**12),
-        (b"SATM", 4, "dim", 10**12),
-        (b"SATM", 4, "coarse_channels", 10**12),
+        (b"SATM", 5, "hidden", 10**12),
+        (b"SATM", 5, "dim", 10**12),
+        (b"SATM", 5, "coarse_channels", 10**12),
         (b"SATB", 1, "image_shape", [4 * 10**6, 4 * 10**6]),
-        (b"SATM", 4, "image_shape", [-4, -4]),
+        (b"SATM", 5, "image_shape", [-4, -4]),
     ])
     def test_metadata_of_the_wrong_type_is_a_data_error(self, tmp_path, magic, version,
                                                         key, value):
@@ -857,8 +873,9 @@ class TestParser:
         "--emphasis": "distillation target sharpening exponent",
         "--k-init": "initial pixel budget", "--k-min": "minimum pixel budget",
         "--k-max": "maximum pixel budget (0 = full image)",
-        "--k-step-up": "budget increase step", "--k-step-down": "budget decrease step",
-        "--ema-beta": "loss EMA coefficient", "--k-alpha": "budget momentum coefficient",
+        "--k-step": "budget step per epoch, before the alpha mix",
+        "--ema-beta": "loss EMA coefficient",
+        "--k-alpha": "budget damping: k moves (1 - alpha) of each step",
         "--dim": "token embedding dimension", "--heads": "fine attention heads",
         "--hidden": "classifier hidden width",
         "--samples-per-class": "synthetic samples per class",
@@ -866,7 +883,7 @@ class TestParser:
         "--noise-sigma": "synthetic background noise sigma",
     }
     SYNTHETIC = "--seed --samples-per-class --image-size --noise-sigma"
-    BUDGET = ("--k-init --k-min --k-max --k-step-up --k-step-down --ema-beta --k-alpha "
+    BUDGET = ("--k-init --k-min --k-max --k-step --ema-beta --k-alpha "
               "--dim --heads --hidden")
     COMMANDS = {
         "gen": ("write a synthetic PGM dataset", f"--out --config {SYNTHETIC}"),

@@ -44,6 +44,18 @@ def test_a_failed_run_is_reported_not_raised():
     assert result["seed"] == 1 and "k_min" in result["error"]
 
 
+def test_summary_counts_each_criterion():
+    results = [
+        {"seed": 2, "criterion_9": True, "criterion_11": True, "passed": True},
+        {"seed": 5, "criterion_9": True, "criterion_11": False, "passed": False},
+        {"seed": 7, "error": "ValueError: need 1 <= k_min <= k_max"},
+    ]
+    assert seeds.summary(results) == ("criteria 9 and 11 both hold on 1 of 3 seeds: 2; "
+                                      "criterion 9 on 2, criterion 11 on 1")
+    assert seeds.summary(results[1:]).startswith("criteria 9 and 11 both hold on 0 of 2 "
+                                                 "seeds: none;")
+
+
 @pytest.mark.parametrize("accuracy, k, elapsed_s, hit_rate, want", [
     (0.90, 204, 299.9, 0.70, (True, True)),
     (0.8999, 204, 1.0, 0.70, (False, True)),

@@ -181,7 +181,7 @@ class TestKController:
 
     def test_decrease_with_momentum_hand_value(self):
         ctrl = KController(k=8000, k_min=1500, k_max=20000,
-                           beta=0.2, alpha=0.2, step_down=50)
+                           beta=0.2, alpha=0.2, step=50)
         update_k(ctrl, 1.0)
         new_k = update_k(ctrl, 0.5)
         # raw 7950, smoothed round(0.2*8000 + 0.8*7950) = 7960
@@ -210,10 +210,19 @@ class TestKController:
 
     def test_raw_step_sign_matches_trend(self):
         ctrl = KController(k=2000, k_min=100, k_max=4000,
-                           alpha=0.0)   # no momentum: k == raw
+                           alpha=0.0)   # no damping: k == raw
         update_k(ctrl, 1.0)
-        assert update_k(ctrl, 2.0) == 2080    # up by step_up
-        assert update_k(ctrl, 0.1) == 2030    # down by step_down
+        assert update_k(ctrl, 2.0) == 2050    # up by step
+        assert update_k(ctrl, 0.1) == 2000    # down by step
+
+    def test_a_flipping_trend_does_not_drift(self):
+        """A loss that rises and falls in turn moves k up and down by the
+        same (1 - alpha)·step, so k is back at 2000 after every pair."""
+        ctrl = KController(k=2000)
+        update_k(ctrl, 1.0)
+        for _ in range(4):
+            assert update_k(ctrl, 2.0) == 2040
+            assert update_k(ctrl, 0.0) == 2000
 
     def test_nonfinite_loss_leaves_state_unchanged(self):
         ctrl = KController(k=300, k_min=10, k_max=400)
@@ -229,8 +238,9 @@ class TestKController:
 
     @pytest.mark.parametrize("setting", [
         {"beta": float("nan")}, {"beta": 1.5}, {"alpha": float("nan")}, {"alpha": -0.1},
-        {"step_up": -1}, {"step_down": -1},
-    ], ids=["beta-nan", "beta-above-1", "alpha-nan", "alpha-below-0", "step-up", "step-down"])
+        {"step": -1}, {"step": float("nan")},
+    ], ids=["beta-nan", "beta-above-1", "alpha-nan", "alpha-below-0", "step-below-0",
+            "step-nan"])
     def test_coefficient_and_step_validation(self, setting):
         with pytest.raises(ValueError):
             KController(k=100, k_min=10, k_max=200, **setting)
@@ -239,7 +249,7 @@ class TestKController:
         """Every alpha in [0, 1] and every trend keep k inside [k_min, k_max]."""
         for alpha in (0.0, 0.3, 0.5, 0.999, 1.0):
             ctrl = KController(k=150, k_min=100, k_max=200, alpha=alpha,
-                               step_up=1000, step_down=1000)
+                               step=1000)
             update_k(ctrl, 1.0)
             for loss in (2.0, 3.0, 0.1, 0.05, 5.0, 0.01, 9.0):
                 assert 100 <= update_k(ctrl, loss) <= 200

@@ -153,8 +153,7 @@ class TestTrain:
     def test_controller_updates_once_per_epoch(self):
         data = tiny_dataset()
         model = tiny_model(k_init=40, k_min=16)
-        model.controller.step_down = 8
-        model.controller.step_up = 8
+        model.controller.step = 8
         _, logs = train(model, data, TrainConfig(epochs=4, batch_size=4, seed=2))
         ks = [rec["k"] for rec in logs]
         assert ks[0] == 40                     # first epoch runs at k_init

@@ -19,7 +19,8 @@ Each seed prints one JSON line, in the order the seeds were given:
 
 elapsed_s is the only field that differs between repeated runs. A seed
 whose run fails prints its seed and an `error` line instead. A last line
-on stderr counts the seeds that pass both criteria.
+on stderr lists the seeds that pass both criteria and counts the seeds
+that pass criterion 9 and criterion 11 each.
 
     python3 tools/seeds.py 1-20            # development seeds
     python3 tools/seeds.py 101-110         # held out: read to gate, never to tune
@@ -145,6 +146,16 @@ def run(seeds: list[int], sizes: dict, jobs: int = 2) -> list[dict]:
         return list(pool.map(child, seeds))
 
 
+def summary(results: list[dict]) -> str:
+    """The last line of a run: the seeds that pass both criteria, then the
+    count of each criterion alone. A failed run passes neither."""
+    passed = [r["seed"] for r in results if r.get("passed")]
+    each = [sum(bool(r.get(f"criterion_{c}")) for r in results) for c in (9, 11)]
+    return (f"criteria 9 and 11 both hold on {len(passed)} of {len(results)} seeds: "
+            f"{' '.join(map(str, passed)) or 'none'}; "
+            f"criterion 9 on {each[0]}, criterion 11 on {each[1]}")
+
+
 def parse_seeds(text: str) -> list[int]:
     """'1-20', '101-110' or '3,7,42' (ranges inclusive) -> the seeds. A
     reversed or open range is an argparse error."""
@@ -174,9 +185,7 @@ def main(argv=None) -> int:
     results = run(args.seeds, sizes)
     for result in results:
         print(json.dumps(result), flush=True)
-    passed = [r["seed"] for r in results if r.get("passed")]
-    print(f"criteria 9 and 11 both hold on {len(passed)} of {len(results)} seeds: "
-          f"{' '.join(map(str, passed)) or 'none'}", file=sys.stderr)
+    print(summary(results), file=sys.stderr)
     return 0
 
 
