@@ -20,6 +20,7 @@ from .tensor import (
     Tensor,
     _common_tape,
     _record,
+    _sum_middle,
     _tiled,
     _unbroadcast,
     conv2d,
@@ -115,20 +116,28 @@ def affine_relu_arrays(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 def affine_relu_grads(gm: np.ndarray, xd: np.ndarray, gamma: np.ndarray) -> tuple:
     """The x, gamma and beta gradients of affine_relu, given gm, the
-    upstream gradient times relu's mask."""
+    upstream gradient times relu's mask. gm must be a fresh array that
+    nothing else reads: once both channel sums are taken, it is scaled in
+    place into x's gradient."""
     c = gamma.size
     sd = (gamma / AFFINE_DIVISOR).reshape((c,) + (1,) * (xd.ndim - 2))
-    return (_unbroadcast(gm * sd, xd.shape),
-            _unbroadcast(gm * xd, sd.shape).reshape(c) / AFFINE_DIVISOR,
-            _unbroadcast(gm, sd.shape).reshape(c))
+    g_gamma = _unbroadcast(gm * xd, sd.shape).reshape(c) / AFFINE_DIVISOR
+    g_beta = _unbroadcast(gm, sd.shape).reshape(c)
+    gm *= sd
+    return gm, g_gamma, g_beta
 
 
 def _pooled_mean(a: Tensor) -> Tensor:
     """The per-channel spatial mean of a channel-minor B×C×H×W map: one
-    tape op. It sums a pixel-major (H·W, B·C) copy one pixel after another,
-    the order in which numpy sums over the pixels of the channel-minor map."""
+    tape op. It sums the map's own (B, H·W, C) view one pixel after
+    another, the order in which numpy sums over the pixels of the
+    channel-minor map. With one channel that view would be summed
+    pairwise, so a single-channel map sums its (1, H·W, B) transpose,
+    one B-wide row of pixels after another."""
     b, c, height, width = shape = a.data.shape
     n = height * width
-    pixels = np.ascontiguousarray(a.data.transpose(0, 2, 3, 1).reshape(b, n, c).swapaxes(0, 1))
-    return _record(a.tape, pixels.reshape(n, b * c).mean(axis=0).reshape(b, c), (a,),
+    pixels = np.ascontiguousarray(a.data.transpose(0, 2, 3, 1).reshape(b, n, c))
+    if c == 1:
+        pixels = np.ascontiguousarray(pixels.T)
+    return _record(a.tape, (_sum_middle(pixels) / n).reshape(b, c), (a,),
                    lambda g: (np.broadcast_to((g / n)[:, :, None, None], shape),))

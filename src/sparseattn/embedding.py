@@ -63,7 +63,8 @@ def embed_pixels(emb: Embedder, triplets) -> Tensor:
     out[..., k, :] = cls
     def backward(g):
         g_rows = g[..., :k, :].reshape(-1, dim)
-        g_h = (g_rows @ w2.T) * mask
+        g_h = g_rows @ w2.T
+        g_h *= mask
         return (x.T @ g_h, _unbroadcast(g_h, b1.shape), h.T @ g_rows,
                 _unbroadcast(g_rows, b2.shape), _unbroadcast(g[..., k:, :], cls.shape))
     return _record(tape, out, params, backward)

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionError, Module, Tensor, _common_tape, _divisor_grad, _record
+from .tensor import (
+    DimensionError,
+    Module,
+    Tensor,
+    _common_tape,
+    _divisor_grad,
+    _record,
+    _sum_middle,
+)
 
 
 def _add_across(parts: np.ndarray) -> np.ndarray:
@@ -119,7 +127,7 @@ def fine_forward(fa: FineAttention, tokens: Tensor) -> FineOutput:
         mask = np.greater(keys, 0, order="C") if tape is not None else None
         np.maximum(keys, 0.0, out=keys)
         keys += fa.epsilon
-        col_sums = keys.sum(axis=1).reshape(b, 1, -1)
+        col_sums = _sum_middle(keys).reshape(b, 1, -1)
         # columns sum to 1; taped, the keys stay for the divisor's gradient
         a = np.divide(keys, col_sums, out=keys if tape is None else None)
         context = a.swapaxes(-1, -2) @ values                   # B × H*d_h × D

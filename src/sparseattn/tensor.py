@@ -193,15 +193,32 @@ def _record(tape: GradientTape | None, data, parents, backward) -> Tensor:
     return out
 
 
+def _sum_middle(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) bit for bit, for a C-contiguous P×N×M array a. Both
+    add the N slices in order into a P×M result that starts at +0, but
+    the reduce makes one inner-loop call per M-wide row, which costs more
+    than the adds while M is narrow; einsum makes all of them in one pass.
+    At M = 1 numpy merges the summed axis into a pairwise sum, so that
+    case stays on the reduce."""
+    return np.einsum("inj->ij", a) if a.shape[2] >= 2 else a.sum(axis=1)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum an upstream gradient over the axes that broadcasting added or
-    stretched, back to the operand's shape, in one sum call."""
+    stretched, back to the operand's shape. When those axes are one run of
+    a C-contiguous g, g is a P×N×M array summed over its N rows by
+    _sum_middle; otherwise it is one sum call over the axes."""
     if g.shape == shape:
         return g
     lead = g.ndim - len(shape)
     axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
                                       if n == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape)
+    first, last = axes[0], axes[-1] + 1
+    if not g.flags.c_contiguous or last - first != len(axes):
+        return g.sum(axis=axes).reshape(shape)
+    outer, run, inner = (math.prod(g.shape[i:j]) for i, j in
+                         ((0, first), (first, last), (last, g.ndim)))
+    return _sum_middle(g.reshape(outer, run, inner)).reshape(shape)
 
 
 def _binary(ufunc, a: Tensor, b: Tensor) -> np.ndarray:

@@ -22,7 +22,8 @@ from .tensor import GradientTape, NumericError, Tensor
 # images per tape-free forward in evaluate(): enough to amortize the
 # per-call overhead; each image in a chunk adds about 0.3 MB to the peak
 # resident memory at 32×32 (one k=512 pass over 180 images in a fresh
-# process: +1.1, +2.1, +3.1 and +5.6 MB at chunks of 1, 4, 8 and 16)
+# process: +1.3, +2.1, +3.2 and +5.5 MB at chunks of 1, 4, 8 and 16; the
+# peak is the coarse stage's conv temporaries, not its pooled mean)
 EVAL_CHUNK = 8
 
 

@@ -8,7 +8,13 @@ import pytest
 
 import sparseattn as sa
 import sparseattn.coarse as coarse
-from sparseattn.coarse import AFFINE_DIVISOR, CoarseNet, coarse_forward
+from sparseattn.coarse import (
+    AFFINE_DIVISOR,
+    CoarseNet,
+    _pooled_mean,
+    affine_relu_grads,
+    coarse_forward,
+)
 from sparseattn.losses import LossConfig, total_loss
 from sparseattn.tensor import (
     DimensionError,
@@ -248,3 +254,48 @@ class TestFusedHiddenLayer:
         finally:
             tracemalloc.stop()
         assert peak <= 2.4 * 8 * net.channels * 32 * 32 * 8
+
+
+class TestPooledMean:
+    """_pooled_mean equals the mean of the map's pixel-major (H·W, B·C)
+    copy, byte for byte."""
+
+    @staticmethod
+    def pixel_major_mean(m):
+        b, c, height, width = m.shape
+        n = height * width
+        pixels = np.ascontiguousarray(m.transpose(0, 2, 3, 1).reshape(b, n, c).swapaxes(0, 1))
+        return pixels.reshape(n, b * c).mean(axis=0).reshape(b, c)
+
+    @pytest.mark.parametrize("channels", [1, 2, 8])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_equals_the_pixel_major_mean(self, batch, channels):
+        """At one channel and B ≥ 2, a sum over each image's own pixels would
+        be pairwise where the pixel-major one is sequential."""
+        rng = np.random.default_rng(batch * 10 + channels)
+        shape = (batch, 32, 32, channels)
+        m = (rng.normal(0, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)).transpose(0, 3, 1, 2)
+        got = _pooled_mean(Tensor(m)).data
+        assert got.tobytes() == self.pixel_major_mean(m).tobytes()
+
+    def test_sums_a_c_contiguous_map_in_the_same_order(self):
+        m = np.random.default_rng(2).lognormal(0, 6, (4, 3, 9, 7))
+        assert _pooled_mean(Tensor(m)).data.tobytes() == self.pixel_major_mean(m).tobytes()
+
+
+class TestAffineReluGrads:
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 6, 4, 3)])
+    def test_x_gradient_is_the_scaled_input_buffer(self, shape):
+        """The helper reads both channel sums from gm and then scales gm in
+        place into x's gradient, bit for bit the out-of-place expressions."""
+        rng = np.random.default_rng(len(shape))
+        gm, xd = rng.normal(0, 1, shape), rng.normal(0, 1, shape)
+        gamma = rng.normal(1, 0.5, 6)
+        sd = (gamma / AFFINE_DIVISOR).reshape((6,) + (1,) * (len(shape) - 2))
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        want = (gm * sd, (gm * xd).sum(axis=axes) / AFFINE_DIVISOR, gm.sum(axis=axes))
+        buffer = gm
+        got = affine_relu_grads(gm, xd, gamma)
+        assert got[0] is buffer
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -94,6 +94,20 @@ class TestFineForward:
         o = q @ (a.T @ (tokens.data @ fa.w_v.data))
         np.testing.assert_allclose(out.z_fine.data, o[-1], atol=1e-12)
 
+    @pytest.mark.parametrize("dim,heads", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_key_column_sums_are_numpys_sum(self, dim, heads, taped):
+        """The attention is the keys over keys.sum(axis=1), byte for byte,
+        with the key width H·d_h at 1 (numpy sums pairwise) and at 2."""
+        fa = make_attention(9, dim=dim, heads=heads)
+        tokens = Tensor(np.random.default_rng(dim + heads).lognormal(0, 3, (3, 1025, dim)))
+        if taped:
+            GradientTape().watch(tokens)
+        out = fine_forward(fa, tokens)
+        keys = np.maximum((tokens.data.reshape(-1, dim) @ fa.w_k.data).reshape(3, 1025, dim),
+                          0.0) + fa.epsilon
+        assert out.a.tobytes() == (keys / keys.sum(axis=1, keepdims=True)).tobytes()
+
     def test_scalar_worked_example(self):
         """k=1, D=1, H=1 with hand-picked projections."""
         fa = make_attention(0, dim=1, heads=1, epsilon=1e-6)

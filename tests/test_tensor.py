@@ -167,6 +167,70 @@ class TestReduce:
             T.reduce_sum(Tensor([1.0]), axis=1)
 
 
+def wide_range(rng, shape):
+    """Values whose sums depend on the order of their adds: magnitudes over
+    32 decades, both signs, signed zeros and a run of ±1e16."""
+    a = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-16, 16, shape)
+    flat = a.reshape(-1)
+    flat[::5] = -0.0
+    flat[1::7] = 0.0
+    flat[2:40:3] = 1e16
+    flat[3:40:3] = -1e16
+    return a
+
+
+class TestOuterAxisSums:
+    """_sum_middle is a.sum(axis=1) byte for byte, and _unbroadcast routes
+    through it only for one contiguous run of summed axes of a C-contiguous
+    gradient."""
+
+    @pytest.mark.parametrize("shape", [(3, 1024, 1), (3, 7, 1), (3, 1, 1), (1, 1024, 1),
+                                       (5, 1, 4), (1, 1, 16), (1, 4096, 16), (1, 4096, 4),
+                                       (32, 513, 4), (8, 1024, 8), (2, 9, 2), (4, 6, 3)])
+    def test_sum_middle_is_numpys_sum(self, shape):
+        a = wide_range(np.random.default_rng(sum(shape)), shape)
+        assert T._sum_middle(a).tobytes() == a.sum(axis=1).tobytes()
+
+    def test_sum_middle_of_signed_zeros_is_positive_zero(self):
+        for shape in [(2, 1, 3), (2, 5, 3), (2, 9, 1)]:
+            a = np.full(shape, -0.0)
+            assert T._sum_middle(a).tobytes() == a.sum(axis=1).tobytes()
+            assert not np.signbit(T._sum_middle(a)).any()
+
+    @pytest.mark.parametrize("g_shape,shape,axes", [
+        ((4096, 16), (16,), (0,)),               # the embedding's b1
+        ((2048, 4), (4,), (0,)),                 # the embedding's b2
+        ((32, 3), (3,), (0,)),                   # a classifier bias
+        ((8, 161, 4), (8, 1, 4), (1,)),          # the fine stage's column-sum divisor
+        ((6, 5, 7, 3), (7, 3), (0, 1)),          # two leading axes
+        ((1, 9, 4), (1, 1, 4), (1,)),            # a size-1 axis beside the summed run
+        ((33, 2), (33, 1), (1,)),                # a kept width of 1
+        ((5, 6), (), (0, 1)),                    # every axis
+    ])
+    def test_unbroadcast_of_one_run_takes_sum_middle(self, g_shape, shape, axes, monkeypatch):
+        g = wide_range(np.random.default_rng(len(g_shape)), g_shape)
+        want = g.sum(axis=axes).reshape(shape)
+        calls = []
+        monkeypatch.setattr(T, "_sum_middle", lambda a: calls.append(a.shape) or a.sum(axis=1))
+        T._unbroadcast(g, shape)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert T._unbroadcast(g, shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["cls-row", "channel-axes"])
+    def test_other_reductions_stay_on_sum(self, case, monkeypatch):
+        """The CLS row g[..., k:, :] of a batch is not contiguous, and
+        affine_relu's per-channel sums run over axes (0, 2, 3)."""
+        rng = np.random.default_rng(7)
+        if case == "cls-row":
+            g, shape, axes = wide_range(rng, (8, 161, 4))[:, 160:, :], (4,), (0, 1)
+        else:
+            g, shape, axes = wide_range(rng, (8, 8, 32, 32)), (8, 1, 1), (0, 2, 3)
+        monkeypatch.setattr(T, "_sum_middle", lambda a: pytest.fail("took _sum_middle"))
+        got = T._unbroadcast(g, shape)
+        assert got.tobytes() == g.sum(axis=axes).tobytes()
+
+
 class TestConv2d:
     def test_zero_input_passes_bias(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
