@@ -41,8 +41,9 @@ CHANNELS = (16, 32)
 KSIZE = 3   # both convolutions: 3x3 kernels
 # images per taped forward in training. Two-epoch fixture calls took a
 # median 1.00 s one image at a time and 1.04/0.84/0.91/1.02 s at chunks of
-# 2/4/8/32, peak RSS 71.7 MB, then 71.8/72.9/76.1/88.9 MB (2-CPU Xeon, one
-# BLAS thread): at 32, conv2's window columns alone take 9.4 MB
+# 2/4/8/32 (2-CPU Xeon, one BLAS thread); a process making two such calls
+# peaks at 58.8 MB one image at a time, then 59.4/60.0/62.3/72.9 MB: at 32,
+# conv2's window columns alone take 9.4 MB
 TRAIN_CHUNK = 4
 
 

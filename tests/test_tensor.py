@@ -2,8 +2,15 @@
 tape discipline, and the binary serialization round trip.
 """
 
+import ctypes
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +433,20 @@ class TestTape:
         y = T.reduce_sum(x)
         tape.backward(y)
         with pytest.raises(TapeError):
+            tape.backward(y)
+
+    def test_a_replayed_tape_holds_no_ops_and_stays_single_use(self):
+        tape = GradientTape()
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        tape.watch(x)
+        y = T.reduce_sum(T.mul(T.relu(x), x))
+        assert len(tape._ops) == 3
+        backward = weakref.ref(tape._ops[-1][2])
+        tape.backward(y)
+        assert tape._ops == []
+        assert backward() is None   # nothing else keeps the replayed closures
+        np.testing.assert_array_equal(x.grad, 2 * np.arange(6.0).reshape(2, 3))
+        with pytest.raises(TapeError, match="single-use"):
             tape.backward(y)
 
     def test_non_scalar_root_rejected(self):
@@ -1119,11 +1140,12 @@ class TestWindowPath:
         x = Tensor(x0)
         tape.watch(x)
         out = T.avg_pool2(x)
-        tape.backward(T.reduce_sum(T.mul(out, g0)))
+        root = T.reduce_sum(T.mul(out, g0))
+        assert len(tape._ops) == 3   # pool, mul, sum
+        tape.backward(root)
         want_out, want_grad = self.pooled_by_means(x0, g0)
         np.testing.assert_array_equal(out.data, want_out)
         np.testing.assert_array_equal(x.grad, want_grad)
-        assert len(tape._ops) == 3   # pool, mul, sum
 
     def test_pool_grad_check(self):
         rng = np.random.default_rng(141)
@@ -1135,3 +1157,52 @@ class TestWindowPath:
     def test_pool_needs_even_extents_of_a_batch(self, shape):
         with pytest.raises(DimensionError):
             T.avg_pool2(Tensor(np.zeros(shape)))
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestKeepFreedHeap:
+    """tensor's import-time allocator setting: glibc keeps freed heap in
+    the process, so a tape-free evaluate stops faulting its pages in again
+    for every chunk."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+    def test_a_second_k512_evaluate_pass_makes_almost_no_page_faults(self):
+        # 96 images in 12 chunks: without the setting the second pass
+        # makes about 20 minor faults per image (about 2,000)
+        script = textwrap.dedent("""
+            import resource
+            import sparseattn as sa
+            images = sa.generate(sa.SyntheticSpec(image_size=32, seed=7, samples_per_class=32))
+            model = sa.build_model(seed=7, image_shape=(32, 32))
+            model.controller.k = 512
+            sa.evaluate(model, images)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sa.evaluate(model, images)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        path = [str(Path(T.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        assert int(out.stdout) < 50
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+        mallopt = lambda param, value: calls.append((param, value))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        T._keep_freed_heap()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["raises", "no mallopt"])
+    def test_without_mallopt_nothing_happens(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "raises":
+                raise OSError("no C library")
+            return types.SimpleNamespace()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert T._keep_freed_heap() is None
